@@ -76,15 +76,14 @@ def _cmd_mask(args) -> int:
     return 0
 
 
-def _guidance(args, cfg: ModelConfig, beta: float, gamma: float) -> GuidanceParams:
+def _guidance(args, cfg: ModelConfig, **strengths: float) -> GuidanceParams:
     return GuidanceParams(
         spec=cfg.grid(),
         alpha=args.alpha,
-        beta=beta,
-        gamma=gamma,
         tau=args.tau,
         max_tokens=args.max_tokens,
         eos_id=cfg.eos_id,
+        **strengths,
     )
 
 
@@ -102,7 +101,7 @@ def _cmd_decode(args) -> int:
         if args.seg is None and args.bbox is None:
             raise InputError("decode needs --seg or --bbox unless --baseline is given")
         seg = _load_seg(args, (img.width, img.height))
-        params = _guidance(args, cfg, args.beta, args.gamma)
+        params = _guidance(args, cfg, beta=args.beta, gamma=args.gamma)
         ids, trace = decode(
             img, seg, prompt, cfg, w, params, topk=args.topk,
             sample=args.sample, temperature=args.temperature, seed=args.seed,
@@ -123,8 +122,7 @@ def _cmd_sweep(args) -> int:
     seg = _load_seg(args, (img.width, img.height))
     betas = _parse_floats(args.beta)
     gammas = _parse_floats(args.gamma)
-    base = _guidance(args, cfg, beta=max(1.0, betas[0] if betas else 1.0), gamma=1.0)
-    rows = sweep(img, seg, prompt, cfg, w, betas, gammas, base)
+    rows = sweep(img, seg, prompt, cfg, w, betas, gammas, _guidance(args, cfg))
     _write_text(args.out, sweep_to_csv(rows))
     print(f"rows={len(rows)}")
     return 0
@@ -158,7 +156,7 @@ def _cmd_verify(args) -> int:
     for r in report["criteria"]:
         status = "PASS" if r["passed"] else "FAIL"
         print(f"[{status}] {r['id']:2d} {r['name']}: {r['detail']}")
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out is not None:
         _write_text(args.out, text)
     else:
@@ -194,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", type=float, default=0.0)
         p.add_argument("--alpha", type=float, default=0.01, help="token suppression weight")
         p.add_argument("--max-tokens", type=int, default=16)
-        p.add_argument("--topk", type=int, default=5, help="entries per trace record")
         if name == "decode":
+            p.add_argument("--topk", type=int, default=5, help="entries per trace record")
             p.add_argument("--beta", type=float, default=5.0, help="attention amplification")
             p.add_argument("--gamma", type=float, default=1.5, help="logits guidance intensity")
             p.add_argument("--out", help="trace output path (JSON lines)")

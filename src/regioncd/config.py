@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from regioncd.errors import InputError
@@ -101,6 +102,9 @@ class GuidanceParams:
     eos_id: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "gamma", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.alpha <= 1.0:
             raise InputError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.beta < 1.0:

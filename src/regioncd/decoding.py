@@ -13,7 +13,9 @@ distribution. Both branches always consume the same generated prefix.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,8 +54,8 @@ def reweight_attention(scores: np.ndarray, mask_row: np.ndarray, beta: float) ->
         raise InputError("attention row must be non-empty")
     if not np.isfinite(e).all():
         raise InputError("attention scores must be finite")
-    if beta < 1.0:
-        raise InputError(f"beta must be >= 1, got {beta}")
+    if not math.isfinite(beta) or beta < 1.0:
+        raise InputError(f"beta must be finite and >= 1, got {beta}")
     factors = np.where(m != 0, float(beta), 1.0)
     shifted = factors * np.exp(e - e.max())
     return shifted / shifted.sum()
@@ -72,16 +74,6 @@ def fuse_logits(
     if g.shape != u.shape:
         raise ShapeError(f"branch vectors disagree in shape: {g.shape} vs {u.shape}")
     return (1.0 - gamma) * u + gamma * g
-
-
-def extend_mask(mask: TokenMask, total_positions: int) -> np.ndarray:
-    """Mask over a full sequence: visual positions copy, text positions 0."""
-    n = len(mask.values)
-    if total_positions < n:
-        raise InputError(f"total positions {total_positions} shorter than visual prefix {n}")
-    out = np.zeros(total_positions, dtype=np.uint8)
-    out[:n] = mask.values
-    return out
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
@@ -137,10 +129,10 @@ class DecodeTrace:
         }
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps(self.header_obj(), sort_keys=True, separators=(",", ":"))]
-        lines += [
-            json.dumps(s.to_json_obj(), sort_keys=True, separators=(",", ":"))
-            for s in self.steps
+        objs = [self.header_obj()] + [s.to_json_obj() for s in self.steps]
+        lines = [
+            json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+            for obj in objs
         ]
         return "\n".join(lines) + "\n"
 
@@ -148,6 +140,58 @@ class DecodeTrace:
 def _greedy_pick(scores: np.ndarray) -> int:
     # np.argmax returns the first maximum, i.e. the lowest token id on ties
     return int(np.argmax(scores))
+
+
+def _check_request(prompt: list[int], cfg: ModelConfig, params: GuidanceParams) -> None:
+    if not prompt:
+        raise InputError("prompt must be non-empty")
+    if params.spec != cfg.grid():
+        raise InputError(
+            f"guidance grid {params.spec} does not match the model grid {cfg.grid()}"
+        )
+    if cfg.n_visual + len(prompt) + params.max_tokens > cfg.max_seq:
+        raise InputError(
+            f"visual prefix + prompt + max_tokens exceeds max_seq {cfg.max_seq}"
+        )
+
+
+def _run_steps(
+    guided: DecoderSession,
+    logits_g: np.ndarray,
+    unguided: DecoderSession,
+    logits_u: np.ndarray,
+    params: GuidanceParams,
+    topk: int,
+    pick: Callable[[np.ndarray], int],
+) -> tuple[list[int], list[StepRecord]]:
+    """The dual-branch step loop from the prompt logits of both branches.
+
+    ``pick`` chooses the next token from the fused scores; both sessions are
+    extended with every chosen token except the last.
+    """
+    out: list[int] = []
+    steps: list[StepRecord] = []
+    for t in range(params.max_tokens):
+        assert guided.text_ids == unguided.text_ids, "branch prefixes diverged"
+        lp_g = log_softmax(logits_g)
+        lp_u = log_softmax(logits_u)
+        fused = fuse_logits(lp_g, lp_u, params.gamma)
+        chosen = pick(fused)
+        steps.append(
+            StepRecord(
+                t=t,
+                guided_topk=_topk(lp_g, topk),
+                unguided_topk=_topk(lp_u, topk),
+                fused_topk=_topk(fused, topk),
+                chosen=chosen,
+            )
+        )
+        out.append(chosen)
+        if chosen == params.eos_id or t + 1 == params.max_tokens:
+            break
+        logits_g = guided.extend_with_tokens([chosen])
+        logits_u = unguided.extend_with_tokens([chosen])
+    return out, steps
 
 
 def decode(
@@ -168,60 +212,35 @@ def decode(
     renormalized by log-softmax and the next token drawn at the given
     temperature (seeded, reproducible).
     """
-    if not prompt:
-        raise InputError("prompt must be non-empty")
-    if params.spec != cfg.grid():
-        raise InputError(
-            f"guidance grid {params.spec} does not match the model grid {cfg.grid()}"
-        )
-    if cfg.n_visual + len(prompt) + params.max_tokens > cfg.max_seq:
-        raise InputError(
-            f"visual prefix + prompt + max_tokens exceeds max_seq {cfg.max_seq}"
-        )
+    _check_request(prompt, cfg, params)
+    if sample and temperature <= 0.0:
+        raise InputError("temperature must be positive when sampling")
     mask = generate_token_mask(seg, params.spec, params.tau)
     visual = encode_image(img, cfg, w)
-    policy = (extend_mask(mask, len(mask.values)), params.beta)
-    guided = DecoderSession(cfg, w, visual, attn_policy=policy)
+    guided = DecoderSession(cfg, w, visual, attn_policy=(mask.values, params.beta))
     unguided = DecoderSession(cfg, w, suppress_tokens(visual, mask, params.alpha))
 
+    pick = _greedy_pick
+    if sample:
+        rng = np.random.default_rng(seed)
+
+        def pick(fused: np.ndarray) -> int:
+            probs = np.exp(log_softmax(fused / temperature))
+            return int(rng.choice(cfg.vocab_size, p=probs / probs.sum()))
+
+    out, steps = _run_steps(
+        guided, guided.extend_with_tokens(prompt),
+        unguided, unguided.extend_with_tokens(prompt),
+        params, topk, pick,
+    )
     trace = DecodeTrace(
         params=params.to_dict(),
         config=cfg.to_dict(),
         fixture_digest=w.digest(),
         mask_digest=mask.digest(),
         topk=topk,
+        steps=steps,
     )
-    rng = np.random.default_rng(seed) if sample else None
-
-    logits_g = guided.extend_with_tokens(prompt)
-    logits_u = unguided.extend_with_tokens(prompt)
-    out: list[int] = []
-    for t in range(params.max_tokens):
-        assert guided.text_ids == unguided.text_ids, "branch prefixes diverged"
-        lp_g = log_softmax(logits_g)
-        lp_u = log_softmax(logits_u)
-        fused = fuse_logits(lp_g, lp_u, params.gamma)
-        if rng is not None:
-            if temperature <= 0.0:
-                raise InputError("temperature must be positive when sampling")
-            probs = np.exp(log_softmax(fused / temperature))
-            chosen = int(rng.choice(cfg.vocab_size, p=probs / probs.sum()))
-        else:
-            chosen = _greedy_pick(fused)
-        trace.steps.append(
-            StepRecord(
-                t=t,
-                guided_topk=_topk(lp_g, topk),
-                unguided_topk=_topk(lp_u, topk),
-                fused_topk=_topk(fused, topk),
-                chosen=chosen,
-            )
-        )
-        out.append(chosen)
-        if chosen == params.eos_id or t + 1 == params.max_tokens:
-            break
-        logits_g = guided.extend_with_tokens([chosen])
-        logits_u = unguided.extend_with_tokens([chosen])
     return out, trace
 
 
@@ -284,7 +303,14 @@ def sweep(
     gamma_list: list[float],
     params: GuidanceParams,
 ) -> list[SweepRow]:
-    """One decode per (beta, gamma) pair, beta-major row order.
+    """One greedy decode per (beta, gamma) pair, beta-major row order.
+
+    Each cell is ``params`` with its beta and gamma replaced. The prefills
+    are shared per distinct branch input: the unguided branch depends on
+    neither beta nor gamma and the guided branch only on beta, so a sweep
+    runs one unguided prefill and one guided prefill per distinct beta, and
+    every cell forks those prompt-extended sessions. The rows are identical
+    to running :func:`decode` on each cell.
 
     ``step1_margin`` is the gap between the best and second-best fused
     scores at the first step, a scalar view of how decisively the guidance
@@ -292,23 +318,28 @@ def sweep(
     """
     if not beta_list or not gamma_list:
         raise InputError("beta and gamma lists must be non-empty")
-    rows = []
-    for beta in beta_list:
-        for gamma in gamma_list:
-            run = GuidanceParams(
-                spec=params.spec,
-                alpha=params.alpha,
-                beta=beta,
-                gamma=gamma,
-                tau=params.tau,
-                max_tokens=params.max_tokens,
-                eos_id=params.eos_id,
-            )
-            ids, trace = decode(img, seg, prompt, cfg, w, run, topk=max(2, DEFAULT_TOPK))
-            fused = trace.steps[0].fused_topk
-            margin = fused[0][1] - fused[1][1]
-            rows.append(SweepRow(beta=float(beta), gamma=float(gamma), output_ids=ids,
-                                 step1_margin=margin))
+    cells = [replace(params, beta=b, gamma=g) for b in beta_list for g in gamma_list]
+    _check_request(prompt, cfg, params)
+    mask = generate_token_mask(seg, params.spec, params.tau)
+    visual = encode_image(img, cfg, w)
+    unguided = DecoderSession(cfg, w, suppress_tokens(visual, mask, params.alpha))
+    logits_u = unguided.extend_with_tokens(prompt)
+
+    rows: list[SweepRow | None] = [None] * len(cells)
+    # All cells of one beta run, and its session is freed, before the next guided
+    # prefill, so no more than two prefilled sessions are alive at once, as in decode.
+    for beta in dict.fromkeys(run.beta for run in cells):
+        guided = DecoderSession(cfg, w, visual, attn_policy=(mask.values, beta))
+        logits_g = guided.extend_with_tokens(prompt)
+        for i, run in enumerate(cells):
+            if run.beta != beta:
+                continue
+            ids, steps = _run_steps(guided.fork(), logits_g, unguided.fork(), logits_u,
+                                    run, max(2, DEFAULT_TOPK), _greedy_pick)
+            fused = steps[0].fused_topk
+            rows[i] = SweepRow(beta=float(run.beta), gamma=float(run.gamma), output_ids=ids,
+                               step1_margin=fused[0][1] - fused[1][1])
+        del guided
     return rows
 
 

@@ -285,7 +285,7 @@ def token_mask_to_json(mask: TokenMask, tau: float) -> str:
         "values": [int(v) for v in mask.values],
         "segments": list(mask.segments),
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def token_mask_from_json(text: str) -> tuple[TokenMask, float]:

@@ -13,6 +13,7 @@ which keeps results reproducible to well below 1e-6 across platforms.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -174,8 +175,8 @@ class DecoderSession:
                 raise ShapeError(
                     f"policy mask length {mask.shape} != visual length {self._n_visual}"
                 )
-            if beta < 1.0:
-                raise InputError(f"beta must be >= 1, got {beta}")
+            if not math.isfinite(beta) or beta < 1.0:
+                raise InputError(f"beta must be finite and >= 1, got {beta}")
             factors[: self._n_visual] = np.where(mask != 0, float(beta), 1.0)
         self._factors = factors
         self._kv: list[tuple[np.ndarray, np.ndarray] | None] = [None] * cfg.n_layers
@@ -189,6 +190,21 @@ class DecoderSession:
     @property
     def length(self) -> int:
         return self._len
+
+    def fork(self) -> "DecoderSession":
+        """An independent branch that continues from this session's current state.
+
+        Costs O(layers) and runs no prefill: the per-layer KV list and the
+        text ids are copied, the cached arrays are shared. Sharing is safe
+        because ``_process_block`` replaces a layer's arrays and never
+        writes into them.
+        """
+        other = copy.copy(self)  # copy.copy skips __init__, so no prefill runs
+        other._kv = list(self._kv)
+        other.text_ids = list(self.text_ids)
+        if self.attention_rows is not None:
+            other.attention_rows = list(self.attention_rows)
+        return other
 
     def extend_with_tokens(self, ids: Sequence[int]) -> np.ndarray:
         """Append token ids causally; returns next-token logits."""

@@ -198,7 +198,8 @@ def save_weights(w: WeightSet, path: str | Path) -> None:
         ],
         "digest": w.digest(),
     }
-    Path(path).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def load_weights(path: str | Path) -> WeightSet:

@@ -138,6 +138,15 @@ class TestCmdDecode:
         assert main(base + ["--beta", "0.5"]) == 2
         assert main(base + ["--gamma", "-1"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--beta", "--gamma"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_guidance_values(self, steer_files, tmp_path, flag, value):
+        out = tmp_path / "t.jsonl"
+        assert main(["decode", "--image", steer_files["image"], "--seg", steer_files["left"],
+                     "--weights", steer_files["weights"], "--prompt", "0", flag, value,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_nan_weights_exit_numeric(self, steer_files, tmp_path):
         path = tmp_path / "nan.json"
         obj = json.loads(open(steer_files["weights"]).read())
@@ -200,6 +209,22 @@ class TestCmdSweep:
         assert main(["sweep", "--image", steer_files["image"], "--seg", steer_files["left"],
                      "--weights", steer_files["weights"], "--prompt", "0",
                      "--beta", "abc", "--gamma", "1", "--out", str(out)]) == 2
+
+
+    @pytest.mark.parametrize("flags", [["--beta", "1", "--gamma", "nan,1.0"],
+                                       ["--beta", "inf", "--gamma", "1"],
+                                       ["--beta", "3,nan", "--gamma", "1,1.5"]])
+    def test_nonfinite_cells_rejected(self, steer_files, tmp_path, flags):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--image", steer_files["image"], "--seg", steer_files["left"],
+                     "--weights", steer_files["weights"], "--prompt", "0", "--max-tokens", "1",
+                     "--out", str(out)] + flags) == 2
+        assert not out.exists()
+
+    def test_no_topk_option(self, steer_files, tmp_path):
+        assert main(["sweep", "--image", steer_files["image"], "--seg", steer_files["left"],
+                     "--weights", steer_files["weights"], "--prompt", "0", "--topk", "3",
+                     "--out", str(tmp_path / "s.csv")]) == 2
 
 
 class TestCmdFixture:

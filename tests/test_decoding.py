@@ -6,6 +6,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from regioncd import (
+    DecoderSession,
     GridSpec,
     GuidanceParams,
     InputError,
@@ -14,7 +15,6 @@ from regioncd import (
     baseline_decode,
     decode,
     encode_image,
-    extend_mask,
     fuse_logits,
     generate_token_mask,
     log_softmax,
@@ -23,6 +23,8 @@ from regioncd import (
     sweep,
     sweep_to_csv,
 )
+
+from regioncd.decoding import DEFAULT_TOPK
 
 from conftest import half_seg
 from test_model import steer_logits_by_hand
@@ -99,6 +101,9 @@ class TestReweightAttention:
             reweight_attention(np.array([0.0, np.inf]), np.array([0, 1]), 2.0)
         with pytest.raises(InputError):
             reweight_attention(np.array([0.0]), np.array([1]), 0.5)
+        for beta in (math.nan, math.inf):
+            with pytest.raises(InputError):
+                reweight_attention(np.array([0.0]), np.array([1]), beta)
         with pytest.raises(ShapeError):
             reweight_attention(np.array([0.0, 1.0]), np.array([1]), 2.0)
 
@@ -166,21 +171,6 @@ class TestFuseLogits:
         lhs = fuse_logits(a, b, g1) + fuse_logits(a, b, g2)
         rhs = 2.0 * fuse_logits(a, b, (g1 + g2) / 2.0)
         assert np.abs(lhs - rhs).max() < 1e-9
-
-
-class TestExtendMask:
-    def test_identity_and_padding(self, steer_cfg, left_seg):
-        mask = generate_token_mask(left_seg, steer_cfg.grid())
-        n = len(mask.values)
-        assert (extend_mask(mask, n) == mask.values).all()
-        padded = extend_mask(mask, n + 3)
-        assert (padded[:n] == mask.values).all()
-        assert padded[n:].tolist() == [0, 0, 0]
-
-    def test_too_short(self, steer_cfg, left_seg):
-        mask = generate_token_mask(left_seg, steer_cfg.grid())
-        with pytest.raises(InputError):
-            extend_mask(mask, len(mask.values) - 1)
 
 
 class TestLogSoftmax:
@@ -346,3 +336,51 @@ class TestSweep:
         p = params_for(steer_cfg, max_tokens=1)
         with pytest.raises(InputError):
             sweep(steer_image, left_seg, [0], steer_cfg, steer_weights, [], [1.0], p)
+
+    def test_rows_match_standalone_decodes(self, steer_cfg, steer_weights, steer_image,
+                                           left_seg):
+        betas, gammas = [1.0, 3.0, 3.0, 10.0], [0.0, 1.0, 1.5, 3.0]
+        p = params_for(steer_cfg, max_tokens=3)
+        rows = sweep(steer_image, left_seg, [0], steer_cfg, steer_weights, betas, gammas, p)
+        assert [(r.beta, r.gamma) for r in rows] == [(b, g) for b in betas for g in gammas]
+        for row in rows:
+            cell = params_for(steer_cfg, max_tokens=3, beta=row.beta, gamma=row.gamma)
+            ids, trace = decode(steer_image, left_seg, [0], steer_cfg, steer_weights, cell,
+                                topk=DEFAULT_TOPK)
+            fused = trace.steps[0].fused_topk
+            assert row.output_ids == ids
+            assert row.step1_margin == fused[0][1] - fused[1][1]
+        # forks of one prompt-extended session must diverge for the check above to bite
+        assert len({tuple(r.output_ids) for r in rows}) >= 2
+
+    @staticmethod
+    def count_prefills(monkeypatch) -> list:
+        calls = []
+        init = DecoderSession.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DecoderSession, "__init__", counting_init)
+        return calls
+
+    def test_one_prefill_per_distinct_branch_input(self, monkeypatch, steer_cfg, steer_weights,
+                                                   steer_image, left_seg):
+        calls = self.count_prefills(monkeypatch)
+        betas = [1.0, 3.0, 3.0, 10.0]
+        p = params_for(steer_cfg, max_tokens=3)
+        rows = sweep(steer_image, left_seg, [0], steer_cfg, steer_weights, betas,
+                     [0.0, 1.0, 1.5, 3.0], p)
+        assert len(rows) == 16
+        assert len(calls) == 1 + len(set(betas))
+
+    def test_cells_validated_before_any_prefill(self, monkeypatch, steer_cfg, steer_weights,
+                                                steer_image, left_seg):
+        calls = self.count_prefills(monkeypatch)
+        p = params_for(steer_cfg, max_tokens=1)
+        for betas, gammas in (([3.0, math.nan], [1.0]), ([3.0], [1.0, math.inf]),
+                              ([3.0, 0.5], [1.0])):
+            with pytest.raises(InputError):
+                sweep(steer_image, left_seg, [0], steer_cfg, steer_weights, betas, gammas, p)
+        assert calls == []

@@ -270,6 +270,13 @@ class TestForwardPass:
         with pytest.raises(InputError):
             DecoderSession(steer_cfg, rand_weights, visual)
 
+    @pytest.mark.parametrize("beta", [0.5, math.nan, math.inf])
+    def test_policy_rejects_bad_beta(self, rand_cfg, rand_weights, rand_image, beta):
+        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        mask = np.ones(len(visual), dtype=np.uint8)
+        with pytest.raises(InputError):
+            DecoderSession(rand_cfg, rand_weights, visual, attn_policy=(mask, beta))
+
 
 class TestFixtures:
     def test_splitmix64_reference_vectors(self):
