@@ -8,17 +8,8 @@ beta, flat in the neutral column. Writes the full table to out/sweep.csv.
 
 from pathlib import Path
 
-import numpy as np
-
-from regioncd import (
-    GuidanceParams,
-    GrayImage,
-    STEER_CONFIG,
-    SegMask,
-    sweep,
-    sweep_to_csv,
-    gen_fixture,
-)
+from regioncd import GuidanceParams, STEER_CONFIG, sweep, sweep_to_csv, gen_fixture
+from regioncd.verification import half_seg, steer_image
 
 BETAS = [1.0, 3.0, 5.0, 10.0]
 GAMMAS = [1.0, 1.1, 1.3, 1.5]
@@ -30,12 +21,8 @@ def main() -> None:
     cfg = STEER_CONFIG
     w = gen_fixture("steer-v1", 0, cfg)
 
-    arr = np.zeros((cfg.image_side, cfg.image_side))
-    arr[:, cfg.image_side // 2 :] = 1.0
-    img = GrayImage.from_array(arr)
-    pixels = np.zeros((cfg.image_side, cfg.image_side), dtype=np.uint8)
-    pixels[:, : cfg.image_side // 2] = 1
-    seg = SegMask.from_array(pixels)
+    img = steer_image()
+    seg = half_seg(cfg.image_side, cfg.image_side, "left")
 
     params = GuidanceParams(spec=cfg.grid(), alpha=0.01, max_tokens=1, eos_id=cfg.eos_id)
     rows = sweep(img, seg, [0], cfg, w, BETAS, GAMMAS, params)

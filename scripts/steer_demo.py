@@ -9,26 +9,8 @@ ties and falls back to the lowest id. Artifacts land in out/.
 
 from pathlib import Path
 
-import numpy as np
-
-from regioncd import (
-    GuidanceParams,
-    GrayImage,
-    STEER_CONFIG,
-    SegMask,
-    decode,
-    gen_fixture,
-    save_weights,
-)
-
-
-def half_seg(side: int, half: str) -> SegMask:
-    pixels = np.zeros((side, side), dtype=np.uint8)
-    if half == "left":
-        pixels[:, : side // 2] = 1
-    else:
-        pixels[:, side // 2 :] = 1
-    return SegMask.from_array(pixels)
+from regioncd import GuidanceParams, STEER_CONFIG, decode, gen_fixture, save_weights
+from regioncd.verification import half_seg, steer_image
 
 
 def main() -> None:
@@ -39,16 +21,14 @@ def main() -> None:
     save_weights(w, out / "steer.weights.json")
     print(f"fixture digest {w.digest()[:16]}... -> {out / 'steer.weights.json'}")
 
-    arr = np.zeros((cfg.image_side, cfg.image_side))
-    arr[:, cfg.image_side // 2 :] = 1.0
-    img = GrayImage.from_array(arr)
+    img = steer_image()
 
     runs = [
-        ("left mask, beta=9", half_seg(cfg.image_side, "left"),
+        ("left mask, beta=9", half_seg(cfg.image_side, cfg.image_side, "left"),
          dict(alpha=0.01, beta=9.0, gamma=1.5)),
-        ("right mask, beta=9", half_seg(cfg.image_side, "right"),
+        ("right mask, beta=9", half_seg(cfg.image_side, cfg.image_side, "right"),
          dict(alpha=0.01, beta=9.0, gamma=1.5)),
-        ("left mask, neutral", half_seg(cfg.image_side, "left"),
+        ("left mask, neutral", half_seg(cfg.image_side, cfg.image_side, "left"),
          dict(alpha=1.0, beta=1.0, gamma=1.0)),
     ]
     for name, seg, knobs in runs:

@@ -8,7 +8,6 @@ from regioncd.decoding import (
     decode,
     fuse_logits,
     log_softmax,
-    reweight_attention,
     suppress_tokens,
     sweep,
     sweep_to_csv,
@@ -29,13 +28,7 @@ from regioncd.masks import (
     mask_from_bbox,
     token_mask_to_json,
 )
-from regioncd.model import (
-    DecoderSession,
-    GrayImage,
-    VisualSequence,
-    encode_image,
-    forward_logits,
-)
+from regioncd.model import DecoderSession, GrayImage, VisualSequence, encode_image
 from regioncd.weights import (
     STEER_CONFIG,
     WeightSet,
@@ -74,14 +67,12 @@ __all__ = [
     "downsample",
     "encode_image",
     "expected_length",
-    "forward_logits",
     "fuse_logits",
     "gen_fixture",
     "generate_token_mask",
     "load_weights",
     "log_softmax",
     "mask_from_bbox",
-    "reweight_attention",
     "save_weights",
     "splitmix64",
     "suppress_tokens",

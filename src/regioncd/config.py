@@ -88,9 +88,10 @@ class GuidanceParams:
     """Contrastive-guidance knobs for a dual-branch decode.
 
     ``alpha`` scales masked visual embeddings down in the unguided branch,
-    ``beta`` multiplies pre-normalized attention weight onto masked key
-    positions in the guided branch, and ``gamma`` sets the mixing intensity
-    of the two branches' log-probabilities at each step.
+    ``beta`` enters the guided branch's attention as ``log(beta)`` added to
+    the scores of masked key positions (their pre-normalized weight times
+    beta), and ``gamma`` sets the mixing intensity of the two branches'
+    log-probabilities at each step.
     """
 
     spec: GridSpec

@@ -2,12 +2,13 @@
 
 The guidance acts at three levels. Token level: the unguided branch sees
 masked visual embeddings scaled down by ``alpha``. Attention level: the
-guided branch multiplies pre-normalized attention weight on masked key
-positions by ``beta`` inside every softmax. Logits level: the two branches'
-per-step log-probabilities are combined as
-``(1 - gamma) * unguided + gamma * guided`` and the argmax token (lowest id
-on ties) is emitted, so gamma > 1 actively pushes away from the unguided
-distribution. Both branches always consume the same generated prefix.
+guided branch adds ``log(beta)`` to the attention scores of masked key
+positions inside every softmax, which multiplies their pre-normalized
+weight by ``beta``. Logits level: the two branches' per-step
+log-probabilities are combined as ``(1 - gamma) * unguided + gamma * guided``
+and the argmax token (lowest id on ties) is emitted, so gamma > 1 actively
+pushes away from the unguided distribution. Both branches always consume
+the same generated prefix.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from regioncd.config import GuidanceParams, ModelConfig
-from regioncd.errors import InputError, ShapeError
+from regioncd.errors import InputError, NumericError, ShapeError
 from regioncd.masks import SegMask, TokenMask, generate_token_mask
 from regioncd.model import DecoderSession, GrayImage, VisualSequence, encode_image
 from regioncd.weights import WeightSet
@@ -38,27 +39,6 @@ def suppress_tokens(visual: VisualSequence, mask: TokenMask, alpha: float) -> Vi
     rows = mask.values != 0
     emb[rows] *= alpha
     return VisualSequence(embeddings=emb, layout=list(visual.layout))
-
-
-def reweight_attention(scores: np.ndarray, mask_row: np.ndarray, beta: float) -> np.ndarray:
-    """Softmax with masked positions' pre-normalized weight multiplied by beta.
-
-    Computed as ``beta^m * exp(e - e_max)`` then normalized; the shift only
-    stabilizes the exponentials and cancels in the ratio.
-    """
-    e = np.asarray(scores, dtype=np.float64)
-    m = np.asarray(mask_row)
-    if e.ndim != 1 or e.shape != m.shape:
-        raise ShapeError(f"scores shape {e.shape} and mask shape {m.shape} must be equal 1-D")
-    if e.size == 0:
-        raise InputError("attention row must be non-empty")
-    if not np.isfinite(e).all():
-        raise InputError("attention scores must be finite")
-    if not math.isfinite(beta) or beta < 1.0:
-        raise InputError(f"beta must be finite and >= 1, got {beta}")
-    factors = np.where(m != 0, float(beta), 1.0)
-    shifted = factors * np.exp(e - e.max())
-    return shifted / shifted.sum()
 
 
 def fuse_logits(
@@ -84,7 +64,7 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
 
 def _topk(scores: np.ndarray, k: int) -> list[tuple[int, float]]:
     # stable sort on negated scores: ties keep ascending token id
-    order = np.argsort(-scores, kind="stable")[: max(k, 0)]
+    order = np.argsort(-scores, kind="stable")[:k]
     return [(int(i), float(scores[i])) for i in order]
 
 
@@ -142,9 +122,13 @@ def _greedy_pick(scores: np.ndarray) -> int:
     return int(np.argmax(scores))
 
 
-def _check_request(prompt: list[int], cfg: ModelConfig, params: GuidanceParams) -> None:
+def _check_request(
+    prompt: list[int], cfg: ModelConfig, params: GuidanceParams, topk: int
+) -> None:
     if not prompt:
         raise InputError("prompt must be non-empty")
+    if topk < 1:
+        raise InputError(f"topk must be >= 1, got {topk}")
     if params.spec != cfg.grid():
         raise InputError(
             f"guidance grid {params.spec} does not match the model grid {cfg.grid()}"
@@ -156,32 +140,34 @@ def _check_request(prompt: list[int], cfg: ModelConfig, params: GuidanceParams) 
 
 
 def _run_steps(
-    guided: DecoderSession,
-    logits_g: np.ndarray,
-    unguided: DecoderSession,
-    logits_u: np.ndarray,
+    sessions: tuple[DecoderSession, ...],
+    logits: list[np.ndarray],
     params: GuidanceParams,
     topk: int,
     pick: Callable[[np.ndarray], int],
 ) -> tuple[list[int], list[StepRecord]]:
-    """The dual-branch step loop from the prompt logits of both branches.
+    """The step loop from the prompt logits of each branch.
 
-    ``pick`` chooses the next token from the fused scores; both sessions are
-    extended with every chosen token except the last.
+    ``sessions`` is (guided, unguided), whose fused scores are
+    :func:`fuse_logits` of the two log-probabilities at ``params.gamma``, or
+    one session, whose fused scores are its own log-probs. ``pick`` chooses
+    the next token from the fused scores; every session is extended with
+    every chosen token except the last.
     """
     out: list[int] = []
     steps: list[StepRecord] = []
     for t in range(params.max_tokens):
-        assert guided.text_ids == unguided.text_ids, "branch prefixes diverged"
-        lp_g = log_softmax(logits_g)
-        lp_u = log_softmax(logits_u)
-        fused = fuse_logits(lp_g, lp_u, params.gamma)
+        assert all(s.text_ids == sessions[0].text_ids for s in sessions), "branches diverged"
+        lps = [log_softmax(x) for x in logits]
+        fused = fuse_logits(lps[0], lps[1], params.gamma) if len(lps) == 2 else lps[0]
+        if not np.isfinite(fused).all():
+            raise NumericError(f"non-finite fused scores at step {t}")
         chosen = pick(fused)
         steps.append(
             StepRecord(
                 t=t,
-                guided_topk=_topk(lp_g, topk),
-                unguided_topk=_topk(lp_u, topk),
+                guided_topk=_topk(lps[0], topk),
+                unguided_topk=_topk(lps[-1], topk),
                 fused_topk=_topk(fused, topk),
                 chosen=chosen,
             )
@@ -189,8 +175,7 @@ def _run_steps(
         out.append(chosen)
         if chosen == params.eos_id or t + 1 == params.max_tokens:
             break
-        logits_g = guided.extend_with_tokens([chosen])
-        logits_u = unguided.extend_with_tokens([chosen])
+        logits = [s.extend_with_tokens([chosen]) for s in sessions]
     return out, steps
 
 
@@ -212,9 +197,12 @@ def decode(
     renormalized by log-softmax and the next token drawn at the given
     temperature (seeded, reproducible).
     """
-    _check_request(prompt, cfg, params)
-    if sample and temperature <= 0.0:
-        raise InputError("temperature must be positive when sampling")
+    _check_request(prompt, cfg, params, topk)
+    if not math.isfinite(temperature) or (sample and temperature <= 0.0):
+        raise InputError(f"temperature must be finite, and positive when sampling, "
+                         f"got {temperature}")
+    if sample and seed < 0:
+        raise InputError(f"sampling seed must be >= 0, got {seed}")
     mask = generate_token_mask(seg, params.spec, params.tau)
     visual = encode_image(img, cfg, w)
     guided = DecoderSession(cfg, w, visual, attn_policy=(mask.values, params.beta))
@@ -225,14 +213,16 @@ def decode(
         rng = np.random.default_rng(seed)
 
         def pick(fused: np.ndarray) -> int:
-            probs = np.exp(log_softmax(fused / temperature))
+            with np.errstate(over="ignore"):
+                scaled = fused / temperature
+            if not np.isfinite(scaled).all():
+                raise NumericError(f"sampling scores overflow at temperature {temperature}")
+            probs = np.exp(log_softmax(scaled))
             return int(rng.choice(cfg.vocab_size, p=probs / probs.sum()))
 
-    out, steps = _run_steps(
-        guided, guided.extend_with_tokens(prompt),
-        unguided, unguided.extend_with_tokens(prompt),
-        params, topk, pick,
-    )
+    sessions = (guided, unguided)
+    out, steps = _run_steps(sessions, [s.extend_with_tokens(prompt) for s in sessions],
+                            params, topk, pick)
     trace = DecodeTrace(
         params=params.to_dict(),
         config=cfg.to_dict(),
@@ -253,13 +243,16 @@ def baseline_decode(
     eos_id: int,
     topk: int = DEFAULT_TOPK,
 ) -> tuple[list[int], DecodeTrace]:
-    """Plain single-branch greedy decoding, the unguided reference."""
-    if not prompt:
-        raise InputError("prompt must be non-empty")
-    if cfg.n_visual + len(prompt) + max_tokens > cfg.max_seq:
-        raise InputError(f"visual prefix + prompt + max_tokens exceeds max_seq {cfg.max_seq}")
-    visual = encode_image(img, cfg, w)
-    session = DecoderSession(cfg, w, visual)
+    """Plain single-branch greedy decoding, the unguided reference.
+
+    The one-branch case of the guided decode: every trace record's three
+    top-k lists are the branch's own log-probs.
+    """
+    params = GuidanceParams(spec=cfg.grid(), max_tokens=max_tokens, eos_id=eos_id)
+    _check_request(prompt, cfg, params, topk)
+    session = DecoderSession(cfg, w, encode_image(img, cfg, w))
+    out, steps = _run_steps((session,), [session.extend_with_tokens(prompt)], params, topk,
+                            _greedy_pick)
     trace = DecodeTrace(
         params={"max_tokens": max_tokens, "eos_id": eos_id},
         config=cfg.to_dict(),
@@ -267,21 +260,8 @@ def baseline_decode(
         mask_digest=None,
         topk=topk,
         mode="baseline",
+        steps=steps,
     )
-    logits = session.extend_with_tokens(prompt)
-    out: list[int] = []
-    for t in range(max_tokens):
-        lp = log_softmax(logits)
-        chosen = _greedy_pick(lp)
-        entries = _topk(lp, topk)
-        trace.steps.append(
-            StepRecord(t=t, guided_topk=entries, unguided_topk=entries, fused_topk=entries,
-                       chosen=chosen)
-        )
-        out.append(chosen)
-        if chosen == eos_id or t + 1 == max_tokens:
-            break
-        logits = session.extend_with_tokens([chosen])
     return out, trace
 
 
@@ -319,7 +299,8 @@ def sweep(
     if not beta_list or not gamma_list:
         raise InputError("beta and gamma lists must be non-empty")
     cells = [replace(params, beta=b, gamma=g) for b in beta_list for g in gamma_list]
-    _check_request(prompt, cfg, params)
+    topk = max(2, DEFAULT_TOPK)
+    _check_request(prompt, cfg, params, topk)
     mask = generate_token_mask(seg, params.spec, params.tau)
     visual = encode_image(img, cfg, w)
     unguided = DecoderSession(cfg, w, suppress_tokens(visual, mask, params.alpha))
@@ -334,8 +315,8 @@ def sweep(
         for i, run in enumerate(cells):
             if run.beta != beta:
                 continue
-            ids, steps = _run_steps(guided.fork(), logits_g, unguided.fork(), logits_u,
-                                    run, max(2, DEFAULT_TOPK), _greedy_pick)
+            ids, steps = _run_steps((guided.fork(), unguided.fork()), [logits_g, logits_u],
+                                    run, topk, _greedy_pick)
             fused = steps[0].fused_topk
             rows[i] = SweepRow(beta=float(run.beta), gamma=float(run.gamma), output_ids=ids,
                                step1_margin=fused[0][1] - fused[1][1])

@@ -101,10 +101,11 @@ def encode_image(img: GrayImage, cfg: ModelConfig, w: WeightSet) -> VisualSequen
     local = _pool_means(img.intensities, spec.local_rows, spec.local_cols)
     global_ = _pool_means(img.intensities, spec.side, spec.side)
 
-    proj = w.tensors["patch_proj.weight"].astype(np.float64)[:, 0]
-    bias = w.tensors["patch_proj.bias"].astype(np.float64)
-    pos = w.tensors["pos_embed"].astype(np.float64)
-    sep = w.tensors["sep_embed"].astype(np.float64)[cfg.sep_embed_id]
+    t = w.tensors64
+    proj = t["patch_proj.weight"][:, 0]
+    bias = t["patch_proj.bias"]
+    pos = t["pos_embed"]
+    sep = t["sep_embed"][cfg.sep_embed_id]
 
     layout = segment_labels(spec)
     emb = np.empty((len(layout), cfg.embed_dim), dtype=np.float64)
@@ -130,14 +131,27 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * x * x * x)))
 
 
-def _attn_probs(scores: np.ndarray, visible: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Reweighted softmax over the visible keys of each row.
+def region_bias(mask: np.ndarray, beta: float) -> np.ndarray:
+    """Additive attention bias ``m * log(beta)`` for a 0/1 region mask.
 
-    ``factors`` multiplies the shifted exponentials per key position before
-    normalization; with all factors 1 this is a plain masked softmax.
+    Adding it to the scores multiplies the pre-normalized weight of every
+    masked key by beta, since ``beta^m * exp(e) = exp(e + m*log(beta))``;
+    unmasked keys get exactly 0. The one place beta is checked.
     """
-    s = np.where(visible[:, None, :], scores, -np.inf)
-    shifted = np.exp(s - s.max(axis=-1, keepdims=True)) * factors
+    if not math.isfinite(beta) or beta < 1.0:
+        raise InputError(f"beta must be finite and >= 1, got {beta}")
+    return np.where(np.asarray(mask) != 0, math.log(beta), 0.0)
+
+
+def attention(scores: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``softmax(scores + bias)`` over the last axis.
+
+    The bias carries both the visibility mask (-inf on hidden keys) and the
+    region reweighting (:func:`region_bias`); with a zero bias this is a
+    plain softmax.
+    """
+    s = scores + bias
+    shifted = np.exp(s - s.max(axis=-1, keepdims=True))
     return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
@@ -146,8 +160,9 @@ class DecoderSession:
 
     Keys and values are cached per layer, so each appended token costs a
     single attention row. An optional ``attn_policy`` (mask over visual
-    positions, beta) turns every attention softmax in this branch into the
-    beta-reweighted form; text positions always carry mask value 0.
+    positions, beta) adds :func:`region_bias` to the scores of every
+    attention softmax in this branch; text positions always carry mask
+    value 0.
     """
 
     def __init__(
@@ -165,9 +180,9 @@ class DecoderSession:
                 f"visual sequence length {len(visual)} != {cfg.n_visual} for this config"
             )
         self.cfg = cfg
-        self._t = {name: t.astype(np.float64) for name, t in weights.tensors.items()}
+        self._t = weights.tensors64
         self._n_visual = len(visual)
-        factors = np.ones(cfg.max_seq, dtype=np.float64)
+        bias = np.zeros(cfg.max_seq, dtype=np.float64)
         if attn_policy is not None:
             mask, beta = attn_policy
             mask = np.asarray(mask)
@@ -175,10 +190,8 @@ class DecoderSession:
                 raise ShapeError(
                     f"policy mask length {mask.shape} != visual length {self._n_visual}"
                 )
-            if not math.isfinite(beta) or beta < 1.0:
-                raise InputError(f"beta must be finite and >= 1, got {beta}")
-            factors[: self._n_visual] = np.where(mask != 0, float(beta), 1.0)
-        self._factors = factors
+            bias[: self._n_visual] = region_bias(mask, beta)
+        self._bias = bias
         self._kv: list[tuple[np.ndarray, np.ndarray] | None] = [None] * cfg.n_layers
         self._len = 0
         self.text_ids: list[int] = []
@@ -237,7 +250,7 @@ class DecoderSession:
             visible = np.ones((b, total), dtype=bool)
         else:
             visible = np.arange(total)[None, :] <= (start + np.arange(b))[:, None]
-        factors = self._factors[:total]
+        bias = np.where(visible, self._bias[:total], -np.inf)[:, None, :]
         h = np.array(emb, dtype=np.float64)
         scale = 1.0 / math.sqrt(cfg.head_dim)
         for li in range(cfg.n_layers):
@@ -254,7 +267,7 @@ class DecoderSession:
                 v = np.concatenate([cached[1], v_new], axis=0)
             self._kv[li] = (k, v)
             scores = np.einsum("bhd,thd->bht", q, k) * scale
-            probs = _attn_probs(scores, visible, factors)
+            probs = attention(scores, bias)
             if self.attention_rows is not None:
                 self.attention_rows.append((li, start, probs))
             ctx = np.einsum("bht,thd->bhd", probs, v).reshape(b, cfg.embed_dim)
@@ -269,15 +282,3 @@ class DecoderSession:
         if not np.isfinite(logits).all():
             raise NumericError("non-finite logits in forward pass")
         return logits
-
-
-def forward_logits(
-    visual: VisualSequence,
-    text: Sequence[int],
-    cfg: ModelConfig,
-    w: WeightSet,
-    attn_policy: tuple[np.ndarray, float] | None = None,
-) -> np.ndarray:
-    """One-shot forward over [visual; text]; logits at the final position."""
-    session = DecoderSession(cfg, w, visual, attn_policy=attn_policy)
-    return session.extend_with_tokens(text)

@@ -15,8 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from regioncd import decoding, masks, pgm, weights
+from regioncd import decoding, masks, model, pgm, weights
 from regioncd.config import GuidanceParams, ModelConfig
+from regioncd.errors import InputError
 from regioncd.masks import GridSpec, SegMask, expected_length, generate_token_mask
 from regioncd.model import GrayImage
 
@@ -51,16 +52,13 @@ def reduction_image() -> GrayImage:
     return GrayImage.from_array(ramp)
 
 
-def left_half_seg(width: int, height: int) -> SegMask:
+def half_seg(width: int, height: int, side: str) -> SegMask:
+    """A region covering the ``"left"`` or ``"right"`` half of the image."""
+    if side not in ("left", "right"):
+        raise InputError(f"side must be 'left' or 'right', got {side!r}")
     pixels = np.zeros((height, width), dtype=np.uint8)
     pixels[:, : width // 2] = 1
-    return SegMask.from_array(pixels)
-
-
-def right_half_seg(width: int, height: int) -> SegMask:
-    pixels = np.zeros((height, width), dtype=np.uint8)
-    pixels[:, width // 2 :] = 1
-    return SegMask.from_array(pixels)
+    return SegMask.from_array(pixels if side == "left" else 1 - pixels)
 
 
 def steer_image() -> GrayImage:
@@ -87,7 +85,7 @@ def _write_steer_artifacts(root: Path) -> dict[str, Path]:
     weights.save_weights(weights.gen_fixture("steer-v1", 0, cfg), paths["weights"])
     img = steer_image()
     pgm.write_pgm(paths["image"], np.rint(img.intensities * 255).astype(np.uint8))
-    seg = left_half_seg(cfg.image_side, cfg.image_side)
+    seg = half_seg(cfg.image_side, cfg.image_side, "left")
     pgm.write_pgm(paths["seg_left"], seg.pixels * 255)
     return paths
 
@@ -131,17 +129,19 @@ def check_canonical_lengths() -> tuple[bool, str]:
         got = expected_length(spec)
         if got != want:
             return False, f"expected_length({spec}) = {got}, want {want}"
-        seg = left_half_seg(96, 96)
+        seg = half_seg(96, 96, "left")
         if len(generate_token_mask(seg, spec)) != want:
             return False, f"generated mask length mismatch for {spec}"
     return True, "lengths 313 and 757 confirmed"
 
 
-def check_reweight_oracle(
-    reweight_fn: Callable[[np.ndarray, np.ndarray, float], np.ndarray] | None = None,
-) -> tuple[bool, str]:
+def _reweighted(scores: np.ndarray, mask: np.ndarray, beta: float) -> np.ndarray:
+    """One attention row through the kernel and region bias the decode runs."""
+    return model.attention(scores, model.region_bias(mask, beta))
+
+
+def check_reweight_oracle() -> tuple[bool, str]:
     """Attention reweighting matches an extended-precision brute force."""
-    fn = reweight_fn or decoding.reweight_attention
     rng = np.random.default_rng(99)
     betas = [1.0, 2.0, 3.0, 5.0, 10.0]
     worst = 0.0
@@ -150,7 +150,7 @@ def check_reweight_oracle(
         e = rng.uniform(-20.0, 20.0, size=n)
         m = rng.integers(0, 2, size=n)
         beta = betas[i % len(betas)]
-        p = fn(e, m, beta)
+        p = _reweighted(e, m, beta)
         ld = np.longdouble
         w = np.where(m != 0, ld(beta), ld(1.0)) * np.exp(e.astype(ld))
         oracle = (w / w.sum()).astype(np.float64)
@@ -160,7 +160,7 @@ def check_reweight_oracle(
         if abs(float(p.sum()) - 1.0) > 1e-6:
             return False, f"row {i}: probabilities sum to {p.sum()}"
         plain = np.exp(e) / np.exp(e).sum()
-        for p_ref in (fn(e, np.zeros(n), 1.0), fn(e, np.ones(n), beta)):
+        for p_ref in (_reweighted(e, np.zeros(n), 1.0), _reweighted(e, np.ones(n), beta)):
             if np.abs(p_ref - plain).max() > 1e-7:
                 return False, f"row {i}: beta-neutral case deviates from plain softmax"
     return True, f"1000 rows within {worst:.2e} of the oracle"
@@ -180,8 +180,7 @@ def check_mass_monotonicity() -> tuple[bool, str]:
         m = np.zeros(n, dtype=np.int64)
         m[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 1
         masses = [
-            float(decoding.reweight_attention(e, m, beta)[m != 0].sum())
-            for beta in (1.0, 2.0, 3.0, 5.0, 10.0)
+            float(_reweighted(e, m, beta)[m != 0].sum()) for beta in (1.0, 2.0, 3.0, 5.0, 10.0)
         ]
         if not all(b > a for a, b in zip(masses, masses[1:])):
             return False, f"case {i}: masses {masses} not strictly increasing"
@@ -194,7 +193,7 @@ def check_reduction_to_baseline() -> tuple[bool, str]:
     cfg = reduction_config()
     w = weights.gen_fixture("random-v1", REDUCTION_SEED, cfg)
     img = reduction_image()
-    seg = left_half_seg(cfg.image_side, cfg.image_side)
+    seg = half_seg(cfg.image_side, cfg.image_side, "left")
     base_ids, _ = decoding.baseline_decode(
         img, REDUCTION_PROMPT, cfg, w, max_tokens=REDUCTION_STEPS, eos_id=cfg.eos_id
     )
@@ -246,8 +245,8 @@ def check_steerability() -> tuple[bool, str]:
     cfg = weights.STEER_CONFIG
     w = weights.gen_fixture("steer-v1", 0, cfg)
     img = steer_image()
-    left = left_half_seg(cfg.image_side, cfg.image_side)
-    right = right_half_seg(cfg.image_side, cfg.image_side)
+    left = half_seg(cfg.image_side, cfg.image_side, "left")
+    right = half_seg(cfg.image_side, cfg.image_side, "right")
     ids_left, _ = decoding.decode(img, left, [0], cfg, w, _steer_params())
     if ids_left != [2]:
         return False, f"left-half mask emitted {ids_left}, want [2]"

@@ -14,6 +14,7 @@ import base64
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,18 @@ class WeightSet:
                 raise InputError(f"tensor {name} must be float32, got {t.dtype}")
             if not np.isfinite(t).all():
                 raise NumericError(f"tensor {name} contains non-finite values")
+
+    @cached_property
+    def tensors64(self) -> dict[str, np.ndarray]:
+        """The tensors cast to float64 once, for the forward pass.
+
+        Every session and encode built on this weight set shares these
+        arrays, so they are read-only.
+        """
+        out = {name: t.astype(np.float64) for name, t in self.tensors.items()}
+        for t in out.values():
+            t.flags.writeable = False
+        return out
 
     def digest(self) -> str:
         h = hashlib.sha256()

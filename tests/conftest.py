@@ -1,18 +1,17 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 
-from regioncd import GrayImage, ModelConfig, SegMask, STEER_CONFIG, gen_fixture
+from regioncd import DecoderSession, GrayImage, ModelConfig, SegMask, STEER_CONFIG, gen_fixture
+from regioncd import verification
+from regioncd.verification import half_seg
 
 
-def half_seg(width: int, height: int, side: str) -> SegMask:
-    pixels = np.zeros((height, width), dtype=np.uint8)
-    if side == "left":
-        pixels[:, : width // 2] = 1
-    elif side == "right":
-        pixels[:, width // 2 :] = 1
-    else:
-        raise ValueError(side)
-    return SegMask.from_array(pixels)
+def forward_logits(visual, text: Sequence[int], cfg, w, attn_policy=None) -> np.ndarray:
+    """One-shot forward over [visual; text]; logits at the final position."""
+    session = DecoderSession(cfg, w, visual, attn_policy=attn_policy)
+    return session.extend_with_tokens(text)
 
 
 @pytest.fixture(scope="session")
@@ -26,11 +25,8 @@ def steer_weights(steer_cfg):
 
 
 @pytest.fixture(scope="session")
-def steer_image(steer_cfg) -> GrayImage:
-    side = steer_cfg.image_side
-    arr = np.zeros((side, side))
-    arr[:, side // 2 :] = 1.0
-    return GrayImage.from_array(arr)
+def steer_image() -> GrayImage:
+    return verification.steer_image()
 
 
 @pytest.fixture(scope="session")
@@ -45,27 +41,14 @@ def right_seg(steer_cfg) -> SegMask:
 
 @pytest.fixture(scope="session")
 def rand_cfg() -> ModelConfig:
-    return ModelConfig(
-        vocab_size=16,
-        embed_dim=32,
-        n_heads=4,
-        n_layers=2,
-        feature_side=4,
-        crop_rows=1,
-        crop_cols=1,
-        image_side=16,
-        max_seq=64,
-        eos_id=0,
-    )
+    return verification.reduction_config()
 
 
 @pytest.fixture(scope="session")
 def rand_weights(rand_cfg):
-    return gen_fixture("random-v1", 7, rand_cfg)
+    return gen_fixture("random-v1", verification.REDUCTION_SEED, rand_cfg)
 
 
 @pytest.fixture(scope="session")
-def rand_image(rand_cfg) -> GrayImage:
-    side = rand_cfg.image_side
-    ramp = (np.arange(side)[:, None] * side + np.arange(side)[None, :]) / (side * side - 1)
-    return GrayImage.from_array(ramp)
+def rand_image() -> GrayImage:
+    return verification.reduction_image()

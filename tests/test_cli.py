@@ -1,28 +1,57 @@
 import base64
+import contextlib
+import io
 import json
+import math
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regioncd import STEER_CONFIG, gen_fixture, save_weights
 from regioncd.cli import main
 from regioncd.pgm import write_pgm
 
 
-@pytest.fixture()
-def steer_files(tmp_path, steer_image, left_seg):
+# what the CLI's catch-all handler prints for an exception it was not written for
+CATCH_ALL = re.compile(r"^error: [A-Z]\w*(Error|Exception): ", re.MULTILINE)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def strict_jsonl(text: str) -> list:
+    """Parse JSON lines, rejecting NaN and Infinity."""
+    return [json.loads(line, parse_constant=_reject_constant) for line in text.splitlines()]
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def steer_files(tmp_path_factory, steer_image, left_seg):
+    root = tmp_path_factory.mktemp("steer")
     paths = {
-        "weights": tmp_path / "steer.json",
-        "image": tmp_path / "img.pgm",
-        "left": tmp_path / "left.pgm",
-        "zero": tmp_path / "zero.pgm",
+        "weights": root / "steer.json",
+        "image": root / "img.pgm",
+        "left": root / "left.pgm",
+        "zero": root / "zero.pgm",
     }
     save_weights(gen_fixture("steer-v1", 0, STEER_CONFIG), paths["weights"])
     write_pgm(paths["image"], np.rint(steer_image.intensities * 255).astype(np.uint8))
     write_pgm(paths["left"], left_seg.pixels * 255)
     write_pgm(paths["zero"], np.zeros((8, 8), dtype=np.uint8))
-    return {k: str(v) for k, v in paths.items()}
+    files = {k: str(v) for k, v in paths.items()}
+    files["fuzz_out"] = root / "fuzz.jsonl"
+    return files
 
 
 class TestCmdMask:
@@ -146,6 +175,83 @@ class TestCmdDecode:
                      "--weights", steer_files["weights"], "--prompt", "0", flag, value,
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_huge_beta_steers_without_overflow(self, steer_files, tmp_path):
+        out = tmp_path / "t.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, _ = run_cli([
+                "decode", "--image", steer_files["image"], "--seg", steer_files["left"],
+                "--weights", steer_files["weights"], "--prompt", "0", "--beta", "1e308",
+                "--max-tokens", "3", "--out", str(out)])
+        assert code == 0
+        assert stdout.strip() == "tokens: 2 2 2"
+        strict_jsonl(out.read_text())
+
+    @pytest.mark.parametrize("flags", [["--topk=-3"], ["--topk=0"],
+                                       ["--sample", "--temperature=nan"],
+                                       ["--sample", "--temperature=inf"],
+                                       ["--sample", "--temperature=0"],
+                                       ["--temperature=nan"],
+                                       ["--sample", "--seed=-1"],
+                                       ["--baseline", "--max-tokens=0"],
+                                       ["--baseline", "--max-tokens=-3"],
+                                       ["--baseline", "--topk=-3"]], ids=" ".join)
+    def test_bad_decode_options_are_input_errors(self, steer_files, tmp_path, flags):
+        out = tmp_path / "t.jsonl"
+        code, _, stderr = run_cli([
+            "decode", "--image", steer_files["image"], "--seg", steer_files["left"],
+            "--weights", steer_files["weights"], "--prompt", "0", "--out", str(out)] + flags)
+        assert code == 2
+        assert stderr.startswith("error: ") and not CATCH_ALL.search(stderr)
+        assert not out.exists()
+
+    def test_fused_overflow_is_numeric_error(self, steer_files, tmp_path):
+        out = tmp_path / "t.jsonl"
+        code, _, stderr = run_cli([
+            "decode", "--image", steer_files["image"], "--seg", steer_files["left"],
+            "--weights", steer_files["weights"], "--prompt", "0", "--gamma", "1e308",
+            "--out", str(out)])
+        assert code == 3
+        assert stderr.startswith("numeric error: ")
+        assert not out.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        guidance=st.fixed_dictionaries({
+            # mostly in range, so that some guided decodes get through to a trace
+            name: st.integers(0, 9).flatmap(
+                lambda i, lo=lo, hi=hi: st.floats(lo, hi) if i else st.sampled_from(
+                    [math.nan, math.inf, -math.inf, -1.0, 0.0, 1.0, 1e-300, 1e308]))
+            for name, (lo, hi) in {"alpha": (0.0, 1.0), "beta": (1.0, 50.0),
+                                   "gamma": (0.0, 4.0), "tau": (0.0, 0.9),
+                                   "temperature": (0.05, 5.0)}.items()
+        }),
+        topk=st.integers(-1, 6),
+        max_tokens=st.integers(-1, 20),
+        seed=st.integers(-2, 3),
+        sample=st.booleans(),
+        baseline=st.booleans(),
+    )
+    def test_fuzz_exit_codes(self, steer_files, guidance, topk, max_tokens, seed, sample,
+                             baseline):
+        out = steer_files["fuzz_out"]
+        out.unlink(missing_ok=True)
+        argv = ["decode", "--image", steer_files["image"], "--seg", steer_files["left"],
+                "--weights", steer_files["weights"], "--prompt", "0", f"--topk={topk}",
+                f"--max-tokens={max_tokens}", f"--seed={seed}", "--out", str(out)]
+        argv += [f"--{name}={value!r}" for name, value in guidance.items()]
+        argv += ["--sample"] * sample + ["--baseline"] * baseline
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, _, stderr = run_cli(argv)
+        assert code in (0, 2, 3), stderr
+        assert not CATCH_ALL.search(stderr), stderr
+        if code == 0:
+            records = strict_jsonl(out.read_text())
+            assert len(records) >= 2
+        else:
+            assert not out.exists()
 
     def test_nan_weights_exit_numeric(self, steer_files, tmp_path):
         path = tmp_path / "nan.json"
@@ -278,17 +384,21 @@ class TestCmdVerify:
         assert main(["verify"]) == 1
         assert "[FAIL]" in capsys.readouterr().out
 
-    def test_reweight_mutation_is_caught(self):
-        # a broken denominator (plain softmax, beta ignored) must fail the oracle
+    def test_reweight_mutation_is_caught(self, monkeypatch):
+        # the oracle checks the kernel the decode runs: a kernel that drops the
+        # bias, or a bias that ignores beta, must fail it
+        from regioncd import model
         from regioncd.verification import check_reweight_oracle
 
-        def buggy(scores, mask_row, beta):
-            e = np.asarray(scores, dtype=np.float64)
-            shifted = np.exp(e - e.max())
-            return shifted / shifted.sum()
-
-        passed, detail = check_reweight_oracle(buggy)
-        assert not passed
+        attention = model.attention
+        mutants = [("attention", lambda scores, bias: attention(scores, np.zeros_like(bias))),
+                   ("region_bias", lambda mask, beta: np.zeros(np.shape(mask)))]
+        for name, mutant in mutants:
+            with monkeypatch.context() as patch:
+                patch.setattr(model, name, mutant)
+                passed, _ = check_reweight_oracle()
+            assert not passed, name
+        assert check_reweight_oracle()[0]
 
     def test_report_lists_enough_criteria(self):
         from regioncd.verification import CRITERIA

@@ -7,15 +7,16 @@ import pytest
 from regioncd import (
     DecoderSession,
     GrayImage,
+    GuidanceParams,
     InputError,
     ModelConfig,
     NumericError,
     STEER_CONFIG,
     ShapeError,
     WeightSet,
+    decode,
     encode_image,
     expected_length,
-    forward_logits,
     gen_fixture,
     generate_token_mask,
     load_weights,
@@ -27,7 +28,7 @@ from regioncd.masks import segment_labels
 from regioncd.model import NORM_EPS
 from regioncd.weights import RANDOM_INIT_HI, RANDOM_INIT_LO, tensor_spec
 
-from conftest import half_seg
+from conftest import forward_logits, half_seg
 
 
 def with_tensors(w: WeightSet, **replacements) -> WeightSet:
@@ -118,6 +119,24 @@ class TestSteerClosedForm:
         u = len(visual) + 1 - k
         expect = np.where(np.append(mask.values, 0) != 0, beta, 1.0) / (beta * k + u)
         assert np.abs(probs - expect).max() < 1e-12
+
+
+    def test_huge_beta_keeps_attention_rows_finite(
+        self, steer_cfg, steer_weights, steer_image, left_seg
+    ):
+        # beta * exp(e) overflows at beta = 1e308; e + log(beta) does not
+        mask = generate_token_mask(left_seg, steer_cfg.grid())
+        visual = encode_image(steer_image, steer_cfg, steer_weights)
+        session = DecoderSession(steer_cfg, steer_weights, visual,
+                                 attn_policy=(mask.values, 1e308), record_attention=True)
+        session.extend_with_tokens([0])
+        for _, _, probs in session.attention_rows:
+            assert np.isfinite(probs).all()
+            assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-12
+        params = GuidanceParams(spec=steer_cfg.grid(), beta=1e308, max_tokens=1,
+                                eos_id=steer_cfg.eos_id)
+        ids, _ = decode(steer_image, left_seg, [0], steer_cfg, steer_weights, params)
+        assert ids == [2]
 
 
 class TestEncoder:
@@ -276,6 +295,19 @@ class TestForwardPass:
         mask = np.ones(len(visual), dtype=np.uint8)
         with pytest.raises(InputError):
             DecoderSession(rand_cfg, rand_weights, visual, attn_policy=(mask, beta))
+
+
+    def test_sessions_share_one_float64_cast(self, rand_cfg, rand_image):
+        w = gen_fixture("random-v1", 3, rand_cfg)
+        visual = encode_image(rand_image, rand_cfg, w)
+        a = DecoderSession(rand_cfg, w, visual)
+        b = DecoderSession(rand_cfg, w, visual, attn_policy=(np.ones(len(visual)), 2.0))
+        fork = a.fork()
+        for name, t in w.tensors.items():
+            shared = w.tensors64[name]
+            assert shared.dtype == np.float64 and not shared.flags.writeable
+            assert (shared == t).all()
+            assert a._t[name] is shared and b._t[name] is shared and fork._t[name] is shared
 
 
 class TestFixtures:
