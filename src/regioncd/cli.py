@@ -76,18 +76,32 @@ def _cmd_mask(args) -> int:
     return 0
 
 
+# decode options that only the guided decode reads; they default to None, so that
+# --baseline can reject them and the guided path falls back to the library defaults
+_GUIDED_ONLY = ("seg", "bbox", "alpha", "beta", "gamma", "tau", "sample", "temperature", "seed")
+
+
+def _given(args, *names: str) -> dict:
+    """The named options that were given on the command line."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _guidance(args, cfg: ModelConfig, **strengths: float) -> GuidanceParams:
     return GuidanceParams(
         spec=cfg.grid(),
-        alpha=args.alpha,
-        tau=args.tau,
         max_tokens=args.max_tokens,
         eos_id=cfg.eos_id,
+        **_given(args, "alpha", "tau"),
         **strengths,
     )
 
 
 def _cmd_decode(args) -> int:
+    if args.baseline:
+        ignored = [f"--{name}" for name in _given(args, *_GUIDED_ONLY)]
+        if ignored:
+            raise InputError(f"--baseline decodes without guidance and takes no "
+                             f"{', '.join(ignored)}")
     w = weights.load_weights(args.weights)
     cfg = w.config
     img = GrayImage.from_pgm(args.image)
@@ -101,11 +115,9 @@ def _cmd_decode(args) -> int:
         if args.seg is None and args.bbox is None:
             raise InputError("decode needs --seg or --bbox unless --baseline is given")
         seg = _load_seg(args, (img.width, img.height))
-        params = _guidance(args, cfg, beta=args.beta, gamma=args.gamma)
-        ids, trace = decode(
-            img, seg, prompt, cfg, w, params, topk=args.topk,
-            sample=args.sample, temperature=args.temperature, seed=args.seed,
-        )
+        params = _guidance(args, cfg, **_given(args, "beta", "gamma"))
+        ids, trace = decode(img, seg, prompt, cfg, w, params, topk=args.topk,
+                            **_given(args, "sample", "temperature", "seed"))
     if args.out is not None:
         _write_text(args.out, trace.to_jsonl())
     print("tokens: " + " ".join(str(i) for i in ids))
@@ -189,20 +201,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--image", required=True, help="input image (PGM)")
         p.add_argument("--weights", required=True, help="weight fixture file")
         p.add_argument("--prompt", required=True, help="prompt token ids, e.g. 5,9,9")
-        p.add_argument("--tau", type=float, default=0.0)
-        p.add_argument("--alpha", type=float, default=0.01, help="token suppression weight")
+        p.add_argument("--tau", type=float, help="downsample coverage threshold (0)")
+        p.add_argument("--alpha", type=float, help="token suppression weight (0.01)")
         p.add_argument("--max-tokens", type=int, default=16)
         if name == "decode":
             p.add_argument("--topk", type=int, default=5, help="entries per trace record")
-            p.add_argument("--beta", type=float, default=5.0, help="attention amplification")
-            p.add_argument("--gamma", type=float, default=1.5, help="logits guidance intensity")
+            p.add_argument("--beta", type=float, help="attention amplification (5)")
+            p.add_argument("--gamma", type=float, help="logits guidance intensity (1.5)")
             p.add_argument("--out", help="trace output path (JSON lines)")
             p.add_argument("--baseline", action="store_true",
                            help="plain greedy decoding, guidance disabled")
-            p.add_argument("--sample", action="store_true",
+            p.add_argument("--sample", action="store_true", default=None,
                            help="sample from renormalized fused scores instead of argmax")
-            p.add_argument("--temperature", type=float, default=1.0)
-            p.add_argument("--seed", type=int, default=0, help="sampling seed")
+            p.add_argument("--temperature", type=float, help="sampling temperature (1)")
+            p.add_argument("--seed", type=int, help="sampling seed (0)")
         else:
             p.add_argument("--beta", default="1,3,5,10", help="comma-separated beta values")
             p.add_argument("--gamma", default="1.0,1.1,1.3,1.5",

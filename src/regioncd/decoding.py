@@ -159,7 +159,8 @@ def _run_steps(
     for t in range(params.max_tokens):
         assert all(s.text_ids == sessions[0].text_ids for s in sessions), "branches diverged"
         lps = [log_softmax(x) for x in logits]
-        fused = fuse_logits(lps[0], lps[1], params.gamma) if len(lps) == 2 else lps[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
+            fused = fuse_logits(lps[0], lps[1], params.gamma) if len(lps) == 2 else lps[0]
         if not np.isfinite(fused).all():
             raise NumericError(f"non-finite fused scores at step {t}")
         chosen = pick(fused)

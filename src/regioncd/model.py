@@ -7,6 +7,11 @@ the global view with per-row separators. On top sits a pre-norm transformer
 (RMSNorm, multi-head attention, GELU feed-forward) in which the visual
 prefix is fully mutually visible and text positions attend causally.
 
+Attention is head-major: each layer caches its keys and values in
+preallocated ``(n_heads, max_seq, head_dim)`` buffers that a block writes in
+place, and the scores and the context are batched matrix products over the
+heads.
+
 Weights are stored as float32; all forward-pass arithmetic runs in float64,
 which keeps results reproducible to well below 1e-6 across platforms.
 """
@@ -150,19 +155,23 @@ def attention(scores: np.ndarray, bias: np.ndarray) -> np.ndarray:
     region reweighting (:func:`region_bias`); with a zero bias this is a
     plain softmax.
     """
-    s = scores + bias
-    shifted = np.exp(s - s.max(axis=-1, keepdims=True))
-    return shifted / shifted.sum(axis=-1, keepdims=True)
+    s = scores + bias  # the one temporary; the steps below work in place on it
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
 
 class DecoderSession:
     """One growing decode branch over a fixed visual prefix.
 
-    Keys and values are cached per layer, so each appended token costs a
-    single attention row. An optional ``attn_policy`` (mask over visual
-    positions, beta) adds :func:`region_bias` to the scores of every
-    attention softmax in this branch; text positions always carry mask
-    value 0.
+    Keys and values are cached per layer in head-major buffers of shape
+    ``(n_heads, max_seq, head_dim)``, allocated once per session; a block
+    writes its keys and values into positions ``[start, total)``, so each
+    appended token costs a single attention row and no reallocation. An
+    optional ``attn_policy`` (mask over visual positions, beta) adds
+    :func:`region_bias` to the scores of every attention softmax in this
+    branch; text positions always carry mask value 0.
     """
 
     def __init__(
@@ -192,7 +201,9 @@ class DecoderSession:
                 )
             bias[: self._n_visual] = region_bias(mask, beta)
         self._bias = bias
-        self._kv: list[tuple[np.ndarray, np.ndarray] | None] = [None] * cfg.n_layers
+        # [layer, 0 = keys / 1 = values, head, position, channel]; only the first
+        # self._len positions are ever written or read
+        self._kv = np.empty((cfg.n_layers, 2, cfg.n_heads, cfg.max_seq, cfg.head_dim))
         self._len = 0
         self.text_ids: list[int] = []
         self.attention_rows: list[tuple[int, int, np.ndarray]] | None = (
@@ -207,13 +218,15 @@ class DecoderSession:
     def fork(self) -> "DecoderSession":
         """An independent branch that continues from this session's current state.
 
-        Costs O(layers) and runs no prefill: the per-layer KV list and the
-        text ids are copied, the cached arrays are shared. Sharing is safe
-        because ``_process_block`` replaces a layer's arrays and never
-        writes into them.
+        Runs no prefill: the filled part of every layer's key and value
+        buffers is copied into fresh buffers, and the text ids are copied.
+        The buffers cannot be shared, because the parent and each fork write
+        their next tokens into the same positions.
         """
+        n = self._len
         other = copy.copy(self)  # copy.copy skips __init__, so no prefill runs
-        other._kv = list(self._kv)
+        other._kv = np.empty_like(self._kv)
+        other._kv[..., :n, :] = self._kv[..., :n, :]
         other.text_ids = list(self.text_ids)
         if self.attention_rows is not None:
             other.attention_rows = list(self.attention_rows)
@@ -250,27 +263,23 @@ class DecoderSession:
             visible = np.ones((b, total), dtype=bool)
         else:
             visible = np.arange(total)[None, :] <= (start + np.arange(b))[:, None]
-        bias = np.where(visible, self._bias[:total], -np.inf)[:, None, :]
+        bias = np.where(visible, self._bias[:total], -np.inf)  # broadcasts over heads
         h = np.array(emb, dtype=np.float64)
         scale = 1.0 / math.sqrt(cfg.head_dim)
+        split = (b, cfg.n_heads, cfg.head_dim)
         for li in range(cfg.n_layers):
             p = f"layers.{li}."
+            k, v = self._kv[li]
             xn = _rms_norm(h, self._t[p + "attn_norm.gain"], self._t[p + "attn_norm.bias"])
-            q = (xn @ self._t[p + "attn.wq"]).reshape(b, cfg.n_heads, cfg.head_dim)
-            k_new = (xn @ self._t[p + "attn.wk"]).reshape(b, cfg.n_heads, cfg.head_dim)
-            v_new = (xn @ self._t[p + "attn.wv"]).reshape(b, cfg.n_heads, cfg.head_dim)
-            cached = self._kv[li]
-            if cached is None:
-                k, v = k_new, v_new
-            else:
-                k = np.concatenate([cached[0], k_new], axis=0)
-                v = np.concatenate([cached[1], v_new], axis=0)
-            self._kv[li] = (k, v)
-            scores = np.einsum("bhd,thd->bht", q, k) * scale
+            q = (xn @ self._t[p + "attn.wq"]).reshape(split).transpose(1, 0, 2)
+            k[:, start:total] = (xn @ self._t[p + "attn.wk"]).reshape(split).transpose(1, 0, 2)
+            v[:, start:total] = (xn @ self._t[p + "attn.wv"]).reshape(split).transpose(1, 0, 2)
+            scores = q @ k[:, :total].transpose(0, 2, 1)  # (heads, b, total)
+            scores *= scale
             probs = attention(scores, bias)
             if self.attention_rows is not None:
-                self.attention_rows.append((li, start, probs))
-            ctx = np.einsum("bht,thd->bhd", probs, v).reshape(b, cfg.embed_dim)
+                self.attention_rows.append((li, start, probs.transpose(1, 0, 2)))
+            ctx = (probs @ v[:, :total]).transpose(1, 0, 2).reshape(b, cfg.embed_dim)
             h = h + ctx @ self._t[p + "attn.wo"]
             xn = _rms_norm(h, self._t[p + "ffn_norm.gain"], self._t[p + "ffn_norm.bias"])
             h = h + _gelu(xn @ self._t[p + "ffn.w1"] + self._t[p + "ffn.b1"]) @ self._t[

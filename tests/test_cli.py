@@ -199,19 +199,39 @@ class TestCmdDecode:
                                        ["--baseline", "--topk=-3"]], ids=" ".join)
     def test_bad_decode_options_are_input_errors(self, steer_files, tmp_path, flags):
         out = tmp_path / "t.jsonl"
+        region = [] if "--baseline" in flags else ["--seg", steer_files["left"]]
         code, _, stderr = run_cli([
-            "decode", "--image", steer_files["image"], "--seg", steer_files["left"],
-            "--weights", steer_files["weights"], "--prompt", "0", "--out", str(out)] + flags)
+            "decode", "--image", steer_files["image"], "--weights", steer_files["weights"],
+            "--prompt", "0", "--out", str(out)] + region + flags)
         assert code == 2
         assert stderr.startswith("error: ") and not CATCH_ALL.search(stderr)
         assert not out.exists()
 
-    def test_fused_overflow_is_numeric_error(self, steer_files, tmp_path):
+    @pytest.mark.parametrize("flag", ["--seg", "--bbox", "--alpha", "--beta", "--gamma",
+                                      "--tau", "--sample", "--temperature", "--seed"])
+    def test_baseline_rejects_guided_options(self, steer_files, tmp_path, flag):
+        # each value is valid, or the library default, or the nan that used to exit 0
+        value = {"--seg": [steer_files["left"]],
+                 "--bbox": ['{"x_min": 0, "y_min": 0, "x_max": 4, "y_max": 8}'],
+                 "--alpha": ["1"], "--beta": ["5"], "--gamma": ["nan"], "--tau": ["0"],
+                 "--sample": [], "--temperature": ["0.0001"], "--seed": ["0"]}[flag]
         out = tmp_path / "t.jsonl"
         code, _, stderr = run_cli([
-            "decode", "--image", steer_files["image"], "--seg", steer_files["left"],
-            "--weights", steer_files["weights"], "--prompt", "0", "--gamma", "1e308",
-            "--out", str(out)])
+            "decode", "--image", steer_files["image"], "--weights", steer_files["weights"],
+            "--prompt", "0", "--baseline", "--out", str(out), flag] + value)
+        assert code == 2
+        assert stderr.startswith("error: --baseline ") and flag in stderr
+        assert not CATCH_ALL.search(stderr)
+        assert not out.exists()
+
+    def test_fused_overflow_is_numeric_error(self, steer_files, tmp_path):
+        out = tmp_path / "t.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, stderr = run_cli([
+                "decode", "--image", steer_files["image"], "--seg", steer_files["left"],
+                "--weights", steer_files["weights"], "--prompt", "0", "--gamma", "1e308",
+                "--out", str(out)])
         assert code == 3
         assert stderr.startswith("numeric error: ")
         assert not out.exists()
@@ -237,11 +257,15 @@ class TestCmdDecode:
                              baseline):
         out = steer_files["fuzz_out"]
         out.unlink(missing_ok=True)
-        argv = ["decode", "--image", steer_files["image"], "--seg", steer_files["left"],
-                "--weights", steer_files["weights"], "--prompt", "0", f"--topk={topk}",
-                f"--max-tokens={max_tokens}", f"--seed={seed}", "--out", str(out)]
-        argv += [f"--{name}={value!r}" for name, value in guidance.items()]
-        argv += ["--sample"] * sample + ["--baseline"] * baseline
+        argv = ["decode", "--image", steer_files["image"], "--weights", steer_files["weights"],
+                "--prompt", "0", f"--topk={topk}", f"--max-tokens={max_tokens}",
+                "--out", str(out)]
+        if baseline:  # --baseline rejects every guided-only option
+            argv += ["--baseline"]
+        else:
+            argv += ["--seg", steer_files["left"], f"--seed={seed}"]
+            argv += [f"--{name}={value!r}" for name, value in guidance.items()]
+            argv += ["--sample"] * sample
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             code, _, stderr = run_cli(argv)

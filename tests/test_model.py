@@ -25,7 +25,7 @@ from regioncd import (
 )
 from regioncd.errors import FormatError
 from regioncd.masks import segment_labels
-from regioncd.model import NORM_EPS
+from regioncd.model import NORM_EPS, _gelu, _rms_norm, attention
 from regioncd.weights import RANDOM_INIT_HI, RANDOM_INIT_LO, tensor_spec
 
 from conftest import forward_logits, half_seg
@@ -308,6 +308,138 @@ class TestForwardPass:
             assert shared.dtype == np.float64 and not shared.flags.writeable
             assert (shared == t).all()
             assert a._t[name] is shared and b._t[name] is shared and fork._t[name] is shared
+
+
+class TokenMajorReference:
+    """The forward pass in its earlier token-major formulation, as a reference.
+
+    Keys and values are ``(tokens, heads, head_dim)`` arrays grown by
+    ``np.concatenate`` on every block, and the scores and the context are
+    ``np.einsum`` contractions; the softmax is written out. The norms and the
+    feed-forward are the model's own, since only attention was reformulated.
+    """
+
+    def __init__(self, cfg, w, visual, attn_policy=None):
+        self.cfg, self.t = cfg, w.tensors64
+        self.bias = np.zeros(cfg.max_seq)
+        if attn_policy is not None:
+            mask, beta = attn_policy
+            self.bias[: len(visual)] = np.where(np.asarray(mask) != 0, math.log(beta), 0.0)
+        self.kv = [None] * cfg.n_layers
+        self.length = 0
+        self.attention_rows = []
+        self._block(visual.embeddings, bidirectional=True)
+
+    def extend_with_tokens(self, ids):
+        pos = self.t["pos_embed"][self.length : self.length + len(ids)]
+        return self._block(self.t["token_embed"][ids] + pos, bidirectional=False)
+
+    def _block(self, emb, bidirectional):
+        cfg, t = self.cfg, self.t
+        b, start = emb.shape[0], self.length
+        total = start + b
+        if bidirectional:
+            visible = np.ones((b, total), dtype=bool)
+        else:
+            visible = np.arange(total)[None, :] <= (start + np.arange(b))[:, None]
+        bias = np.where(visible, self.bias[:total], -np.inf)[:, None, :]
+        h = emb
+        for li in range(cfg.n_layers):
+            p = f"layers.{li}."
+            xn = _rms_norm(h, t[p + "attn_norm.gain"], t[p + "attn_norm.bias"])
+            q, k, v = ((xn @ t[p + f"attn.w{c}"]).reshape(b, cfg.n_heads, cfg.head_dim)
+                       for c in "qkv")
+            if self.kv[li] is not None:
+                k = np.concatenate([self.kv[li][0], k], axis=0)
+                v = np.concatenate([self.kv[li][1], v], axis=0)
+            self.kv[li] = (k, v)
+            s = np.einsum("bhd,thd->bht", q, k) * (1.0 / math.sqrt(cfg.head_dim)) + bias
+            e = np.exp(s - s.max(axis=-1, keepdims=True))
+            probs = e / e.sum(axis=-1, keepdims=True)
+            self.attention_rows.append((li, start, probs))
+            ctx = np.einsum("bht,thd->bhd", probs, v).reshape(b, cfg.embed_dim)
+            h = h + ctx @ t[p + "attn.wo"]
+            xn = _rms_norm(h, t[p + "ffn_norm.gain"], t[p + "ffn_norm.bias"])
+            h = h + _gelu(xn @ t[p + "ffn.w1"] + t[p + "ffn.b1"]) @ t[p + "ffn.w2"] + t[
+                p + "ffn.b2"]
+        self.length = total
+        return _rms_norm(h[-1], t["final_norm.gain"], t["final_norm.bias"]) @ t["head.weight"]
+
+
+class TestHeadMajorCache:
+    @pytest.mark.parametrize("beta", [None, 5.0])
+    def test_matches_token_major_reference(self, rand_cfg, rand_weights, rand_image, beta):
+        # BLAS GEMMs sum in another order than einsum: agreement to ulps, not bits
+        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        mask = np.zeros(len(visual), dtype=np.uint8)
+        mask[::3] = 1
+        policy = None if beta is None else (mask, beta)
+        session = DecoderSession(rand_cfg, rand_weights, visual, attn_policy=policy,
+                                 record_attention=True)
+        ref = TokenMajorReference(rand_cfg, rand_weights, visual, attn_policy=policy)
+        blocks = [[1, 2, 3]] + [[t % rand_cfg.vocab_size] for t in range(5, 15)]
+        for ids in blocks:
+            got, want = session.extend_with_tokens(ids), ref.extend_with_tokens(ids)
+            assert np.abs(got - want).max() < 1e-12
+        assert len(session.attention_rows) == len(ref.attention_rows) == 12 * rand_cfg.n_layers
+        for (lg, sg, pg), (lr, sr, pr) in zip(session.attention_rows, ref.attention_rows):
+            assert (lg, sg) == (lr, sr)
+            assert pg.shape == pr.shape == (pr.shape[0], rand_cfg.n_heads, sr + pr.shape[0])
+            assert np.abs(pg - pr).max() < 1e-12
+
+    def test_forks_write_separate_buffers(self, rand_cfg, rand_weights, rand_image):
+        # two forks of one parent write the same positions; the sweep runs its
+        # forks one after another, so only interleaved extends can show sharing
+        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        mask = np.ones(len(visual), dtype=np.uint8)
+
+        def prompted():
+            s = DecoderSession(rand_cfg, rand_weights, visual, attn_policy=(mask, 3.0))
+            s.extend_with_tokens([1, 2])
+            return s
+
+        parent = prompted()
+        forks = [parent.fork(), parent.fork()]
+        tokens = [[3, 4, 5], [6, 7, 8]]
+        got = [[], []]
+        for step in range(3):
+            for i, fork in enumerate(forks):
+                got[i].append(fork.extend_with_tokens([tokens[i][step]]))
+        got_parent = parent.extend_with_tokens([9])
+        for i in range(2):
+            alone = prompted()
+            for logits, t in zip(got[i], tokens[i]):
+                assert (logits == alone.extend_with_tokens([t])).all()
+        assert (got_parent == prompted().extend_with_tokens([9])).all()
+        assert parent.text_ids == [1, 2, 9] and forks[0].text_ids == [1, 2, 3, 4, 5]
+
+    def test_fills_exactly_max_seq(self, rand_cfg, rand_weights, rand_image):
+        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        session = DecoderSession(rand_cfg, rand_weights, visual)
+        room = rand_cfg.max_seq - len(visual)
+        session.extend_with_tokens([1] * (room - 1))
+        fork = session.fork()
+        assert np.isfinite(session.extend_with_tokens([2])).all()
+        assert session.length == rand_cfg.max_seq
+        with pytest.raises(InputError):
+            session.extend_with_tokens([3])
+        assert session.length == rand_cfg.max_seq
+        with pytest.raises(InputError):
+            fork.extend_with_tokens([2, 3])
+        assert np.isfinite(fork.extend_with_tokens([2])).all()
+
+    def test_attention_leaves_its_arguments_and_results_unchanged(self):
+        rng = np.random.default_rng(4)
+        scores = rng.standard_normal((3, 5, 7))
+        bias = np.where(rng.random((5, 7)) < 0.3, -np.inf, rng.random((5, 7)))
+        bias[:, 0] = 0.0
+        scores_before, bias_before = scores.copy(), bias.copy()
+        probs = attention(scores, bias)
+        assert np.array_equal(scores, scores_before)
+        assert np.array_equal(bias, bias_before)
+        s = scores_before + bias_before
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        assert np.array_equal(probs, e / e.sum(axis=-1, keepdims=True))
 
 
 class TestFixtures:

@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark's traced run against the package in this checkout.
+"""Smoke tests of the benchmark's traced runs against the package in this checkout.
 
 The traced run wraps every name in ``perfbench/spans.py`` (among them
 ``DecoderSession.__init__`` and ``decoding.decode``), so renaming one of them
@@ -13,12 +13,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_mask_stream_run():
+def traced_run(workload: str) -> dict:
+    """Result object of a one-second traced run, after checking it exited 0."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "mask-stream", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_traced_mask_stream_run():
+    assert traced_run("mask-stream")["correct"] is True
+
+
+def test_traced_sweep_run():
+    # prefill, fork and the step loop under the benchmark's own output checks
+    result = traced_run("sweep-313")
     assert result["correct"] is True
+    # one unguided prefill plus one guided prefill per distinct beta (1, 3, 5, 10)
+    assert result["metrics"]["model.prefill.calls"]["value"] == 5
