@@ -15,13 +15,10 @@ from regioncd.decoding import (
 from regioncd.errors import FormatError, InputError, NumericError, ShapeError
 from regioncd.masks import (
     BBox,
-    BinaryGrid,
     GridSpec,
     SegMask,
     TokenMask,
     assemble,
-    build_global_mask,
-    build_local_mask,
     downsample,
     expected_length,
     generate_token_mask,
@@ -42,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BBox",
-    "BinaryGrid",
     "DecodeTrace",
     "DecoderSession",
     "FormatError",
@@ -61,8 +57,6 @@ __all__ = [
     "WeightSet",
     "assemble",
     "baseline_decode",
-    "build_global_mask",
-    "build_local_mask",
     "decode",
     "downsample",
     "encode_image",

@@ -2,17 +2,18 @@
 
 A pixel mask (or bounding box) over the input image is reduced to binary
 grids at two scales: a composite "local" grid covering a tiling of the image
-into equal crops, and a "global" grid covering the whole image. Each grid is
-flattened with a zero-valued newline separator after every row; the two
-flattened pieces are joined by one more separator into a single sequence
-whose positions line up one-to-one with the visual tokens produced by the
-encoder in :mod:`regioncd.model`.
+into equal crops, and a "global" grid covering the whole image. :func:`assemble`
+lays the two grids out in token order, with a zero-valued newline separator
+after every row and one more separator between the grids. The encoder in
+:mod:`regioncd.model` lays out its patch embeddings with the same function, so
+mask positions line up one-to-one with the visual tokens.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,8 +28,6 @@ SEG_LOCAL_SEP = "local_sep"
 SEG_MID_SEP = "mid_sep"
 SEG_GLOBAL = "global"
 SEG_GLOBAL_SEP = "global_sep"
-
-_SEPARATORS = (SEG_LOCAL_SEP, SEG_MID_SEP, SEG_GLOBAL_SEP)
 
 
 @dataclass(frozen=True)
@@ -110,19 +109,14 @@ class SegMask:
         return cls.from_array((samples != 0).astype(np.uint8))
 
 
-@dataclass(frozen=True, eq=False)
-class BinaryGrid:
-    """Token-resolution binary grid, the intermediate of downsampling."""
-
-    rows: int
-    cols: int
-    cells: np.ndarray  # (rows, cols) uint8 in {0, 1}
-
-    def __post_init__(self) -> None:
-        if self.cells.shape != (self.rows, self.cols):
-            raise ShapeError(f"cell array shape {self.cells.shape} != ({self.rows}, {self.cols})")
-        if not np.isin(self.cells, (0, 1)).all():
-            raise InputError("grid cells must be 0 or 1")
+def _json_number(value) -> float:
+    """A JSON number as a float; strings, booleans and other types are a FormatError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FormatError(f"expected a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError(f"number {value} overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -135,6 +129,8 @@ class BBox:
     y_max: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x_min, self.y_min, self.x_max, self.y_max))):
+            raise InputError(f"bbox coordinates must be finite, got {self}")
         if self.x_min > self.x_max or self.y_min > self.y_max:
             raise InputError(f"degenerate ordering in bbox {self}")
 
@@ -147,14 +143,9 @@ class BBox:
         if not isinstance(obj, dict):
             raise FormatError("bbox JSON must be an object")
         try:
-            return cls(
-                x_min=float(obj["x_min"]),
-                y_min=float(obj["y_min"]),
-                x_max=float(obj["x_max"]),
-                y_max=float(obj["y_max"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bbox JSON missing or non-numeric field: {exc}") from None
+            return cls(*(_json_number(obj[k]) for k in ("x_min", "y_min", "x_max", "y_max")))
+        except KeyError as exc:
+            raise FormatError(f"bbox JSON is missing field {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,17 +154,23 @@ class TokenMask:
 
     values: np.ndarray  # (N,) uint8 in {0, 1}
     spec: GridSpec
-    segments: list[str]
 
     def __post_init__(self) -> None:
-        n = expected_length(self.spec)
+        spec = self.spec
+        n = expected_length(spec)
         if self.values.shape != (n,):
             raise ShapeError(f"mask length {self.values.shape} != ({n},)")
-        if len(self.segments) != n:
-            raise ShapeError(f"segment map length {len(self.segments)} != {n}")
-        sep = np.array([s in _SEPARATORS for s in self.segments])
-        if self.values[sep].any():
+        if not ((self.values == 0) | (self.values == 1)).all():
+            raise InputError("mask values must be 0 or 1")
+        local = np.zeros((spec.local_rows, spec.local_cols), dtype=bool)
+        global_ = np.zeros((spec.side, spec.side), dtype=bool)
+        if self.values[assemble(local, global_, spec, sep=True)].any():
             raise InputError("separator positions must carry mask value 0")
+
+    @property
+    def segments(self) -> list[str]:
+        """Per-position segment labels; see :func:`segment_labels`."""
+        return segment_labels(self.spec)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -188,8 +185,8 @@ class TokenMask:
         return h.hexdigest()
 
 
-def downsample(seg: SegMask, out_rows: int, out_cols: int, tau: float) -> BinaryGrid:
-    """Reduce a pixel mask to a token grid by coverage thresholding.
+def downsample(seg: SegMask, out_rows: int, out_cols: int, tau: float) -> np.ndarray:
+    """Reduce a pixel mask to an ``(out_rows, out_cols)`` uint8 grid by coverage thresholding.
 
     Pixel (i, j) belongs to cell (floor(i*out_rows/height),
     floor(j*out_cols/width)); a cell is 1 iff the fraction of its pixels
@@ -210,45 +207,29 @@ def downsample(seg: SegMask, out_rows: int, out_cols: int, tau: float) -> Binary
     cell_of = (row_of[:, None] * out_cols + col_of[None, :]).ravel()
     total = np.bincount(cell_of, minlength=out_rows * out_cols)
     positive = np.bincount(cell_of, weights=seg.pixels.ravel(), minlength=out_rows * out_cols)
-    cells = (positive / total > tau).astype(np.uint8).reshape(out_rows, out_cols)
-    return BinaryGrid(rows=out_rows, cols=out_cols, cells=cells)
+    return (positive / total > tau).astype(np.uint8).reshape(out_rows, out_cols)
 
 
-def _flatten_with_row_separators(grid: BinaryGrid) -> np.ndarray:
-    out = np.zeros((grid.rows, grid.cols + 1), dtype=np.uint8)
-    out[:, : grid.cols] = grid.cells
-    return out.ravel()
+def assemble(local: np.ndarray, global_: np.ndarray, spec: GridSpec, sep=0) -> np.ndarray:
+    """Lay a local and a global grid out in token order, ``sep`` at every separator.
 
-
-def build_global_mask(grid: BinaryGrid) -> np.ndarray:
-    """Flatten an LxL grid row-major, appending a 0 separator per row."""
-    if grid.rows != grid.cols:
-        raise ShapeError(f"global grid must be square, got {grid.rows}x{grid.cols}")
-    return _flatten_with_row_separators(grid)
-
-
-def build_local_mask(grid: BinaryGrid, spec: GridSpec) -> np.ndarray:
-    """Flatten the composite local grid row-major, one 0 separator per row."""
-    if (grid.rows, grid.cols) != (spec.local_rows, spec.local_cols):
-        raise ShapeError(
-            f"local grid {grid.rows}x{grid.cols} does not match "
-            f"{spec.local_rows}x{spec.local_cols} for {spec}"
-        )
-    return _flatten_with_row_separators(grid)
-
-
-def assemble(local: np.ndarray, global_: np.ndarray, spec: GridSpec) -> TokenMask:
-    """Concatenate [local; 0; global] and attach the segment map."""
+    The first two axes of each grid are its rows and columns, and any
+    trailing axes are carried along. The result holds the local grid row by
+    row with a separator after each row, one mid separator, then the global
+    grid the same way: shape ``(expected_length(spec),) + trailing``.
+    """
+    local, global_ = np.asarray(local), np.asarray(global_)
+    trailing = local.shape[2:]
+    if local.shape != (spec.local_rows, spec.local_cols) + trailing:
+        raise ShapeError(f"local grid shape {local.shape} does not match {spec}")
+    if global_.shape != (spec.side, spec.side) + trailing:
+        raise ShapeError(f"global grid shape {global_.shape} does not match {spec}")
+    out = np.empty((expected_length(spec),) + trailing, dtype=np.result_type(local, global_, sep))
+    out[...] = sep
     n_local = spec.local_rows * (spec.local_cols + 1)
-    n_global = spec.side * (spec.side + 1)
-    if local.shape != (n_local,):
-        raise ShapeError(f"local sequence length {local.shape} != ({n_local},) for {spec}")
-    if global_.shape != (n_global,):
-        raise ShapeError(f"global sequence length {global_.shape} != ({n_global},) for {spec}")
-    values = np.concatenate(
-        [local.astype(np.uint8), np.zeros(1, dtype=np.uint8), global_.astype(np.uint8)]
-    )
-    return TokenMask(values=values, spec=spec, segments=segment_labels(spec))
+    out[:n_local].reshape(spec.local_rows, spec.local_cols + 1, *trailing)[:, :-1] = local
+    out[n_local + 1 :].reshape(spec.side, spec.side + 1, *trailing)[:, :-1] = global_
+    return out
 
 
 def mask_from_bbox(box: BBox, width: int, height: int) -> SegMask:
@@ -270,9 +251,9 @@ def mask_from_bbox(box: BBox, width: int, height: int) -> SegMask:
 
 def generate_token_mask(seg: SegMask, spec: GridSpec, tau: float = 0.0) -> TokenMask:
     """Pixel mask -> composite token mask (local + separators + global)."""
-    local_grid = downsample(seg, spec.local_rows, spec.local_cols, tau)
-    global_grid = downsample(seg, spec.side, spec.side, tau)
-    return assemble(build_local_mask(local_grid, spec), build_global_mask(global_grid), spec)
+    local = downsample(seg, spec.local_rows, spec.local_cols, tau)
+    global_ = downsample(seg, spec.side, spec.side, tau)
+    return TokenMask(values=assemble(local, global_, spec), spec=spec)
 
 
 def token_mask_to_json(mask: TokenMask, tau: float) -> str:
@@ -289,12 +270,33 @@ def token_mask_to_json(mask: TokenMask, tau: float) -> str:
 
 
 def token_mask_from_json(text: str) -> tuple[TokenMask, float]:
+    """Parse what :func:`token_mask_to_json` writes; anything else is a FormatError.
+
+    ``L`` and ``G`` must be integers, ``length`` and the number of values the
+    layout length, every value the integer 0 or 1 (0 at every separator),
+    ``segments`` equal to :func:`segment_labels` of the grid, and ``tau`` a
+    number in [0, 1).
+    """
     try:
         obj = json.loads(text)
-        spec = GridSpec(side=int(obj["L"]), crop_rows=int(obj["G"][0]), crop_cols=int(obj["G"][1]))
-        values = np.asarray(obj["values"], dtype=np.uint8)
-        segments = [str(s) for s in obj["segments"]]
-        tau = float(obj["tau"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError) as exc:
+        side, (rows, cols) = obj["L"], obj["G"]
+        if {type(side), type(rows), type(cols)} != {int}:
+            raise FormatError(f"L and G must be JSON integers, got {side!r} and {obj['G']!r}")
+        spec = GridSpec(side=side, crop_rows=rows, crop_cols=cols)
+        raw, length, segments = obj["values"], obj["length"], obj["segments"]
+        tau = _json_number(obj["tau"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed token mask JSON: {exc}") from None
-    return TokenMask(values=values, spec=spec, segments=segments), tau
+    if not isinstance(raw, list) or not set(map(type, raw)) <= {int} or not set(raw) <= {0, 1}:
+        raise FormatError("token mask values must be a list of the integers 0 and 1")
+    if not 0.0 <= tau < 1.0:
+        raise FormatError(f"token mask tau must lie in [0, 1), got {tau}")
+    if not length == len(raw) == expected_length(spec):
+        raise FormatError(f"token mask length {length!r} and {len(raw)} values, "
+                          f"{spec} needs {expected_length(spec)}")
+    if segments != segment_labels(spec):
+        raise FormatError(f"token mask segments do not match the token layout of {spec}")
+    try:
+        return TokenMask(values=np.array(raw, dtype=np.uint8), spec=spec), tau
+    except InputError as exc:  # a 1 at a separator
+        raise FormatError(f"malformed token mask JSON: {exc}") from None

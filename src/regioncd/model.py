@@ -1,11 +1,12 @@
 """Miniature vision-language decoder.
 
-The encoder mean-pools pixel blocks into patch tokens laid out exactly like
-the token mask from :mod:`regioncd.masks`: the local crop tiling row by row
-with a separator embedding after each composite row, one mid separator, then
-the global view with per-row separators. On top sits a pre-norm transformer
-(RMSNorm, multi-head attention, GELU feed-forward) in which the visual
-prefix is fully mutually visible and text positions attend causally.
+The encoder mean-pools pixel blocks into patch tokens and lays them out with
+:func:`regioncd.masks.assemble`, the function that lays out the token mask:
+the local crop tiling row by row with a separator embedding after each
+composite row, one mid separator, then the global view with per-row
+separators. On top sits a pre-norm transformer (RMSNorm, multi-head
+attention, GELU feed-forward) in which the visual prefix is fully mutually
+visible and text positions attend causally.
 
 Attention is head-major: each layer caches its keys and values in
 preallocated ``(n_heads, max_seq, head_dim)`` buffers that a block writes in
@@ -29,7 +30,7 @@ import numpy as np
 from regioncd import pgm
 from regioncd.config import ModelConfig
 from regioncd.errors import InputError, NumericError, ShapeError
-from regioncd.masks import SEG_LOCAL, SEG_GLOBAL, segment_labels
+from regioncd.masks import assemble, segment_labels
 from regioncd.weights import WeightSet
 
 NORM_EPS = 1e-6
@@ -103,27 +104,13 @@ def encode_image(img: GrayImage, cfg: ModelConfig, w: WeightSet) -> VisualSequen
             f"{cfg.image_side}x{cfg.image_side}"
         )
     spec = cfg.grid()
-    local = _pool_means(img.intensities, spec.local_rows, spec.local_cols)
-    global_ = _pool_means(img.intensities, spec.side, spec.side)
-
     t = w.tensors64
-    proj = t["patch_proj.weight"][:, 0]
-    bias = t["patch_proj.bias"]
-    pos = t["pos_embed"]
-    sep = t["sep_embed"][cfg.sep_embed_id]
-
-    layout = segment_labels(spec)
-    emb = np.empty((len(layout), cfg.embed_dim), dtype=np.float64)
-    local_it = iter(local.ravel())
-    global_it = iter(global_.ravel())
-    for i, label in enumerate(layout):
-        if label == SEG_LOCAL:
-            emb[i] = next(local_it) * proj + bias + pos[i]
-        elif label == SEG_GLOBAL:
-            emb[i] = next(global_it) * proj + bias + pos[i]
-        else:
-            emb[i] = sep + pos[i]
-    return VisualSequence(embeddings=emb, layout=layout)
+    proj, bias = t["patch_proj.weight"][:, 0], t["patch_proj.bias"]
+    local = _pool_means(img.intensities, spec.local_rows, spec.local_cols)[..., None] * proj + bias
+    global_ = _pool_means(img.intensities, spec.side, spec.side)[..., None] * proj + bias
+    emb = assemble(local, global_, spec, sep=t["sep_embed"][cfg.sep_embed_id])
+    emb += t["pos_embed"][: len(emb)]
+    return VisualSequence(embeddings=emb, layout=segment_labels(spec))
 
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -180,7 +167,6 @@ class DecoderSession:
         weights: WeightSet,
         visual: VisualSequence,
         attn_policy: tuple[np.ndarray, float] | None = None,
-        record_attention: bool = False,
     ):
         if weights.config != cfg:
             raise InputError("weight set was built for a different config")
@@ -206,10 +192,7 @@ class DecoderSession:
         self._kv = np.empty((cfg.n_layers, 2, cfg.n_heads, cfg.max_seq, cfg.head_dim))
         self._len = 0
         self.text_ids: list[int] = []
-        self.attention_rows: list[tuple[int, int, np.ndarray]] | None = (
-            [] if record_attention else None
-        )
-        self._process_block(visual.embeddings, bidirectional=True)
+        self._process_block(visual.embeddings)
 
     @property
     def length(self) -> int:
@@ -228,8 +211,6 @@ class DecoderSession:
         other._kv = np.empty_like(self._kv)
         other._kv[..., :n, :] = self._kv[..., :n, :]
         other.text_ids = list(self.text_ids)
-        if self.attention_rows is not None:
-            other.attention_rows = list(self.attention_rows)
         return other
 
     def extend_with_tokens(self, ids: Sequence[int]) -> np.ndarray:
@@ -245,24 +226,18 @@ class DecoderSession:
                 f"sequence length {start + len(ids)} overflows max_seq {self.cfg.max_seq}"
             )
         emb = self._t["token_embed"][ids] + self._t["pos_embed"][start : start + len(ids)]
-        logits = self._process_block(emb, bidirectional=False)
+        logits = self._process_block(emb)
         self.text_ids.extend(ids)
         return logits
 
-    def _process_block(self, emb: np.ndarray, bidirectional: bool) -> np.ndarray:
+    def _process_block(self, emb: np.ndarray) -> np.ndarray:
         cfg = self.cfg
         b = emb.shape[0]
         start = self._len
-        if start + b > cfg.max_seq:
-            raise InputError(
-                f"sequence length {start + b} overflows max_seq {cfg.max_seq}"
-            )
         total = start + b
-        if bidirectional:
-            assert start == 0, "the bidirectional prefix must come first"
-            visible = np.ones((b, total), dtype=bool)
-        else:
-            visible = np.arange(total)[None, :] <= (start + np.arange(b))[:, None]
+        # query position p sees the whole visual prefix and every key at a position <= p
+        keys = np.arange(total)
+        visible = (keys < self._n_visual) | (keys <= np.arange(start, total)[:, None])
         bias = np.where(visible, self._bias[:total], -np.inf)  # broadcasts over heads
         h = np.array(emb, dtype=np.float64)
         scale = 1.0 / math.sqrt(cfg.head_dim)
@@ -277,8 +252,6 @@ class DecoderSession:
             scores = q @ k[:, :total].transpose(0, 2, 1)  # (heads, b, total)
             scores *= scale
             probs = attention(scores, bias)
-            if self.attention_rows is not None:
-                self.attention_rows.append((li, start, probs.transpose(1, 0, 2)))
             ctx = (probs @ v[:, :total]).transpose(1, 0, 2).reshape(b, cfg.embed_dim)
             h = h + ctx @ self._t[p + "attn.wo"]
             xn = _rms_norm(h, self._t[p + "ffn_norm.gain"], self._t[p + "ffn_norm.bias"])

@@ -1,10 +1,11 @@
+from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
 import pytest
 
 from regioncd import DecoderSession, GrayImage, ModelConfig, SegMask, STEER_CONFIG, gen_fixture
-from regioncd import verification
+from regioncd import model, verification
 from regioncd.verification import half_seg
 
 
@@ -12,6 +13,29 @@ def forward_logits(visual, text: Sequence[int], cfg, w, attn_policy=None) -> np.
     """One-shot forward over [visual; text]; logits at the final position."""
     session = DecoderSession(cfg, w, visual, attn_policy=attn_policy)
     return session.extend_with_tokens(text)
+
+
+@contextmanager
+def recorded_attention(n_layers: int):
+    """Record the probabilities of every attention softmax the model runs.
+
+    Yields a list that fills with ``(layer, start, probs)`` per call, where
+    ``probs`` is ``(block, heads, total)`` and ``start`` the block's first
+    position. The layer is the call count modulo ``n_layers``, so record one
+    session at a time.
+    """
+    rows = []
+    kernel = model.attention
+
+    def recording(scores, bias):
+        probs = kernel(scores, bias)
+        _, b, total = probs.shape
+        rows.append((len(rows) % n_layers, total - b, probs.transpose(1, 0, 2)))
+        return probs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "attention", recording)
+        yield rows
 
 
 @pytest.fixture(scope="session")

@@ -97,6 +97,18 @@ class TestCmdMask:
         box = '{"x_min":0,"y_min":0,"x_max":1,"y_max":1}'
         assert main(["mask", "--bbox", box, "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400", '"3"', "true"])
+    def test_bad_bbox_coordinates(self, tmp_path, value):
+        img = tmp_path / "img.pgm"
+        write_pgm(img, np.zeros((24, 24), dtype=np.uint8))
+        out = tmp_path / "mask.json"
+        box = f'{{"x_min": 0, "y_min": 0, "x_max": {value}, "y_max": 24}}'
+        code, stdout, stderr = run_cli(["mask", "--bbox", box, "--image", str(img),
+                                        "--L", "12", "--out", str(out)])
+        assert code == 2
+        assert stderr.startswith("error: ") and not CATCH_ALL.search(stderr)
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         assert main(["mask", "--seg", str(tmp_path / "no.pgm"),
                      "--out", str(tmp_path / "m.json")]) == 2
@@ -174,6 +186,17 @@ class TestCmdDecode:
         assert main(["decode", "--image", steer_files["image"], "--seg", steer_files["left"],
                      "--weights", steer_files["weights"], "--prompt", "0", flag, value,
                      "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400", '"8"', "true"])
+    def test_bad_bbox_coordinates(self, steer_files, tmp_path, value):
+        out = tmp_path / "t.jsonl"
+        box = f'{{"x_min": 0, "y_min": 0, "x_max": 8, "y_max": {value}}}'
+        code, _, stderr = run_cli(["decode", "--image", steer_files["image"], "--bbox", box,
+                                   "--weights", steer_files["weights"], "--prompt", "0",
+                                   "--out", str(out)])
+        assert code == 2
+        assert stderr.startswith("error: ") and not CATCH_ALL.search(stderr)
         assert not out.exists()
 
     def test_huge_beta_steers_without_overflow(self, steer_files, tmp_path):

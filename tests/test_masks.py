@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,14 +8,12 @@ from hypothesis.extra import numpy as hnp
 
 from regioncd import (
     BBox,
-    BinaryGrid,
     GridSpec,
     InputError,
     SegMask,
     ShapeError,
+    TokenMask,
     assemble,
-    build_global_mask,
-    build_local_mask,
     downsample,
     expected_length,
     generate_token_mask,
@@ -76,30 +75,30 @@ class TestExpectedLength:
 class TestDownsample:
     def test_all_zero(self):
         seg = SegMask.from_array(np.zeros((24, 24), dtype=np.uint8))
-        assert not downsample(seg, 12, 12, 0.0).cells.any()
+        assert not downsample(seg, 12, 12, 0.0).any()
 
     def test_all_one(self):
         seg = SegMask.from_array(np.ones((24, 24), dtype=np.uint8))
-        assert downsample(seg, 12, 12, 0.0).cells.all()
+        assert downsample(seg, 12, 12, 0.0).all()
 
     def test_single_pixel(self):
         pixels = np.zeros((4, 4), dtype=np.uint8)
         pixels[0, 0] = 1
         grid = downsample(SegMask.from_array(pixels), 2, 2, 0.0)
         expected = np.array([[1, 0], [0, 0]], dtype=np.uint8)
-        assert (grid.cells == expected).all()
+        assert (grid == expected).all()
 
     def test_identity_at_same_resolution(self):
         rng = np.random.default_rng(3)
         pixels = rng.integers(0, 2, size=(7, 9), dtype=np.uint8)
         grid = downsample(SegMask.from_array(pixels), 7, 9, 0.0)
-        assert (grid.cells == pixels).all()
+        assert (grid == pixels).all()
 
     def test_threshold_is_strict(self):
         # coverage exactly tau must not trigger
         seg = SegMask.from_array(np.array([[1, 0]], dtype=np.uint8))
-        assert downsample(seg, 1, 1, 0.5).cells[0, 0] == 0
-        assert downsample(seg, 1, 1, 0.49).cells[0, 0] == 1
+        assert downsample(seg, 1, 1, 0.5)[0, 0] == 0
+        assert downsample(seg, 1, 1, 0.49)[0, 0] == 1
 
     def test_rejects_upsampling_and_bad_args(self):
         seg = SegMask.from_array(np.zeros((4, 4), dtype=np.uint8))
@@ -125,7 +124,7 @@ class TestDownsample:
         out_r = max(1, int(h * fraction)) if h > 1 else 1
         out_c = max(1, int(w * fraction)) if w > 1 else 1
         got = downsample(SegMask.from_array(pixels), out_r, out_c, tau)
-        assert (got.cells == brute_downsample(pixels, out_r, out_c, tau)).all()
+        assert (got == brute_downsample(pixels, out_r, out_c, tau)).all()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -135,70 +134,65 @@ class TestDownsample:
     )
     def test_monotone_in_tau(self, pixels, tau_lo, delta):
         seg = SegMask.from_array(pixels)
-        lo = downsample(seg, 4, 4, tau_lo).cells
-        hi = downsample(seg, 4, 4, tau_lo + delta).cells
+        lo = downsample(seg, 4, 4, tau_lo)
+        hi = downsample(seg, 4, 4, tau_lo + delta)
         assert (hi <= lo).all()
+
+
+def cells(*rows) -> np.ndarray:
+    return np.array(rows, dtype=np.uint8)
 
 
 class TestRowFlattening:
     def test_global_two_by_two(self):
-        grid = BinaryGrid(rows=2, cols=2, cells=np.array([[1, 0], [0, 1]], dtype=np.uint8))
-        assert build_global_mask(grid).tolist() == [1, 0, 0, 0, 1, 0]
+        spec = GridSpec(side=2)
+        out = assemble(np.zeros((2, 2), dtype=np.uint8), cells([1, 0], [0, 1]), spec)
+        assert out[7:].tolist() == [1, 0, 0, 0, 1, 0]
 
     def test_global_zeros_and_single(self):
-        zeros = BinaryGrid(rows=2, cols=2, cells=np.zeros((2, 2), dtype=np.uint8))
-        assert build_global_mask(zeros).tolist() == [0] * 6
-        one = BinaryGrid(rows=1, cols=1, cells=np.ones((1, 1), dtype=np.uint8))
-        assert build_global_mask(one).tolist() == [1, 0]
+        zeros = np.zeros((2, 2), dtype=np.uint8)
+        assert assemble(zeros, zeros, GridSpec(side=2))[7:].tolist() == [0] * 6
+        assert assemble(cells([0]), cells([1]), GridSpec(side=1))[3:].tolist() == [1, 0]
 
     def test_global_requires_square(self):
-        grid = BinaryGrid(rows=1, cols=2, cells=np.ones((1, 2), dtype=np.uint8))
+        spec = GridSpec(side=1, crop_cols=2)
         with pytest.raises(ShapeError):
-            build_global_mask(grid)
+            assemble(cells([1, 1]), cells([1, 1]), spec)
 
     def test_local_row_layout(self):
         spec = GridSpec(side=1, crop_rows=1, crop_cols=2)
-        grid = BinaryGrid(rows=1, cols=2, cells=np.array([[1, 1]], dtype=np.uint8))
-        assert build_local_mask(grid, spec).tolist() == [1, 1, 0]
+        assert assemble(cells([1, 1]), cells([0]), spec).tolist() == [1, 1, 0, 0, 0, 0]
 
     def test_local_coincides_with_global_for_single_crop(self):
         spec = GridSpec(side=2)
-        cells = np.array([[1, 0], [1, 1]], dtype=np.uint8)
-        grid = BinaryGrid(rows=2, cols=2, cells=cells)
-        assert (build_local_mask(grid, spec) == build_global_mask(grid)).all()
+        grid = cells([1, 0], [1, 1])
+        out = assemble(grid, grid, spec)
+        assert (out[:6] == out[7:]).all()
 
     def test_local_shape_mismatch(self):
         spec = GridSpec(side=2, crop_rows=2)
-        grid = BinaryGrid(rows=2, cols=2, cells=np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ShapeError):
-            build_local_mask(grid, spec)
+            assemble(np.zeros((2, 2), dtype=np.uint8), np.zeros((2, 2), dtype=np.uint8), spec)
 
 
 class TestAssemble:
     def test_minimal_concatenation(self):
-        spec = GridSpec(side=1)
-        local = np.array([1, 0], dtype=np.uint8)
-        global_ = np.array([1, 0], dtype=np.uint8)
-        mask = assemble(local, global_, spec)
-        assert mask.values.tolist() == [1, 0, 0, 1, 0]
-        assert len(mask) == 5
+        out = assemble(cells([1]), cells([1]), GridSpec(side=1))
+        assert out.tolist() == [1, 0, 0, 1, 0]
+        assert out.dtype == np.uint8
 
     def test_all_zero(self):
-        spec = GridSpec(side=2)
-        mask = assemble(np.zeros(6, dtype=np.uint8), np.zeros(6, dtype=np.uint8), spec)
-        assert not mask.values.any()
+        zeros = np.zeros((2, 2), dtype=np.uint8)
+        assert not assemble(zeros, zeros, GridSpec(side=2)).any()
 
     def test_separator_positions_for_reference_grid(self):
         spec = GridSpec(side=12)
-        local = np.ones(12 * 13, dtype=np.uint8)
-        global_ = np.ones(12 * 13, dtype=np.uint8)
-        local[12::13] = 0
-        global_[12::13] = 0
-        mask = assemble(local, global_, spec)
+        ones = np.ones((12, 12), dtype=np.uint8)
+        out = assemble(ones, ones, spec)
         sep_positions = [12 + 13 * r for r in range(12)] + [156] + [169 + 13 * r for r in range(12)]
-        for p in sep_positions:
-            assert mask.values[p] == 0
-        assert mask.positive_count() == 313 - len(sep_positions)
+        assert np.flatnonzero(out == 0).tolist() == sep_positions
+        assert np.flatnonzero(assemble(ones, ones, spec, sep=7) == 7).tolist() == sep_positions
+        assert int(out.sum()) == 313 - len(sep_positions)
 
     def test_segment_counts(self):
         spec = GridSpec(side=3, crop_rows=2, crop_cols=2)
@@ -212,7 +206,29 @@ class TestAssemble:
     def test_length_mismatch(self):
         spec = GridSpec(side=2)
         with pytest.raises(ShapeError):
-            assemble(np.zeros(5, dtype=np.uint8), np.zeros(6, dtype=np.uint8), spec)
+            assemble(np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 2), dtype=np.uint8), spec)
+        with pytest.raises(ShapeError):  # trailing axes of the two grids must agree
+            assemble(np.zeros((2, 2, 3)), np.zeros((2, 2, 4)), spec)
+
+    def test_trailing_axis_and_separator_vector(self):
+        spec = GridSpec(side=2, crop_cols=2)
+        local = np.arange(2 * 4 * 3, dtype=np.float64).reshape(2, 4, 3)
+        global_ = -np.arange(2 * 2 * 3, dtype=np.float64).reshape(2, 2, 3) - 1
+        sep = np.array([0.5, 0.25, 0.125])
+        out = assemble(local, global_, spec, sep=sep)
+        assert out.shape == (expected_length(spec), 3)
+        labels = segment_labels(spec)
+        rows = iter(local.reshape(-1, 3).tolist() + global_.reshape(-1, 3).tolist())
+        for label, row in zip(labels, out.tolist()):
+            assert row == (sep.tolist() if label.endswith("_sep") else next(rows))
+
+    def test_layout_matches_segment_labels(self):
+        for spec in (GridSpec(side=1), GridSpec(side=3, crop_rows=2, crop_cols=1),
+                     GridSpec(side=2, crop_rows=1, crop_cols=3)):
+            local = np.ones((spec.local_rows, spec.local_cols), dtype=bool)
+            global_ = np.ones((spec.side, spec.side), dtype=bool)
+            is_sep = [label.endswith("_sep") for label in segment_labels(spec)]
+            assert (~assemble(local, global_, spec, sep=False)).tolist() == is_sep
 
 
 class TestMaskFromBBox:
@@ -365,6 +381,52 @@ class TestPgmAndJson:
         assert (back.values == mask.values).all()
         assert back.segments == mask.segments
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("segments", "all-local"),  # with a 1 at a separator
+            ("segments", "banana"),
+            ("values", 2),
+            ("values", 1.5),
+            ("values", -1),
+            ("values", 256),
+            ("values", True),
+            ("values", "separator"),  # a 1 at a separator under the right labels
+            ("tau", math.nan),
+            ("tau", 5),
+            ("tau", -1),
+            ("tau", "0"),
+            ("length", 4),
+            ("L", 2.5),
+            ("G", ["1", 1]),
+            ("G", [1, True]),
+            ("G", [1]),
+        ],
+    )
+    def test_token_mask_json_rejects(self, field, value):
+        spec = GridSpec(side=2)
+        obj = json.loads(token_mask_to_json(generate_token_mask(half_seg(4, 4, "left"), spec), 0.0))
+        if field == "segments":
+            obj["segments"] = [value if value == "banana" else "local"] * obj["length"]
+            obj["values"][2] = 1
+        elif value == "separator":
+            obj["values"][2] = 1
+        elif field == "values":
+            obj["values"][0] = value
+        else:
+            obj[field] = value
+        with pytest.raises(FormatError):
+            token_mask_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("bad", [2, 255])
+    def test_token_mask_rejects_non_binary_values(self, bad):
+        spec = GridSpec(side=1)
+        values = np.array([1, 0, 0, bad, 0], dtype=np.uint8)
+        with pytest.raises(InputError):
+            TokenMask(values=values, spec=spec)
+        with pytest.raises(InputError):
+            TokenMask(values=np.array([1, 1, 0, 0, 0], dtype=np.uint8), spec=spec)
+
     def test_bbox_json(self):
         box = BBox.from_json('{"x_min": 1, "y_min": 2, "x_max": 3.5, "y_max": 4}')
         assert box == BBox(1.0, 2.0, 3.5, 4.0)
@@ -372,3 +434,16 @@ class TestPgmAndJson:
             BBox.from_json("[1,2,3]")
         with pytest.raises(FormatError):
             BBox.from_json('{"x_min": 0}')
+
+    @pytest.mark.parametrize("value", ['"3"', "true", "null", "[1]"])
+    def test_bbox_json_takes_only_numbers(self, value):
+        with pytest.raises(FormatError):
+            BBox.from_json(f'{{"x_min": {value}, "y_min": 0, "x_max": 24, "y_max": 24}}')
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_bbox_rejects_nonfinite(self, value):
+        with pytest.raises(InputError) as info:
+            BBox.from_json(f'{{"x_min": 0, "y_min": 0, "x_max": {value}, "y_max": 24}}')
+        assert not isinstance(info.value, FormatError)
+        with pytest.raises(InputError):
+            BBox(0.0, math.nan, 1.0, 1.0)

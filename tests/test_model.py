@@ -12,6 +12,7 @@ from regioncd import (
     ModelConfig,
     NumericError,
     STEER_CONFIG,
+    SegMask,
     ShapeError,
     WeightSet,
     decode,
@@ -28,7 +29,7 @@ from regioncd.masks import segment_labels
 from regioncd.model import NORM_EPS, _gelu, _rms_norm, attention
 from regioncd.weights import RANDOM_INIT_HI, RANDOM_INIT_LO, tensor_spec
 
-from conftest import forward_logits, half_seg
+from conftest import forward_logits, half_seg, recorded_attention
 
 
 def with_tensors(w: WeightSet, **replacements) -> WeightSet:
@@ -107,12 +108,12 @@ class TestSteerClosedForm:
         beta = 9.0
         mask = generate_token_mask(left_seg, steer_cfg.grid())
         visual = encode_image(steer_image, steer_cfg, steer_weights)
-        session = DecoderSession(
-            steer_cfg, steer_weights, visual,
-            attn_policy=(mask.values, beta), record_attention=True,
-        )
-        session.extend_with_tokens([0])
-        rows = [r for r in session.attention_rows if r[1] == len(visual)]
+        with recorded_attention(steer_cfg.n_layers) as recorded:
+            session = DecoderSession(
+                steer_cfg, steer_weights, visual, attn_policy=(mask.values, beta),
+            )
+            session.extend_with_tokens([0])
+        rows = [r for r in recorded if r[1] == len(visual)]
         assert len(rows) == 1
         probs = rows[0][2][0, 0]
         k = int(mask.values.sum())
@@ -127,10 +128,11 @@ class TestSteerClosedForm:
         # beta * exp(e) overflows at beta = 1e308; e + log(beta) does not
         mask = generate_token_mask(left_seg, steer_cfg.grid())
         visual = encode_image(steer_image, steer_cfg, steer_weights)
-        session = DecoderSession(steer_cfg, steer_weights, visual,
-                                 attn_policy=(mask.values, 1e308), record_attention=True)
-        session.extend_with_tokens([0])
-        for _, _, probs in session.attention_rows:
+        with recorded_attention(steer_cfg.n_layers) as recorded:
+            session = DecoderSession(steer_cfg, steer_weights, visual,
+                                     attn_policy=(mask.values, 1e308))
+            session.extend_with_tokens([0])
+        for _, _, probs in recorded:
             assert np.isfinite(probs).all()
             assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-12
         params = GuidanceParams(spec=steer_cfg.grid(), beta=1e308, max_tokens=1,
@@ -183,6 +185,49 @@ class TestEncoder:
         local_len = rand_cfg.feature_side * (rand_cfg.feature_side + 1)
         assert diff == [0, local_len + 1]  # local cell (0,0) and global cell (0,0)
 
+    @pytest.mark.parametrize("crops", [(1, 1), (2, 4)])
+    def test_matches_label_walk_reference(self, rand_image, crops):
+        # the encoder's earlier position-by-position walk over the segment labels
+        cfg = ModelConfig(vocab_size=4, embed_dim=8, n_heads=2, n_layers=1, feature_side=2,
+                          crop_rows=crops[0], crop_cols=crops[1], image_side=16, max_seq=96,
+                          sep_embed_id=1)
+        w = gen_fixture("random-v1", 5, cfg)
+        t, spec, px = w.tensors64, cfg.grid(), rand_image.intensities
+        local = iter(px.reshape(spec.local_rows, -1, spec.local_cols, px.shape[1] // spec.local_cols)
+                     .mean(axis=(1, 3)).ravel())
+        global_ = iter(px.reshape(spec.side, -1, spec.side, px.shape[1] // spec.side)
+                       .mean(axis=(1, 3)).ravel())
+        proj, bias = t["patch_proj.weight"][:, 0], t["patch_proj.bias"]
+        want = []
+        for i, label in enumerate(segment_labels(spec)):
+            if label in ("local", "global"):
+                mean = next(local if label == "local" else global_)
+                want.append(mean * proj + bias + t["pos_embed"][i])
+            else:
+                want.append(t["sep_embed"][1] + t["pos_embed"][i])
+        assert (encode_image(rand_image, cfg, w).embeddings == np.array(want)).all()
+
+    @pytest.mark.parametrize("side, crops", [(3, (2, 2)), (2, (2, 3))])
+    def test_block_change_moves_exactly_the_masked_rows(self, side, crops):
+        # the encoder and the token mask share one layout: brightening one local
+        # pixel block moves exactly the rows where a region over that block is 1
+        cfg = ModelConfig(vocab_size=4, embed_dim=8, n_heads=1, n_layers=1, feature_side=side,
+                          crop_rows=crops[0], crop_cols=crops[1], image_side=12, max_seq=64)
+        spec = cfg.grid()
+        w = gen_fixture("random-v1", 2, cfg)
+        base = np.zeros((cfg.image_side, cfg.image_side))
+        va = encode_image(GrayImage.from_array(base), cfg, w)
+        bh, bw = cfg.image_side // spec.local_rows, cfg.image_side // spec.local_cols
+        for r in range(spec.local_rows):
+            for c in range(spec.local_cols):
+                block = base.copy()
+                block[r * bh : (r + 1) * bh, c * bw : (c + 1) * bw] = 1.0
+                vb = encode_image(GrayImage.from_array(block), cfg, w)
+                moved = np.any(va.embeddings != vb.embeddings, axis=1)
+                mask = generate_token_mask(SegMask.from_array(block), spec)
+                assert mask.positive_count() == 2
+                assert (moved == (mask.values == 1)).all()
+
     def test_dimension_mismatch(self, rand_cfg, rand_weights):
         img = GrayImage.from_array(np.zeros((8, 8)))
         with pytest.raises(ShapeError):
@@ -230,12 +275,11 @@ class TestForwardPass:
         mask = np.zeros(n, dtype=np.uint8)
         mask[:5] = 1
         visual = encode_image(steer_image, steer_cfg, steer_weights)
-        session = DecoderSession(
-            steer_cfg, steer_weights, visual, attn_policy=(mask, beta), record_attention=True
-        )
-        session.extend_with_tokens([0, 2])
+        with recorded_attention(steer_cfg.n_layers) as recorded:
+            session = DecoderSession(steer_cfg, steer_weights, visual, attn_policy=(mask, beta))
+            session.extend_with_tokens([0, 2])
         factors = np.append(np.where(mask != 0, beta, 1.0), [1.0, 1.0])
-        for layer, start, probs in session.attention_rows:
+        for layer, start, probs in recorded:
             b, heads, total = probs.shape
             for i in range(b):
                 visible = total if start == 0 else start + i + 1
@@ -248,11 +292,10 @@ class TestForwardPass:
         visual = encode_image(rand_image, rand_cfg, rand_weights)
         mask = np.zeros(len(visual), dtype=np.uint8)
         mask[::3] = 1
-        session = DecoderSession(
-            rand_cfg, rand_weights, visual, attn_policy=(mask, 5.0), record_attention=True
-        )
-        session.extend_with_tokens([1, 2, 3])
-        for _, start, probs in session.attention_rows:
+        with recorded_attention(rand_cfg.n_layers) as recorded:
+            session = DecoderSession(rand_cfg, rand_weights, visual, attn_policy=(mask, 5.0))
+            session.extend_with_tokens([1, 2, 3])
+        for _, start, probs in recorded:
             sums = probs.sum(axis=-1)
             assert np.abs(sums - 1.0).max() < 1e-6
 
@@ -260,9 +303,9 @@ class TestForwardPass:
         visual = encode_image(rand_image, rand_cfg, rand_weights)
 
         def attention_rows(tokens):
-            s = DecoderSession(rand_cfg, rand_weights, visual, record_attention=True)
-            s.extend_with_tokens(tokens)
-            return s.attention_rows
+            with recorded_attention(rand_cfg.n_layers) as recorded:
+                DecoderSession(rand_cfg, rand_weights, visual).extend_with_tokens(tokens)
+            return recorded
 
         rows_a = attention_rows([1, 2, 3, 4])
         rows_b = attention_rows([1, 2, 3, 9])
@@ -374,15 +417,15 @@ class TestHeadMajorCache:
         mask = np.zeros(len(visual), dtype=np.uint8)
         mask[::3] = 1
         policy = None if beta is None else (mask, beta)
-        session = DecoderSession(rand_cfg, rand_weights, visual, attn_policy=policy,
-                                 record_attention=True)
-        ref = TokenMajorReference(rand_cfg, rand_weights, visual, attn_policy=policy)
-        blocks = [[1, 2, 3]] + [[t % rand_cfg.vocab_size] for t in range(5, 15)]
-        for ids in blocks:
-            got, want = session.extend_with_tokens(ids), ref.extend_with_tokens(ids)
-            assert np.abs(got - want).max() < 1e-12
-        assert len(session.attention_rows) == len(ref.attention_rows) == 12 * rand_cfg.n_layers
-        for (lg, sg, pg), (lr, sr, pr) in zip(session.attention_rows, ref.attention_rows):
+        with recorded_attention(rand_cfg.n_layers) as recorded:
+            session = DecoderSession(rand_cfg, rand_weights, visual, attn_policy=policy)
+            ref = TokenMajorReference(rand_cfg, rand_weights, visual, attn_policy=policy)
+            blocks = [[1, 2, 3]] + [[t % rand_cfg.vocab_size] for t in range(5, 15)]
+            for ids in blocks:
+                got, want = session.extend_with_tokens(ids), ref.extend_with_tokens(ids)
+                assert np.abs(got - want).max() < 1e-12
+        assert len(recorded) == len(ref.attention_rows) == 12 * rand_cfg.n_layers
+        for (lg, sg, pg), (lr, sr, pr) in zip(recorded, ref.attention_rows):
             assert (lg, sg) == (lr, sr)
             assert pg.shape == pr.shape == (pr.shape[0], rand_cfg.n_heads, sr + pr.shape[0])
             assert np.abs(pg - pr).max() < 1e-12
