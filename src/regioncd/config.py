@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from regioncd.errors import InputError
+from regioncd.errors import FormatError, InputError
 from regioncd.masks import GridSpec, expected_length
 
 
@@ -76,10 +76,18 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelConfig":
+        """The config in ``obj``, whose every field must be a JSON integer.
+
+        A float, boolean or string field (``1.9``, ``true``, ``"1"``) is a
+        :class:`FormatError`, not truncated or parsed.
+        """
         try:
-            kwargs = {f.name: int(obj[f.name]) for f in fields(cls)}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad model config: {exc}") from None
+            kwargs = {f.name: obj[f.name] for f in fields(cls)}
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"bad model config: {exc}") from None
+        for name, value in kwargs.items():
+            if type(value) is not int:
+                raise FormatError(f"model config field {name} must be an integer, got {value!r}")
         return cls(**kwargs)
 
 

@@ -7,8 +7,12 @@ positions inside every softmax, which multiplies their pre-normalized
 weight by ``beta``. Logits level: the two branches' per-step
 log-probabilities are combined as ``(1 - gamma) * unguided + gamma * guided``
 and the argmax token (lowest id on ties) is emitted, so gamma > 1 actively
-pushes away from the unguided distribution. Both branches always consume
-the same generated prefix.
+pushes away from the unguided distribution.
+
+The two branches are the two rows of one :class:`DecoderSession`, stacked
+after each has been prefilled and has read the prompt, so every step is one
+forward pass for both. A session holds one ``text_ids`` list for all its
+rows: both branches always consume the same generated prefix.
 """
 
 from __future__ import annotations
@@ -140,24 +144,23 @@ def _check_request(
 
 
 def _run_steps(
-    sessions: tuple[DecoderSession, ...],
-    logits: list[np.ndarray],
+    session: DecoderSession,
+    logits: np.ndarray,
     params: GuidanceParams,
     topk: int,
     pick: Callable[[np.ndarray], int],
 ) -> tuple[list[int], list[StepRecord]]:
-    """The step loop from the prompt logits of each branch.
+    """The step loop from the prompt logits ``(rows, vocab)`` of ``session``.
 
-    ``sessions`` is (guided, unguided), whose fused scores are
-    :func:`fuse_logits` of the two log-probabilities at ``params.gamma``, or
-    one session, whose fused scores are its own log-probs. ``pick`` chooses
-    the next token from the fused scores; every session is extended with
-    every chosen token except the last.
+    Two rows are (guided, unguided), whose fused scores are
+    :func:`fuse_logits` of the two log-probabilities at ``params.gamma``; one
+    row's fused scores are its own log-probs. ``pick`` chooses the next token
+    from the fused scores; the session is extended with every chosen token
+    except the last.
     """
     out: list[int] = []
     steps: list[StepRecord] = []
     for t in range(params.max_tokens):
-        assert all(s.text_ids == sessions[0].text_ids for s in sessions), "branches diverged"
         lps = [log_softmax(x) for x in logits]
         with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
             fused = fuse_logits(lps[0], lps[1], params.gamma) if len(lps) == 2 else lps[0]
@@ -176,7 +179,7 @@ def _run_steps(
         out.append(chosen)
         if chosen == params.eos_id or t + 1 == params.max_tokens:
             break
-        logits = [s.extend_with_tokens([chosen]) for s in sessions]
+        logits = session.extend_with_tokens([chosen])
     return out, steps
 
 
@@ -221,9 +224,8 @@ def decode(
             probs = np.exp(log_softmax(scaled))
             return int(rng.choice(cfg.vocab_size, p=probs / probs.sum()))
 
-    sessions = (guided, unguided)
-    out, steps = _run_steps(sessions, [s.extend_with_tokens(prompt) for s in sessions],
-                            params, topk, pick)
+    logits = np.concatenate([s.extend_with_tokens(prompt) for s in (guided, unguided)])
+    out, steps = _run_steps(DecoderSession.stack([guided, unguided]), logits, params, topk, pick)
     trace = DecodeTrace(
         params=params.to_dict(),
         config=cfg.to_dict(),
@@ -252,7 +254,7 @@ def baseline_decode(
     params = GuidanceParams(spec=cfg.grid(), max_tokens=max_tokens, eos_id=eos_id)
     _check_request(prompt, cfg, params, topk)
     session = DecoderSession(cfg, w, encode_image(img, cfg, w))
-    out, steps = _run_steps((session,), [session.extend_with_tokens(prompt)], params, topk,
+    out, steps = _run_steps(session, session.extend_with_tokens(prompt), params, topk,
                             _greedy_pick)
     trace = DecodeTrace(
         params={"max_tokens": max_tokens, "eos_id": eos_id},
@@ -289,9 +291,10 @@ def sweep(
     Each cell is ``params`` with its beta and gamma replaced. The prefills
     are shared per distinct branch input: the unguided branch depends on
     neither beta nor gamma and the guided branch only on beta, so a sweep
-    runs one unguided prefill and one guided prefill per distinct beta, and
-    every cell forks those prompt-extended sessions. The rows are identical
-    to running :func:`decode` on each cell.
+    runs one unguided prefill and one guided prefill per distinct beta. Every
+    cell stacks those two prompt-extended sessions into a two-row session of
+    its own, whose one ``text_ids`` list both branches extend. The rows are
+    identical to running :func:`decode` on each cell.
 
     ``step1_margin`` is the gap between the best and second-best fused
     scores at the first step, a scalar view of how decisively the guidance
@@ -312,12 +315,12 @@ def sweep(
     # prefill, so no more than two prefilled sessions are alive at once, as in decode.
     for beta in dict.fromkeys(run.beta for run in cells):
         guided = DecoderSession(cfg, w, visual, attn_policy=(mask.values, beta))
-        logits_g = guided.extend_with_tokens(prompt)
+        logits = np.concatenate([guided.extend_with_tokens(prompt), logits_u])
         for i, run in enumerate(cells):
             if run.beta != beta:
                 continue
-            ids, steps = _run_steps((guided.fork(), unguided.fork()), [logits_g, logits_u],
-                                    run, topk, _greedy_pick)
+            ids, steps = _run_steps(DecoderSession.stack([guided, unguided]), logits, run, topk,
+                                    _greedy_pick)
             fused = steps[0].fused_topk
             rows[i] = SweepRow(beta=float(run.beta), gamma=float(run.gamma), output_ids=ids,
                                step1_margin=fused[0][1] - fused[1][1])

@@ -92,7 +92,8 @@ class SegMask:
             raise ShapeError(
                 f"pixel array shape {self.pixels.shape} != ({self.height}, {self.width})"
             )
-        if not np.isin(self.pixels, (0, 1)).all():
+        p = self.pixels
+        if not ((p == 0) | (p == 1)).all():
             raise InputError("mask pixels must be 0 or 1")
 
     @classmethod

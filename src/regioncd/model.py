@@ -8,10 +8,11 @@ separators. On top sits a pre-norm transformer (RMSNorm, multi-head
 attention, GELU feed-forward) in which the visual prefix is fully mutually
 visible and text positions attend causally.
 
-Attention is head-major: each layer caches its keys and values in
-preallocated ``(n_heads, max_seq, head_dim)`` buffers that a block writes in
-place, and the scores and the context are batched matrix products over the
-heads.
+A :class:`DecoderSession` holds one or more rows (decode branches) that
+read the same tokens. Attention is head-major: each layer caches its keys
+and values in preallocated ``(rows, n_heads, max_seq, head_dim)`` buffers
+that a block writes in place, and the scores and the context are batched
+matrix products over the rows and heads, one tile of query rows at a time.
 
 Weights are stored as float32; all forward-pass arithmetic runs in float64,
 which keeps results reproducible to well below 1e-6 across platforms.
@@ -35,6 +36,10 @@ from regioncd.weights import WeightSet
 
 NORM_EPS = 1e-6
 _SQRT_2_OVER_PI = 0.7978845608028654
+# query rows per attention tile: the scores of a 64-row tile over 757 keys and
+# 4 heads take ~1.5 MB in float64, inside a 2 MB L2 cache, where those of a
+# whole 757-token prefill take 18 MB
+QUERY_TILE = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +119,8 @@ def encode_image(img: GrayImage, cfg: ModelConfig, w: WeightSet) -> VisualSequen
 
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    ms = np.mean(np.square(x), axis=-1, keepdims=True)
+    # np.mean is this add.reduce and divide, bit for bit, at more call overhead
+    ms = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
     return x / np.sqrt(ms + NORM_EPS) * gain + bias
 
 
@@ -150,15 +156,23 @@ def attention(scores: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
 
 class DecoderSession:
-    """One growing decode branch over a fixed visual prefix.
+    """Decode rows that grow one shared token sequence over a fixed visual prefix.
 
-    Keys and values are cached per layer in head-major buffers of shape
-    ``(n_heads, max_seq, head_dim)``, allocated once per session; a block
-    writes its keys and values into positions ``[start, total)``, so each
-    appended token costs a single attention row and no reallocation. An
-    optional ``attn_policy`` (mask over visual positions, beta) adds
-    :func:`region_bias` to the scores of every attention softmax in this
-    branch; text positions always carry mask value 0.
+    ``DecoderSession(...)`` prefills one row: one visual prefix under an
+    optional ``attn_policy`` (mask over visual positions, beta), which adds
+    :func:`region_bias` to the scores of every attention softmax of that row;
+    text positions always carry mask value 0. :meth:`stack` gathers
+    prefilled sessions into one session with a row per source row, so the
+    guided and the unguided branch of a decode run one forward per step.
+    Every row consumes the same ``text_ids``.
+
+    Keys and values are cached in one preallocated array of shape
+    ``(n_layers, 2, rows, n_heads, max_seq, head_dim)``; a block writes its
+    keys and values into positions ``[start, total)``, so each appended token
+    costs a single attention row per head and no reallocation. The scores,
+    the softmax and the context then run over tiles of at most
+    :data:`QUERY_TILE` query rows, so a prefill's score tile stays in cache; a
+    prompt or a step is a single tile.
     """
 
     def __init__(
@@ -177,7 +191,7 @@ class DecoderSession:
         self.cfg = cfg
         self._t = weights.tensors64
         self._n_visual = len(visual)
-        bias = np.zeros(cfg.max_seq, dtype=np.float64)
+        bias = np.zeros((1, cfg.max_seq), dtype=np.float64)
         if attn_policy is not None:
             mask, beta = attn_policy
             mask = np.asarray(mask)
@@ -185,36 +199,53 @@ class DecoderSession:
                 raise ShapeError(
                     f"policy mask length {mask.shape} != visual length {self._n_visual}"
                 )
-            bias[: self._n_visual] = region_bias(mask, beta)
-        self._bias = bias
-        # [layer, 0 = keys / 1 = values, head, position, channel]; only the first
-        # self._len positions are ever written or read
-        self._kv = np.empty((cfg.n_layers, 2, cfg.n_heads, cfg.max_seq, cfg.head_dim))
+            bias[0, : self._n_visual] = region_bias(mask, beta)
+        self._bias = bias  # (rows, max_seq)
+        # [layer, 0 = keys / 1 = values, row, head, position, channel]; only the
+        # first self._len positions are ever written or read
+        self._kv = np.empty((cfg.n_layers, 2, 1, cfg.n_heads, cfg.max_seq, cfg.head_dim))
         self._len = 0
         self.text_ids: list[int] = []
-        self._process_block(visual.embeddings)
+        self._process_block(visual.embeddings[None])
 
     @property
     def length(self) -> int:
         return self._len
 
-    def fork(self) -> "DecoderSession":
-        """An independent branch that continues from this session's current state.
+    @property
+    def rows(self) -> int:
+        return self._bias.shape[0]
 
-        Runs no prefill: the filled part of every layer's key and value
-        buffers is copied into fresh buffers, and the text ids are copied.
-        The buffers cannot be shared, because the parent and each fork write
-        their next tokens into the same positions.
+    @classmethod
+    def stack(cls, sessions: Sequence["DecoderSession"]) -> "DecoderSession":
+        """One session whose rows are the rows of ``sessions``, in order.
+
+        Runs no prefill. The sessions must share a weight set, a length and
+        their text ids; a session may be listed more than once.
+        The filled part of their key and value caches is gathered into fresh
+        buffers in one copy, so the new session and its sources never write
+        each other's buffers.
         """
-        n = self._len
-        other = copy.copy(self)  # copy.copy skips __init__, so no prefill runs
-        other._kv = np.empty_like(self._kv)
-        other._kv[..., :n, :] = self._kv[..., :n, :]
-        other.text_ids = list(self.text_ids)
-        return other
+        if not sessions:
+            raise InputError("stack needs at least one session")
+        first = sessions[0]
+        for s in sessions[1:]:
+            if s._t is not first._t:  # one weight set, so one config
+                raise InputError("stacked sessions must share a weight set")
+            if s._len != first._len or s.text_ids != first.text_ids:
+                raise InputError("stacked sessions must hold the same tokens")
+        n = first._len
+        out = copy.copy(first)  # copy.copy skips __init__, so no prefill runs
+        out.text_ids = list(first.text_ids)
+        out._bias = np.concatenate([s._bias for s in sessions])
+        shape = list(first._kv.shape)
+        shape[2] = out.rows
+        out._kv = np.empty(shape)
+        np.concatenate([s._kv[..., :n, :] for s in sessions], axis=2, out=out._kv[..., :n, :])
+        return out
 
     def extend_with_tokens(self, ids: Sequence[int]) -> np.ndarray:
-        """Append token ids causally; returns next-token logits."""
+        """Append token ids causally to every row; returns next-token logits ``(rows, vocab)``."""
         ids = [int(i) for i in ids]
         if not ids:
             raise InputError("token block must be non-empty")
@@ -226,40 +257,52 @@ class DecoderSession:
                 f"sequence length {start + len(ids)} overflows max_seq {self.cfg.max_seq}"
             )
         emb = self._t["token_embed"][ids] + self._t["pos_embed"][start : start + len(ids)]
-        logits = self._process_block(emb)
+        logits = self._process_block(np.broadcast_to(emb, (self.rows, *emb.shape)))
         self.text_ids.extend(ids)
         return logits
 
     def _process_block(self, emb: np.ndarray) -> np.ndarray:
         cfg = self.cfg
-        b = emb.shape[0]
+        rows, b, d = emb.shape
         start = self._len
         total = start + b
-        # query position p sees the whole visual prefix and every key at a position <= p
-        keys = np.arange(total)
-        visible = (keys < self._n_visual) | (keys <= np.arange(start, total)[:, None])
-        bias = np.where(visible, self._bias[:total], -np.inf)  # broadcasts over heads
-        h = np.array(emb, dtype=np.float64)
+        # query position p sees the whole visual prefix and every key at a position
+        # <= p, so when the block's last key is one of those for its first query
+        # (a one-token block, the visual prefill) the bias is the policy row as is
+        if total <= max(self._n_visual, start + 1):
+            bias = np.broadcast_to(self._bias[:, None, None, :total], (rows, 1, b, total))
+        else:
+            keys = np.arange(total)
+            visible = (keys < self._n_visual) | (keys <= np.arange(start, total)[:, None])
+            bias = np.where(visible, self._bias[:, None, None, :total], -np.inf)
+        # bias is (rows, 1, b, total) and broadcasts over the heads
+        h = emb.reshape(rows * b, d)
         scale = 1.0 / math.sqrt(cfg.head_dim)
-        split = (b, cfg.n_heads, cfg.head_dim)
+        split = (rows, b, cfg.n_heads, cfg.head_dim)
+        to_heads = (0, 2, 1, 3)  # (rows, b, heads, channel) <-> (rows, heads, b, channel)
+        ctx = np.empty(split)
         for li in range(cfg.n_layers):
             p = f"layers.{li}."
             k, v = self._kv[li]
             xn = _rms_norm(h, self._t[p + "attn_norm.gain"], self._t[p + "attn_norm.bias"])
-            q = (xn @ self._t[p + "attn.wq"]).reshape(split).transpose(1, 0, 2)
-            k[:, start:total] = (xn @ self._t[p + "attn.wk"]).reshape(split).transpose(1, 0, 2)
-            v[:, start:total] = (xn @ self._t[p + "attn.wv"]).reshape(split).transpose(1, 0, 2)
-            scores = q @ k[:, :total].transpose(0, 2, 1)  # (heads, b, total)
-            scores *= scale
-            probs = attention(scores, bias)
-            ctx = (probs @ v[:, :total]).transpose(1, 0, 2).reshape(b, cfg.embed_dim)
-            h = h + ctx @ self._t[p + "attn.wo"]
+            q = (xn @ self._t[p + "attn.wq"]).reshape(split).transpose(to_heads)
+            k[:, :, start:total] = (xn @ self._t[p + "attn.wk"]).reshape(split).transpose(to_heads)
+            v[:, :, start:total] = (xn @ self._t[p + "attn.wv"]).reshape(split).transpose(to_heads)
+            keys_t, values = k[:, :, :total].transpose(0, 1, 3, 2), v[:, :, :total]
+            for q0 in range(0, b, QUERY_TILE):
+                tile = slice(q0, q0 + QUERY_TILE)
+                scores = q[:, :, tile] @ keys_t  # (rows, heads, tile, total)
+                scores *= scale
+                probs = attention(scores, bias[:, :, tile])
+                ctx[:, tile] = (probs @ values).transpose(to_heads)
+            h = h + ctx.reshape(rows * b, d) @ self._t[p + "attn.wo"]
             xn = _rms_norm(h, self._t[p + "ffn_norm.gain"], self._t[p + "ffn_norm.bias"])
             h = h + _gelu(xn @ self._t[p + "ffn.w1"] + self._t[p + "ffn.b1"]) @ self._t[
                 p + "ffn.w2"
             ] + self._t[p + "ffn.b2"]
         self._len = total
-        z = _rms_norm(h[-1], self._t["final_norm.gain"], self._t["final_norm.bias"])
+        last = h.reshape(rows, b, d)[:, -1]
+        z = _rms_norm(last, self._t["final_norm.gain"], self._t["final_norm.bias"])
         logits = z @ self._t["head.weight"]
         if not np.isfinite(logits).all():
             raise NumericError("non-finite logits in forward pass")

@@ -50,7 +50,11 @@ STEER_CONFIG = ModelConfig(
 
 
 def splitmix64(seed: int):
-    """Yield the splitmix64 sequence for ``seed`` (pure integer math)."""
+    """Yield the splitmix64 sequence for ``seed`` (pure integer math).
+
+    The reference for :func:`_splitmix64_outputs`, which computes the same
+    values for a whole range of steps at once.
+    """
     state = seed & _MASK64
     while True:
         state = (state + _GAMMA64) & _MASK64
@@ -60,14 +64,26 @@ def splitmix64(seed: int):
         yield z ^ (z >> 31)
 
 
-def _uniform_fill(stream, shape: tuple[int, ...], lo: float, hi: float) -> np.ndarray:
+def _splitmix64_outputs(seed: int, first: int, n: int) -> np.ndarray:
+    """Outputs ``first`` to ``first + n - 1`` (from 0) of ``splitmix64(seed)``.
+
+    The state after step i is ``seed + i * GAMMA`` mod 2^64, so every output
+    is computed independently; uint64 arithmetic wraps mod 2^64 like the
+    masked integer math of the generator.
+    """
+    z = np.arange(first + 1, first + n + 1, dtype=np.uint64) * np.uint64(_GAMMA64)
+    z += np.uint64(seed & _MASK64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def _uniform_fill(seed: int, first: int, shape: tuple[int, ...], lo: float,
+                  hi: float) -> np.ndarray:
     # top 53 bits -> [0, 1) with full double mantissa, identical on any platform
     n = int(np.prod(shape)) if shape else 1
-    vals = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        u = (next(stream) >> 11) * 2.0**-53
-        vals[i] = lo + u * (hi - lo)
-    return vals.astype(np.float32).reshape(shape)
+    u = (_splitmix64_outputs(seed, first, n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return (lo + u * (hi - lo)).astype(np.float32).reshape(shape)
 
 
 def tensor_spec(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -187,11 +203,11 @@ def _steer_weights(cfg: ModelConfig) -> WeightSet:
 def gen_fixture(kind: str, seed: int, cfg: ModelConfig) -> WeightSet:
     """Build a weight fixture; random-v1 is seed-reproducible bit for bit."""
     if kind == "random-v1":
-        stream = splitmix64(seed)
-        tensors = {
-            name: _uniform_fill(stream, shape, RANDOM_INIT_LO, RANDOM_INIT_HI)
-            for name, shape in tensor_spec(cfg)
-        }
+        # the tensors take consecutive runs of one stream, in canonical order
+        tensors, first = {}, 0
+        for name, shape in tensor_spec(cfg):
+            tensors[name] = _uniform_fill(seed, first, shape, RANDOM_INIT_LO, RANDOM_INIT_HI)
+            first += tensors[name].size
         return WeightSet(config=cfg, tensors=tensors)
     if kind == "steer-v1":
         return _steer_weights(cfg)

@@ -12,30 +12,41 @@ from regioncd.verification import half_seg
 def forward_logits(visual, text: Sequence[int], cfg, w, attn_policy=None) -> np.ndarray:
     """One-shot forward over [visual; text]; logits at the final position."""
     session = DecoderSession(cfg, w, visual, attn_policy=attn_policy)
-    return session.extend_with_tokens(text)
+    return session.extend_with_tokens(text)[0]
 
 
 @contextmanager
-def recorded_attention(n_layers: int):
+def recorded_attention():
     """Record the probabilities of every attention softmax the model runs.
 
-    Yields a list that fills with ``(layer, start, probs)`` per call, where
-    ``probs`` is ``(block, heads, total)`` and ``start`` the block's first
-    position. The layer is the call count modulo ``n_layers``, so record one
-    session at a time.
+    Yields a list that fills with ``(layer, start, probs)`` per layer of every
+    block a session processes, where ``probs`` is ``(rows, block, heads,
+    total)`` and ``start`` the block's first position. The kernel runs once
+    per query tile of a layer; the tiles are joined back into one array per
+    layer, in call order within the block.
     """
-    rows = []
-    kernel = model.attention
+    records = []
+    kernel, process = model.attention, DecoderSession._process_block
+    block = {}
+
+    def processing(session, emb):
+        n_tiles = -(-emb.shape[1] // model.QUERY_TILE)
+        block.update(start=session.length, n_tiles=n_tiles, layer=0, tiles=[])
+        return process(session, emb)
 
     def recording(scores, bias):
         probs = kernel(scores, bias)
-        _, b, total = probs.shape
-        rows.append((len(rows) % n_layers, total - b, probs.transpose(1, 0, 2)))
+        block["tiles"].append(probs)
+        if len(block["tiles"]) == block["n_tiles"]:
+            joined = np.concatenate(block["tiles"], axis=2).transpose(0, 2, 1, 3)
+            records.append((block["layer"], block["start"], joined))
+            block.update(layer=block["layer"] + 1, tiles=[])
         return probs
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DecoderSession, "_process_block", processing)
         mp.setattr(model, "attention", recording)
-        yield rows
+        yield records
 
 
 @pytest.fixture(scope="session")

@@ -311,6 +311,20 @@ class TestCmdDecode:
                      "--weights", str(path), "--prompt", "0"])
         assert code == 3
 
+    @pytest.mark.parametrize("field, value", [("eos_id", 1.9), ("eos_id", True),
+                                              ("eos_id", "1"), ("n_heads", 1.0)])
+    def test_non_integer_config_field_exits_validation(self, steer_files, tmp_path, field,
+                                                       value):
+        # int() would read each of these as the config's own value and load the file
+        path = tmp_path / "cfg.json"
+        obj = json.loads(open(steer_files["weights"]).read())
+        obj["config"][field] = value
+        path.write_text(json.dumps(obj))
+        code, _, stderr = run_cli(["decode", "--image", steer_files["image"], "--seg",
+                                   steer_files["left"], "--weights", str(path), "--prompt", "0"])
+        assert code == 2
+        assert field in stderr and not CATCH_ALL.search(stderr), stderr
+
     def test_corrupt_weights_exit_validation(self, steer_files, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -347,7 +347,7 @@ class TestSweep:
             fused = trace.steps[0].fused_topk
             assert row.output_ids == ids
             assert row.step1_margin == fused[0][1] - fused[1][1]
-        # forks of one prompt-extended session must diverge for the check above to bite
+        # stacks of one prompt-extended pair must diverge for the check above to bite
         assert len({tuple(r.output_ids) for r in rows}) >= 2
 
     @staticmethod

@@ -100,6 +100,13 @@ class TestDownsample:
         assert downsample(seg, 1, 1, 0.5)[0, 0] == 0
         assert downsample(seg, 1, 1, 0.49)[0, 0] == 1
 
+    @pytest.mark.parametrize("bad", [2, 255])
+    def test_seg_mask_rejects_non_binary_pixels(self, bad):
+        pixels = np.zeros((3, 4), dtype=np.uint8)
+        pixels[2, 1] = bad
+        with pytest.raises(InputError):
+            SegMask(width=4, height=3, pixels=pixels)
+
     def test_rejects_upsampling_and_bad_args(self):
         seg = SegMask.from_array(np.zeros((4, 4), dtype=np.uint8))
         with pytest.raises(InputError):

@@ -25,6 +25,7 @@ from regioncd import (
     splitmix64,
 )
 from regioncd.errors import FormatError
+from regioncd import model
 from regioncd.masks import segment_labels
 from regioncd.model import NORM_EPS, _gelu, _rms_norm, attention
 from regioncd.weights import RANDOM_INIT_HI, RANDOM_INIT_LO, tensor_spec
@@ -108,14 +109,14 @@ class TestSteerClosedForm:
         beta = 9.0
         mask = generate_token_mask(left_seg, steer_cfg.grid())
         visual = encode_image(steer_image, steer_cfg, steer_weights)
-        with recorded_attention(steer_cfg.n_layers) as recorded:
+        with recorded_attention() as recorded:
             session = DecoderSession(
                 steer_cfg, steer_weights, visual, attn_policy=(mask.values, beta),
             )
             session.extend_with_tokens([0])
         rows = [r for r in recorded if r[1] == len(visual)]
         assert len(rows) == 1
-        probs = rows[0][2][0, 0]
+        probs = rows[0][2][0, 0, 0]
         k = int(mask.values.sum())
         u = len(visual) + 1 - k
         expect = np.where(np.append(mask.values, 0) != 0, beta, 1.0) / (beta * k + u)
@@ -128,7 +129,7 @@ class TestSteerClosedForm:
         # beta * exp(e) overflows at beta = 1e308; e + log(beta) does not
         mask = generate_token_mask(left_seg, steer_cfg.grid())
         visual = encode_image(steer_image, steer_cfg, steer_weights)
-        with recorded_attention(steer_cfg.n_layers) as recorded:
+        with recorded_attention() as recorded:
             session = DecoderSession(steer_cfg, steer_weights, visual,
                                      attn_policy=(mask.values, 1e308))
             session.extend_with_tokens([0])
@@ -275,24 +276,24 @@ class TestForwardPass:
         mask = np.zeros(n, dtype=np.uint8)
         mask[:5] = 1
         visual = encode_image(steer_image, steer_cfg, steer_weights)
-        with recorded_attention(steer_cfg.n_layers) as recorded:
+        with recorded_attention() as recorded:
             session = DecoderSession(steer_cfg, steer_weights, visual, attn_policy=(mask, beta))
             session.extend_with_tokens([0, 2])
         factors = np.append(np.where(mask != 0, beta, 1.0), [1.0, 1.0])
         for layer, start, probs in recorded:
-            b, heads, total = probs.shape
+            _, b, heads, total = probs.shape
             for i in range(b):
                 visible = total if start == 0 else start + i + 1
                 expect = factors[:visible] / factors[:visible].sum()
                 for h in range(heads):
-                    assert np.abs(probs[i, h, :visible] - expect).max() < 1e-12
-                    assert probs[i, h, visible:].sum() == 0.0
+                    assert np.abs(probs[0, i, h, :visible] - expect).max() < 1e-12
+                    assert probs[0, i, h, visible:].sum() == 0.0
 
     def test_rows_sum_to_one(self, rand_cfg, rand_weights, rand_image):
         visual = encode_image(rand_image, rand_cfg, rand_weights)
         mask = np.zeros(len(visual), dtype=np.uint8)
         mask[::3] = 1
-        with recorded_attention(rand_cfg.n_layers) as recorded:
+        with recorded_attention() as recorded:
             session = DecoderSession(rand_cfg, rand_weights, visual, attn_policy=(mask, 5.0))
             session.extend_with_tokens([1, 2, 3])
         for _, start, probs in recorded:
@@ -303,7 +304,7 @@ class TestForwardPass:
         visual = encode_image(rand_image, rand_cfg, rand_weights)
 
         def attention_rows(tokens):
-            with recorded_attention(rand_cfg.n_layers) as recorded:
+            with recorded_attention() as recorded:
                 DecoderSession(rand_cfg, rand_weights, visual).extend_with_tokens(tokens)
             return recorded
 
@@ -312,9 +313,9 @@ class TestForwardPass:
         changed_at = len(visual) + 3
         for (la, sa, pa), (lb, sb, pb) in zip(rows_a, rows_b):
             assert (la, sa) == (lb, sb)
-            for i in range(pa.shape[0]):
+            for i in range(pa.shape[1]):
                 if sa + i < changed_at:
-                    assert (pa[i] == pb[i]).all()
+                    assert (pa[:, i] == pb[:, i]).all()
 
     def test_length_overflow(self, rand_cfg, rand_weights, rand_image):
         visual = encode_image(rand_image, rand_cfg, rand_weights)
@@ -345,12 +346,12 @@ class TestForwardPass:
         visual = encode_image(rand_image, rand_cfg, w)
         a = DecoderSession(rand_cfg, w, visual)
         b = DecoderSession(rand_cfg, w, visual, attn_policy=(np.ones(len(visual)), 2.0))
-        fork = a.fork()
+        stacked = DecoderSession.stack([a, b])
         for name, t in w.tensors.items():
             shared = w.tensors64[name]
             assert shared.dtype == np.float64 and not shared.flags.writeable
             assert (shared == t).all()
-            assert a._t[name] is shared and b._t[name] is shared and fork._t[name] is shared
+            assert a._t[name] is shared and b._t[name] is shared and stacked._t[name] is shared
 
 
 class TokenMajorReference:
@@ -409,67 +410,116 @@ class TokenMajorReference:
         return _rms_norm(h[-1], t["final_norm.gain"], t["final_norm.bias"]) @ t["head.weight"]
 
 
+def tiled_inputs():
+    """Config, weights and image of a 199-token visual prefix: three full query tiles and 7 rows."""
+    cfg = ModelConfig(vocab_size=16, embed_dim=32, n_heads=4, n_layers=2, feature_side=6,
+                      crop_rows=2, crop_cols=2, image_side=12, max_seq=256)
+    img = GrayImage.from_array(np.random.default_rng(3).random((12, 12)))
+    return cfg, gen_fixture("random-v1", 11, cfg), img
+
+
 class TestHeadMajorCache:
-    @pytest.mark.parametrize("beta", [None, 5.0])
-    def test_matches_token_major_reference(self, rand_cfg, rand_weights, rand_image, beta):
+    @pytest.mark.parametrize("beta, tiled", [
+        pytest.param(None, False, id="None"),
+        pytest.param(5.0, False, id="5.0"),
+        pytest.param(None, True, id="tiled-None"),
+        pytest.param(5.0, True, id="tiled-5.0"),
+    ])
+    def test_matches_token_major_reference(self, rand_cfg, rand_weights, rand_image, beta,
+                                           tiled):
         # BLAS GEMMs sum in another order than einsum: agreement to ulps, not bits
-        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        cfg, w, img = tiled_inputs() if tiled else (rand_cfg, rand_weights, rand_image)
+        visual = encode_image(img, cfg, w)
+        if tiled:
+            assert len(visual) == 199 and len(visual) % model.QUERY_TILE
         mask = np.zeros(len(visual), dtype=np.uint8)
         mask[::3] = 1
         policy = None if beta is None else (mask, beta)
-        with recorded_attention(rand_cfg.n_layers) as recorded:
-            session = DecoderSession(rand_cfg, rand_weights, visual, attn_policy=policy)
-            ref = TokenMajorReference(rand_cfg, rand_weights, visual, attn_policy=policy)
-            blocks = [[1, 2, 3]] + [[t % rand_cfg.vocab_size] for t in range(5, 15)]
+        with recorded_attention() as recorded:
+            session = DecoderSession(cfg, w, visual, attn_policy=policy)
+            ref = TokenMajorReference(cfg, w, visual, attn_policy=policy)
+            blocks = [[1, 2, 3]] + [[t % cfg.vocab_size] for t in range(5, 15)]
             for ids in blocks:
                 got, want = session.extend_with_tokens(ids), ref.extend_with_tokens(ids)
                 assert np.abs(got - want).max() < 1e-12
-        assert len(recorded) == len(ref.attention_rows) == 12 * rand_cfg.n_layers
+        assert len(recorded) == len(ref.attention_rows) == 12 * cfg.n_layers
         for (lg, sg, pg), (lr, sr, pr) in zip(recorded, ref.attention_rows):
             assert (lg, sg) == (lr, sr)
-            assert pg.shape == pr.shape == (pr.shape[0], rand_cfg.n_heads, sr + pr.shape[0])
-            assert np.abs(pg - pr).max() < 1e-12
+            assert pg[0].shape == pr.shape == (pr.shape[0], cfg.n_heads, sr + pr.shape[0])
+            assert np.abs(pg[0] - pr).max() < 1e-12
 
-    def test_forks_write_separate_buffers(self, rand_cfg, rand_weights, rand_image):
-        # two forks of one parent write the same positions; the sweep runs its
-        # forks one after another, so only interleaved extends can show sharing
+    @staticmethod
+    def prompted(cfg, w, visual, beta):
+        s = DecoderSession(cfg, w, visual, attn_policy=(np.ones(len(visual)), beta))
+        s.extend_with_tokens([1, 2])
+        return s
+
+    def test_stacked_rows_match_standalone_sessions(self, rand_cfg, rand_weights, rand_image):
+        # a two-row step rounds differently from a one-row one: agreement to ulps
         visual = encode_image(rand_image, rand_cfg, rand_weights)
-        mask = np.ones(len(visual), dtype=np.uint8)
+        betas = [3.0, 1.0, 3.0]
+        sources = [self.prompted(rand_cfg, rand_weights, visual, beta) for beta in betas[:2]]
+        stacked = DecoderSession.stack(sources + sources[:1])
+        assert stacked.rows == 3 and stacked.text_ids == [1, 2]
+        alone = [self.prompted(rand_cfg, rand_weights, visual, beta) for beta in betas]
+        for block in ([3], [4, 5], [6]):
+            got = stacked.extend_with_tokens(block)
+            assert got.shape == (3, rand_cfg.vocab_size)
+            for row, session in enumerate(alone):
+                assert np.abs(got[row] - session.extend_with_tokens(block)[0]).max() < 1e-12
+        assert stacked.text_ids == alone[0].text_ids == [1, 2, 3, 4, 5, 6]
+        assert [s.text_ids for s in sources] == [[1, 2], [1, 2]]
 
-        def prompted():
-            s = DecoderSession(rand_cfg, rand_weights, visual, attn_policy=(mask, 3.0))
-            s.extend_with_tokens([1, 2])
-            return s
-
-        parent = prompted()
-        forks = [parent.fork(), parent.fork()]
+    def test_stacks_write_separate_buffers(self, rand_cfg, rand_weights, rand_image):
+        # two stacks of one parent write the same positions, so only interleaved
+        # extends can show a shared buffer
+        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        parent = self.prompted(rand_cfg, rand_weights, visual, 3.0)
+        stacks = [DecoderSession.stack([parent]), DecoderSession.stack([parent])]
         tokens = [[3, 4, 5], [6, 7, 8]]
         got = [[], []]
         for step in range(3):
-            for i, fork in enumerate(forks):
-                got[i].append(fork.extend_with_tokens([tokens[i][step]]))
+            for i, stacked in enumerate(stacks):
+                got[i].append(stacked.extend_with_tokens([tokens[i][step]]))
         got_parent = parent.extend_with_tokens([9])
         for i in range(2):
-            alone = prompted()
+            alone = self.prompted(rand_cfg, rand_weights, visual, 3.0)
             for logits, t in zip(got[i], tokens[i]):
                 assert (logits == alone.extend_with_tokens([t])).all()
-        assert (got_parent == prompted().extend_with_tokens([9])).all()
-        assert parent.text_ids == [1, 2, 9] and forks[0].text_ids == [1, 2, 3, 4, 5]
+        assert (got_parent == self.prompted(rand_cfg, rand_weights, visual, 3.0)
+                .extend_with_tokens([9])).all()
+        assert parent.text_ids == [1, 2, 9] and stacks[0].text_ids == [1, 2, 3, 4, 5]
 
     def test_fills_exactly_max_seq(self, rand_cfg, rand_weights, rand_image):
         visual = encode_image(rand_image, rand_cfg, rand_weights)
         session = DecoderSession(rand_cfg, rand_weights, visual)
         room = rand_cfg.max_seq - len(visual)
         session.extend_with_tokens([1] * (room - 1))
-        fork = session.fork()
+        stacked = DecoderSession.stack([session])
         assert np.isfinite(session.extend_with_tokens([2])).all()
         assert session.length == rand_cfg.max_seq
         with pytest.raises(InputError):
             session.extend_with_tokens([3])
         assert session.length == rand_cfg.max_seq
         with pytest.raises(InputError):
-            fork.extend_with_tokens([2, 3])
-        assert np.isfinite(fork.extend_with_tokens([2])).all()
+            stacked.extend_with_tokens([2, 3])
+        assert np.isfinite(stacked.extend_with_tokens([2])).all()
+
+    def test_stack_rejects_sessions_that_disagree(self, rand_cfg, rand_weights, rand_image):
+        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        a, b = (DecoderSession(rand_cfg, rand_weights, visual) for _ in range(2))
+        other_weights = DecoderSession(rand_cfg, gen_fixture("random-v1", 3, rand_cfg), visual)
+        a.extend_with_tokens([1])
+        with pytest.raises(InputError):
+            DecoderSession.stack([a, b])  # lengths differ
+        b.extend_with_tokens([2])
+        with pytest.raises(InputError):
+            DecoderSession.stack([a, b])  # same length, other tokens
+        other_weights.extend_with_tokens([1])
+        with pytest.raises(InputError):
+            DecoderSession.stack([a, other_weights])
+        with pytest.raises(InputError):
+            DecoderSession.stack([])
 
     def test_attention_leaves_its_arguments_and_results_unchanged(self):
         rng = np.random.default_rng(4)
@@ -493,6 +543,16 @@ class TestFixtures:
             0x6E789E6AA1B965F4,
             0x06C45D188009454F,
         ]
+
+    @pytest.mark.parametrize("seed", [42, 2**64 - 5])
+    def test_random_fill_matches_the_stream(self, rand_cfg, seed):
+        # the vectorised fill against the generator, one value at a time, in
+        # canonical tensor order; the second seed wraps the state past 2^64
+        stream = splitmix64(seed)
+        for name, t in gen_fixture("random-v1", seed, rand_cfg).tensors.items():
+            u = np.array([(next(stream) >> 11) * 2.0**-53 for _ in range(t.size)])
+            want = (RANDOM_INIT_LO + u * (RANDOM_INIT_HI - RANDOM_INIT_LO)).astype(np.float32)
+            assert np.array_equal(t.ravel(), want), name
 
     def test_random_fixture_range_and_determinism(self, rand_cfg):
         a = gen_fixture("random-v1", 42, rand_cfg)

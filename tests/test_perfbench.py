@@ -28,8 +28,16 @@ def test_traced_mask_stream_run():
     assert traced_run("mask-stream")["correct"] is True
 
 
+def test_traced_decode_run():
+    # both branch prefills, the stacked two-row steps and the trace checks
+    result = traced_run("decode-757")
+    assert result["correct"] is True
+    # stacking the prompt-extended branches runs no further prefill
+    assert result["metrics"]["model.prefill.calls"]["value"] == 2
+
+
 def test_traced_sweep_run():
-    # prefill, fork and the step loop under the benchmark's own output checks
+    # prefill, stack and the step loop under the benchmark's own output checks
     result = traced_run("sweep-313")
     assert result["correct"] is True
     # one unguided prefill plus one guided prefill per distinct beta (1, 3, 5, 10)
