@@ -42,7 +42,7 @@ def suppress_tokens(visual: VisualSequence, mask: TokenMask, alpha: float) -> Vi
     emb = visual.embeddings.copy()
     rows = mask.values != 0
     emb[rows] *= alpha
-    return VisualSequence(embeddings=emb, layout=list(visual.layout))
+    return VisualSequence(embeddings=emb)
 
 
 def fuse_logits(

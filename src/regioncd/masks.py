@@ -66,15 +66,9 @@ def expected_length(spec: GridSpec) -> int:
 
 def segment_labels(spec: GridSpec) -> list[str]:
     """Per-position segment label for the assembled mask layout."""
-    labels: list[str] = []
-    for _ in range(spec.local_rows):
-        labels.extend([SEG_LOCAL] * spec.local_cols)
-        labels.append(SEG_LOCAL_SEP)
-    labels.append(SEG_MID_SEP)
-    for _ in range(spec.side):
-        labels.extend([SEG_GLOBAL] * spec.side)
-        labels.append(SEG_GLOBAL_SEP)
-    return labels
+    local_row = [SEG_LOCAL] * spec.local_cols + [SEG_LOCAL_SEP]
+    global_row = [SEG_GLOBAL] * spec.side + [SEG_GLOBAL_SEP]
+    return local_row * spec.local_rows + [SEG_MID_SEP] + global_row * spec.side
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,11 +162,6 @@ class TokenMask:
         if self.values[assemble(local, global_, spec, sep=True)].any():
             raise InputError("separator positions must carry mask value 0")
 
-    @property
-    def segments(self) -> list[str]:
-        """Per-position segment labels; see :func:`segment_labels`."""
-        return segment_labels(self.spec)
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -203,12 +192,12 @@ def downsample(seg: SegMask, out_rows: int, out_cols: int, tau: float) -> np.nda
         )
     if not 0.0 <= tau < 1.0:
         raise InputError(f"tau must lie in [0, 1), got {tau}")
-    row_of = (np.arange(seg.height) * out_rows) // seg.height
-    col_of = (np.arange(seg.width) * out_cols) // seg.width
-    cell_of = (row_of[:, None] * out_cols + col_of[None, :]).ravel()
-    total = np.bincount(cell_of, minlength=out_rows * out_cols)
-    positive = np.bincount(cell_of, weights=seg.pixels.ravel(), minlength=out_rows * out_cols)
-    return (positive / total > tau).astype(np.uint8).reshape(out_rows, out_cols)
+    # one-hot pixel -> cell maps per axis; the counts are integers, exact in float64
+    rows = ((np.arange(seg.height) * out_rows) // seg.height)[:, None] == np.arange(out_rows)
+    cols = ((np.arange(seg.width) * out_cols) // seg.width)[:, None] == np.arange(out_cols)
+    positive = rows.T @ seg.pixels.astype(np.float64) @ cols
+    total = np.outer(rows.sum(0), cols.sum(0))
+    return (positive / total > tau).astype(np.uint8)
 
 
 def assemble(local: np.ndarray, global_: np.ndarray, spec: GridSpec, sep=0) -> np.ndarray:
@@ -264,8 +253,8 @@ def token_mask_to_json(mask: TokenMask, tau: float) -> str:
         "G": [mask.spec.crop_rows, mask.spec.crop_cols],
         "tau": tau,
         "length": len(mask),
-        "values": [int(v) for v in mask.values],
-        "segments": list(mask.segments),
+        "values": mask.values.tolist(),
+        "segments": segment_labels(mask.spec),
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 

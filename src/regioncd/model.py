@@ -31,7 +31,8 @@ import numpy as np
 from regioncd import pgm
 from regioncd.config import ModelConfig
 from regioncd.errors import InputError, NumericError, ShapeError
-from regioncd.masks import assemble, segment_labels
+# segment_labels is unused here, but perfbench/spans.py wraps model.segment_labels
+from regioncd.masks import assemble, segment_labels  # noqa: F401
 from regioncd.weights import WeightSet
 
 NORM_EPS = 1e-6
@@ -75,14 +76,13 @@ class GrayImage:
 
 @dataclass(frozen=True, eq=False)
 class VisualSequence:
-    """Visual token embeddings plus the segment label of each position."""
+    """Visual token embeddings, one row per position of the token layout."""
 
     embeddings: np.ndarray  # (N, embed_dim) float64
-    layout: list[str]
 
     def __post_init__(self) -> None:
-        if self.embeddings.ndim != 2 or len(self.layout) != self.embeddings.shape[0]:
-            raise ShapeError("embeddings and layout lengths disagree")
+        if self.embeddings.ndim != 2:
+            raise ShapeError(f"embeddings must be 2-D, got shape {self.embeddings.shape}")
 
     def __len__(self) -> int:
         return self.embeddings.shape[0]
@@ -115,7 +115,7 @@ def encode_image(img: GrayImage, cfg: ModelConfig, w: WeightSet) -> VisualSequen
     global_ = _pool_means(img.intensities, spec.side, spec.side)[..., None] * proj + bias
     emb = assemble(local, global_, spec, sep=t["sep_embed"][cfg.sep_embed_id])
     emb += t["pos_embed"][: len(emb)]
-    return VisualSequence(embeddings=emb, layout=segment_labels(spec))
+    return VisualSequence(embeddings=emb)
 
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:

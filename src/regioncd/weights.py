@@ -4,8 +4,8 @@ Tensors are stored as 32-bit floats. The file format is a single JSON
 document: ``{"config": ..., "tensors": [{"name", "shape", "data"}...],
 "digest": ...}`` where ``data`` is base64 of the little-endian float32
 payload. Loading validates shapes against the embedded config, rejects
-non-finite values, and re-checks the digest, so a fixture file is a
-self-verifying artifact.
+non-finite values, and re-checks the digest, which covers the config and
+every tensor, so a fixture file is a self-verifying artifact.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -158,7 +159,10 @@ class WeightSet:
         return out
 
     def digest(self) -> str:
+        """SHA-256 over the canonical config JSON and every tensor's name, shape and bytes."""
         h = hashlib.sha256()
+        h.update(json.dumps(self.config.to_dict(), sort_keys=True, separators=(",", ":")).encode())
+        h.update(b"\x00")
         for name, t in self.tensors.items():
             h.update(name.encode())
             h.update(b"\x00")
@@ -237,9 +241,14 @@ def load_weights(path: str | Path) -> WeightSet:
         cfg = ModelConfig.from_dict(obj["config"])
         tensors: dict[str, np.ndarray] = {}
         for entry in obj["tensors"]:
-            raw = base64.b64decode(entry["data"].encode("ascii"), validate=True)
-            shape = tuple(int(s) for s in entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
+            shape, data = entry["shape"], entry["data"]
+            if not isinstance(shape, list) or {type(s) for s in shape} - {int}:
+                raise FormatError(f"tensor {entry['name']}: shape must be a list of JSON "
+                                  f"integers, got {shape!r}")
+            if not isinstance(data, str):
+                raise FormatError(f"tensor {entry['name']}: data must be a base64 string")
+            raw = base64.b64decode(data.encode("ascii"), validate=True)
+            n = math.prod(shape)
             if len(raw) != 4 * n:
                 raise FormatError(
                     f"tensor {entry['name']}: payload holds {len(raw)} bytes, expected {4 * n}"

@@ -325,6 +325,32 @@ class TestCmdDecode:
         assert code == 2
         assert field in stderr and not CATCH_ALL.search(stderr), stderr
 
+    @pytest.mark.parametrize("field, raw", [("shape", "[4.7,1]"), ("shape", "[1e400,1]"),
+                                            ("shape", "[4,true]"), ("shape", '"41"'),
+                                            ("data", "5")])
+    def test_mistyped_tensor_entry_exits_validation(self, steer_files, tmp_path, field, raw):
+        # int() would read 4.7, true and "41" as the tensor's own shape, and 1e400
+        # and 5 would escape the format checks as OverflowError and AttributeError
+        path = tmp_path / "tensor.json"
+        obj = json.loads(open(steer_files["weights"]).read())
+        obj["tensors"][0][field] = "@"
+        path.write_text(json.dumps(obj).replace('"@"', raw))
+        code, _, stderr = run_cli(["decode", "--baseline", "--image", steer_files["image"],
+                                   "--weights", str(path), "--prompt", "0"])
+        assert code == 2
+        assert field in stderr and not CATCH_ALL.search(stderr), stderr
+
+    def test_edited_config_fails_digest_check(self, steer_files, tmp_path):
+        # the digest covers the config, so an edit that keeps every tensor shape is caught
+        path = tmp_path / "cfg.json"
+        obj = json.loads(open(steer_files["weights"]).read())
+        obj["config"]["eos_id"] = 2
+        path.write_text(json.dumps(obj))
+        code, _, stderr = run_cli(["decode", "--baseline", "--image", steer_files["image"],
+                                   "--weights", str(path), "--prompt", "0"])
+        assert code == 2
+        assert "digest" in stderr and not CATCH_ALL.search(stderr), stderr
+
     def test_corrupt_weights_exit_validation(self, steer_files, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

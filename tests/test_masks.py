@@ -123,13 +123,14 @@ class TestDownsample:
             st.tuples(st.integers(1, 12), st.integers(1, 12)),
             elements=st.integers(0, 1),
         ),
-        fraction=st.floats(0.0, 0.99),
         tau=st.sampled_from([0.0, 0.25, 0.5]),
+        data=st.data(),
     )
-    def test_matches_bruteforce(self, pixels, fraction, tau):
+    def test_matches_bruteforce(self, pixels, tau, data):
         h, w = pixels.shape
-        out_r = max(1, int(h * fraction)) if h > 1 else 1
-        out_c = max(1, int(w * fraction)) if w > 1 else 1
+        # each axis is reduced on its own path, so draw the two sizes independently
+        out_r = data.draw(st.integers(1, h), label="out_rows")
+        out_c = data.draw(st.integers(1, w), label="out_cols")
         got = downsample(SegMask.from_array(pixels), out_r, out_c, tau)
         assert (got == brute_downsample(pixels, out_r, out_c, tau)).all()
 
@@ -278,7 +279,7 @@ class TestGenerateTokenMask:
         spec = GridSpec(side=12)
         seg = SegMask.from_array(np.ones((24, 24), dtype=np.uint8))
         mask = generate_token_mask(seg, spec)
-        sep = np.array([s.endswith("_sep") for s in mask.segments])
+        sep = np.array([s.endswith("_sep") for s in segment_labels(spec)])
         assert mask.values[~sep].all()
         assert not mask.values[sep].any()
 
@@ -286,7 +287,7 @@ class TestGenerateTokenMask:
         spec = GridSpec(side=12)
         mask = generate_token_mask(half_seg(24, 24, "left"), spec)
         values = iter(mask.values.tolist())
-        for label in mask.segments:
+        for label in segment_labels(spec):
             v = next(values)
             if label.endswith("_sep"):
                 assert v == 0
@@ -307,7 +308,7 @@ class TestGenerateTokenMask:
         spec, seg = spec_seg
         mask = generate_token_mask(seg, spec, tau=0.0)
         assert len(mask) == expected_length(spec)
-        sep = np.array([s.endswith("_sep") for s in mask.segments])
+        sep = np.array([s.endswith("_sep") for s in segment_labels(spec)])
         assert not mask.values[sep].any()
 
     @settings(max_examples=40, deadline=None)
@@ -383,10 +384,25 @@ class TestPgmAndJson:
         assert obj["G"] == [1, 1]
         assert obj["length"] == expected_length(spec)
         assert obj["values"] == mask.values.tolist()
+        assert obj["segments"] == segment_labels(spec)
         back, tau = token_mask_from_json(text)
         assert tau == 0.0
         assert (back.values == mask.values).all()
-        assert back.segments == mask.segments
+        assert back.spec == mask.spec
+
+    def test_token_mask_json_golden(self):
+        # local 2x4 cells of 2x2 pixels, global 2x2 cells of 2x4; a cell at
+        # exactly tau (1 of 4 pixels) stays 0
+        pixels = np.zeros((4, 8), dtype=np.uint8)
+        pixels[1:4, 0:3] = 1
+        pixels[0, 7] = 1
+        mask = generate_token_mask(SegMask.from_array(pixels), GridSpec(2, 1, 2), tau=0.25)
+        assert token_mask_to_json(mask, tau=0.25) == (
+            '{"G":[1,2],"L":2,"length":17,"segments":["local","local","local","local",'
+            '"local_sep","local","local","local","local","local_sep","mid_sep","global",'
+            '"global","global_sep","global","global","global_sep"],"tau":0.25,'
+            '"values":[1,0,0,0,0,1,1,0,0,0,0,1,0,0,1,0,0]}\n'
+        )
 
     @pytest.mark.parametrize(
         "field, value",

@@ -14,6 +14,7 @@ from regioncd import (
     STEER_CONFIG,
     SegMask,
     ShapeError,
+    VisualSequence,
     WeightSet,
     decode,
     encode_image,
@@ -146,7 +147,9 @@ class TestEncoder:
     def test_output_length_and_layout(self, rand_cfg, rand_weights, rand_image):
         visual = encode_image(rand_image, rand_cfg, rand_weights)
         assert len(visual) == expected_length(rand_cfg.grid())
-        assert visual.layout == segment_labels(rand_cfg.grid())
+        assert visual.embeddings.shape == (len(visual), rand_cfg.embed_dim)
+        with pytest.raises(ShapeError):
+            VisualSequence(embeddings=visual.embeddings.ravel())
 
     @pytest.mark.parametrize(
         "cfg",
@@ -171,7 +174,7 @@ class TestEncoder:
         img = GrayImage.from_array(np.zeros((rand_cfg.image_side, rand_cfg.image_side)))
         visual = encode_image(img, rand_cfg, w)
         pos = w.tensors["pos_embed"].astype(np.float64)
-        for i, label in enumerate(visual.layout):
+        for i, label in enumerate(segment_labels(rand_cfg.grid())):
             if not label.endswith("_sep"):
                 assert (visual.embeddings[i] == pos[i]).all()
 
