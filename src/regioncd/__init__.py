@@ -32,7 +32,6 @@ from regioncd.weights import (
     gen_fixture,
     load_weights,
     save_weights,
-    splitmix64,
 )
 
 __version__ = "0.1.0"
@@ -68,7 +67,6 @@ __all__ = [
     "log_softmax",
     "mask_from_bbox",
     "save_weights",
-    "splitmix64",
     "suppress_tokens",
     "sweep",
     "sweep_to_csv",

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from regioncd import verification, weights
 from regioncd.config import GuidanceParams, ModelConfig
-from regioncd.decoding import baseline_decode, decode, sweep, sweep_to_csv
+from regioncd.decoding import DEFAULT_TOPK, baseline_decode, decode, sweep, sweep_to_csv
 from regioncd.errors import InputError, NumericError
 from regioncd.masks import (
     BBox,
@@ -107,10 +107,7 @@ def _cmd_decode(args) -> int:
     img = GrayImage.from_pgm(args.image)
     prompt = _parse_ids(args.prompt)
     if args.baseline:
-        ids, trace = baseline_decode(
-            img, prompt, cfg, w, max_tokens=args.max_tokens, eos_id=cfg.eos_id,
-            topk=args.topk,
-        )
+        ids, trace = baseline_decode(img, prompt, cfg, w, args.max_tokens, topk=args.topk)
     else:
         if args.seg is None and args.bbox is None:
             raise InputError("decode needs --seg or --bbox unless --baseline is given")
@@ -129,8 +126,6 @@ def _cmd_sweep(args) -> int:
     cfg = w.config
     img = GrayImage.from_pgm(args.image)
     prompt = _parse_ids(args.prompt)
-    if args.seg is None and args.bbox is None:
-        raise InputError("sweep needs --seg or --bbox")
     seg = _load_seg(args, (img.width, img.height))
     betas = _parse_floats(args.beta)
     gammas = _parse_floats(args.gamma)
@@ -197,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, handler in (("decode", _cmd_decode), ("sweep", _cmd_sweep)):
         p = sub.add_parser(name, help=f"run a guided {name}")
-        _add_region_source(p, required=False)
+        _add_region_source(p, required=name == "sweep")
         p.add_argument("--image", required=True, help="input image (PGM)")
         p.add_argument("--weights", required=True, help="weight fixture file")
         p.add_argument("--prompt", required=True, help="prompt token ids, e.g. 5,9,9")
@@ -205,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, help="token suppression weight (0.01)")
         p.add_argument("--max-tokens", type=int, default=16)
         if name == "decode":
-            p.add_argument("--topk", type=int, default=5, help="entries per trace record")
+            p.add_argument("--topk", type=int, default=DEFAULT_TOPK,
+                           help="entries per trace record")
             p.add_argument("--beta", type=float, help="attention amplification (5)")
             p.add_argument("--gamma", type=float, help="logits guidance intensity (1.5)")
             p.add_argument("--out", help="trace output path (JSON lines)")

@@ -80,15 +80,6 @@ class StepRecord:
     fused_topk: list[tuple[int, float]]
     chosen: int
 
-    def to_json_obj(self) -> dict:
-        return {
-            "t": self.t,
-            "guided_topk": [[i, v] for i, v in self.guided_topk],
-            "unguided_topk": [[i, v] for i, v in self.unguided_topk],
-            "fused_topk": [[i, v] for i, v in self.fused_topk],
-            "chosen": self.chosen,
-        }
-
 
 @dataclass
 class DecodeTrace:
@@ -102,18 +93,14 @@ class DecodeTrace:
     mode: str = "guided"
     steps: list[StepRecord] = field(default_factory=list)
 
-    def header_obj(self) -> dict:
-        return {
-            "mode": self.mode,
-            "params": self.params,
-            "config": self.config,
-            "fixture_digest": self.fixture_digest,
-            "mask_digest": self.mask_digest,
-            "topk": self.topk,
-        }
-
     def to_jsonl(self) -> str:
-        objs = [self.header_obj()] + [s.to_json_obj() for s in self.steps]
+        """A header line of every field but ``steps``, then one line per step.
+
+        Each line is a record's fields as a JSON object with sorted keys; the
+        ``(id, logp)`` pairs are written as two-element lists.
+        """
+        header = {k: v for k, v in vars(self).items() if k != "steps"}
+        objs = [header] + [vars(step) for step in self.steps]
         lines = [
             json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
             for obj in objs
@@ -243,21 +230,20 @@ def baseline_decode(
     cfg: ModelConfig,
     w: WeightSet,
     max_tokens: int,
-    eos_id: int,
     topk: int = DEFAULT_TOPK,
 ) -> tuple[list[int], DecodeTrace]:
     """Plain single-branch greedy decoding, the unguided reference.
 
     The one-branch case of the guided decode: every trace record's three
-    top-k lists are the branch's own log-probs.
+    top-k lists are the branch's own log-probs. It stops at ``cfg.eos_id``.
     """
-    params = GuidanceParams(spec=cfg.grid(), max_tokens=max_tokens, eos_id=eos_id)
+    params = GuidanceParams(spec=cfg.grid(), max_tokens=max_tokens, eos_id=cfg.eos_id)
     _check_request(prompt, cfg, params, topk)
     session = DecoderSession(cfg, w, encode_image(img, cfg, w))
     out, steps = _run_steps(session, session.extend_with_tokens(prompt), params, topk,
                             _greedy_pick)
     trace = DecodeTrace(
-        params={"max_tokens": max_tokens, "eos_id": eos_id},
+        params={"max_tokens": max_tokens, "eos_id": cfg.eos_id},
         config=cfg.to_dict(),
         fixture_digest=w.digest(),
         mask_digest=None,

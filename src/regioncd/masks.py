@@ -73,35 +73,34 @@ def segment_labels(spec: GridSpec) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class SegMask:
-    """Binary pixel mask; 1 marks the region of interest."""
+    """Binary pixel mask; 1 marks the region of interest; the size is the array's shape."""
 
-    width: int
-    height: int
-    pixels: np.ndarray  # (height, width) uint8 in {0, 1}
+    pixels: np.ndarray  # (height, width), stored as uint8 in {0, 1}
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise InputError(f"mask dimensions must be >= 1, got {self.width}x{self.height}")
-        if self.pixels.shape != (self.height, self.width):
-            raise ShapeError(
-                f"pixel array shape {self.pixels.shape} != ({self.height}, {self.width})"
-            )
-        p = self.pixels
+        p = np.asarray(self.pixels)
+        if p.ndim != 2:
+            raise ShapeError(f"mask array must be 2-D, got shape {p.shape}")
+        if p.size == 0:
+            raise InputError(f"mask dimensions must be >= 1, got shape {p.shape}")
+        # checked before the cast, which would wrap 256 to 0 and truncate 1.9 to 1
         if not ((p == 0) | (p == 1)).all():
             raise InputError("mask pixels must be 0 or 1")
+        object.__setattr__(self, "pixels", p.astype(np.uint8, copy=False))
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "SegMask":
-        a = np.asarray(arr, dtype=np.uint8)
-        if a.ndim != 2:
-            raise ShapeError(f"mask array must be 2-D, got shape {a.shape}")
-        return cls(width=a.shape[1], height=a.shape[0], pixels=a)
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
 
     @classmethod
     def from_pgm(cls, path: str | Path) -> "SegMask":
         """Load from PGM; any nonzero sample counts as region-of-interest."""
         samples, _ = pgm.read_pgm(path)
-        return cls.from_array((samples != 0).astype(np.uint8))
+        return cls(samples != 0)
 
 
 def _json_number(value) -> float:
@@ -236,7 +235,7 @@ def mask_from_bbox(box: BBox, width: int, height: int) -> SegMask:
     cx = np.arange(width) + 0.5
     cy = np.arange(height) + 0.5
     inside = ((cy > y_lo) & (cy < y_hi))[:, None] & ((cx > x_lo) & (cx < x_hi))[None, :]
-    return SegMask(width=width, height=height, pixels=inside.astype(np.uint8))
+    return SegMask(inside)
 
 
 def generate_token_mask(seg: SegMask, spec: GridSpec, tau: float = 0.0) -> TokenMask:

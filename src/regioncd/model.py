@@ -45,33 +45,32 @@ QUERY_TILE = 64
 
 @dataclass(frozen=True, eq=False)
 class GrayImage:
-    """Grayscale image with intensities in [0, 1]."""
+    """Grayscale image with intensities in [0, 1]; the size is the array's shape."""
 
-    width: int
-    height: int
-    intensities: np.ndarray  # (height, width) float64
+    intensities: np.ndarray  # (height, width), stored as float64
 
     def __post_init__(self) -> None:
-        if self.intensities.shape != (self.height, self.width):
-            raise ShapeError(
-                f"intensity array shape {self.intensities.shape} != ({self.height}, {self.width})"
-            )
-        if not np.isfinite(self.intensities).all():
-            raise NumericError("image intensities must be finite")
-        if self.intensities.min(initial=0.0) < 0.0 or self.intensities.max(initial=0.0) > 1.0:
-            raise InputError("image intensities must lie in [0, 1]")
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "GrayImage":
-        a = np.asarray(arr, dtype=np.float64)
+        a = np.asarray(self.intensities)
         if a.ndim != 2:
             raise ShapeError(f"image array must be 2-D, got shape {a.shape}")
-        return cls(width=a.shape[1], height=a.shape[0], intensities=a)
+        if not np.isfinite(a).all():
+            raise NumericError("image intensities must be finite")
+        if a.min(initial=0.0) < 0.0 or a.max(initial=0.0) > 1.0:
+            raise InputError("image intensities must lie in [0, 1]")
+        object.__setattr__(self, "intensities", a.astype(np.float64, copy=False))
+
+    @property
+    def width(self) -> int:
+        return self.intensities.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.intensities.shape[0]
 
     @classmethod
     def from_pgm(cls, path: str | Path) -> "GrayImage":
         samples, maxval = pgm.read_pgm(path)
-        return cls.from_array(samples.astype(np.float64) / float(maxval))
+        return cls(samples / float(maxval))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +133,10 @@ def region_bias(mask: np.ndarray, beta: float) -> np.ndarray:
 
     Adding it to the scores multiplies the pre-normalized weight of every
     masked key by beta, since ``beta^m * exp(e) = exp(e + m*log(beta))``;
-    unmasked keys get exactly 0. The one place beta is checked.
+    unmasked keys get exactly 0. Its beta check is the one every attention
+    policy passes, including one given to ``DecoderSession(attn_policy=...)``
+    directly, which never builds a :class:`~regioncd.config.GuidanceParams`
+    (that class checks beta as well).
     """
     if not math.isfinite(beta) or beta < 1.0:
         raise InputError(f"beta must be finite and >= 1, got {beta}")

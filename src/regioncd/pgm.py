@@ -1,4 +1,5 @@
-"""Minimal PGM (P2/P5) reader and writer, 8-bit only (maxval <= 255).
+"""Minimal 8-bit PGM (maxval <= 255) support: P2 (ASCII) and P5 (binary) are
+read, and P5 is written.
 
 Comments starting with ``#`` are allowed anywhere in the header and, for
 P2 files, between samples as well.
@@ -75,8 +76,8 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
     return values.reshape(height, width), maxval
 
 
-def write_pgm(path: str | Path, samples: np.ndarray, maxval: int = 255, binary: bool = True) -> None:
-    """Write a (height, width) integer array as P5 (binary) or P2 (ASCII)."""
+def write_pgm(path: str | Path, samples: np.ndarray, maxval: int = 255) -> None:
+    """Write a (height, width) integer array as P5 (binary)."""
     arr = np.asarray(samples)
     if arr.ndim != 2:
         raise FormatError("samples must be a 2-D array")
@@ -85,9 +86,5 @@ def write_pgm(path: str | Path, samples: np.ndarray, maxval: int = 255, binary: 
     if arr.min(initial=0) < 0 or arr.max(initial=0) > maxval:
         raise FormatError("sample values outside [0, maxval]")
     height, width = arr.shape
-    header = f"{'P5' if binary else 'P2'}\n{width} {height}\n{maxval}\n"
-    if binary:
-        Path(path).write_bytes(header.encode("ascii") + arr.astype(np.uint8).tobytes())
-    else:
-        body = "\n".join(" ".join(str(v) for v in row) for row in arr.tolist())
-        Path(path).write_text(header + body + "\n")
+    header = f"P5\n{width} {height}\n{maxval}\n"
+    Path(path).write_bytes(header.encode("ascii") + arr.astype(np.uint8).tobytes())

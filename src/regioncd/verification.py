@@ -49,7 +49,7 @@ def reduction_config() -> ModelConfig:
 def reduction_image() -> GrayImage:
     side = reduction_config().image_side
     ramp = (np.arange(side)[:, None] * side + np.arange(side)[None, :]) / (side * side - 1)
-    return GrayImage.from_array(ramp)
+    return GrayImage(ramp)
 
 
 def half_seg(width: int, height: int, side: str) -> SegMask:
@@ -58,14 +58,14 @@ def half_seg(width: int, height: int, side: str) -> SegMask:
         raise InputError(f"side must be 'left' or 'right', got {side!r}")
     pixels = np.zeros((height, width), dtype=np.uint8)
     pixels[:, : width // 2] = 1
-    return SegMask.from_array(pixels if side == "left" else 1 - pixels)
+    return SegMask(pixels if side == "left" else 1 - pixels)
 
 
 def steer_image() -> GrayImage:
     side = weights.STEER_CONFIG.image_side
     arr = np.zeros((side, side), dtype=np.float64)
     arr[:, side // 2 :] = 1.0
-    return GrayImage.from_array(arr)
+    return GrayImage(arr)
 
 
 def _steer_params(**overrides) -> GuidanceParams:
@@ -106,7 +106,7 @@ def check_mask_length_law() -> tuple[bool, str]:
                 want = expected_length(spec)
                 sep = np.array([s.endswith("_sep") for s in masks.segment_labels(spec)])
                 for _ in range(50):
-                    seg = SegMask.from_array(rng.integers(0, 2, size=(64, 64), dtype=np.uint8))
+                    seg = SegMask(rng.integers(0, 2, size=(64, 64), dtype=np.uint8))
                     mask = generate_token_mask(seg, spec, tau=0.0)
                     if len(mask) != want:
                         return False, f"length {len(mask)} != {want} for {spec}"
@@ -194,9 +194,7 @@ def check_reduction_to_baseline() -> tuple[bool, str]:
     w = weights.gen_fixture("random-v1", REDUCTION_SEED, cfg)
     img = reduction_image()
     seg = half_seg(cfg.image_side, cfg.image_side, "left")
-    base_ids, _ = decoding.baseline_decode(
-        img, REDUCTION_PROMPT, cfg, w, max_tokens=REDUCTION_STEPS, eos_id=cfg.eos_id
-    )
+    base_ids, _ = decoding.baseline_decode(img, REDUCTION_PROMPT, cfg, w, REDUCTION_STEPS)
     if len(base_ids) != REDUCTION_STEPS:
         return False, f"baseline stopped after {len(base_ids)} steps, wanted {REDUCTION_STEPS}"
     for gamma in (0.0, 0.5, 1.0, 1.5):
@@ -226,10 +224,8 @@ def check_neutral_mask() -> tuple[bool, str]:
     cfg = reduction_config()
     w = weights.gen_fixture("random-v1", REDUCTION_SEED, cfg)
     img = reduction_image()
-    seg = SegMask.from_array(np.zeros((cfg.image_side, cfg.image_side), dtype=np.uint8))
-    base_ids, _ = decoding.baseline_decode(
-        img, REDUCTION_PROMPT, cfg, w, max_tokens=REDUCTION_STEPS, eos_id=cfg.eos_id
-    )
+    seg = SegMask(np.zeros((cfg.image_side, cfg.image_side), dtype=np.uint8))
+    base_ids, _ = decoding.baseline_decode(img, REDUCTION_PROMPT, cfg, w, REDUCTION_STEPS)
     params = GuidanceParams(
         spec=cfg.grid(), alpha=0.01, beta=5.0, gamma=1.5, tau=0.0,
         max_tokens=REDUCTION_STEPS, eos_id=cfg.eos_id,

@@ -50,27 +50,13 @@ STEER_CONFIG = ModelConfig(
 )
 
 
-def splitmix64(seed: int):
-    """Yield the splitmix64 sequence for ``seed`` (pure integer math).
-
-    The reference for :func:`_splitmix64_outputs`, which computes the same
-    values for a whole range of steps at once.
-    """
-    state = seed & _MASK64
-    while True:
-        state = (state + _GAMMA64) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        yield z ^ (z >> 31)
-
-
 def _splitmix64_outputs(seed: int, first: int, n: int) -> np.ndarray:
-    """Outputs ``first`` to ``first + n - 1`` (from 0) of ``splitmix64(seed)``.
+    """Outputs ``first`` to ``first + n - 1`` (from 0) of splitmix64 for ``seed``.
 
     The state after step i is ``seed + i * GAMMA`` mod 2^64, so every output
     is computed independently; uint64 arithmetic wraps mod 2^64 like the
-    masked integer math of the generator.
+    masked integer math of ``splitmix64`` in ``tests/test_model.py``, the
+    one-step-at-a-time reference this is tested against.
     """
     z = np.arange(first + 1, first + n + 1, dtype=np.uint64) * np.uint64(_GAMMA64)
     z += np.uint64(seed & _MASK64)

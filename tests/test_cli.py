@@ -6,6 +6,7 @@ import math
 import re
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,7 +303,7 @@ class TestCmdDecode:
 
     def test_nan_weights_exit_numeric(self, steer_files, tmp_path):
         path = tmp_path / "nan.json"
-        obj = json.loads(open(steer_files["weights"]).read())
+        obj = json.loads(Path(steer_files["weights"]).read_text())
         raw = bytearray(base64.b64decode(obj["tensors"][0]["data"]))
         raw[0:4] = struct.pack("<f", float("nan"))
         obj["tensors"][0]["data"] = base64.b64encode(bytes(raw)).decode("ascii")
@@ -317,7 +318,7 @@ class TestCmdDecode:
                                                        value):
         # int() would read each of these as the config's own value and load the file
         path = tmp_path / "cfg.json"
-        obj = json.loads(open(steer_files["weights"]).read())
+        obj = json.loads(Path(steer_files["weights"]).read_text())
         obj["config"][field] = value
         path.write_text(json.dumps(obj))
         code, _, stderr = run_cli(["decode", "--image", steer_files["image"], "--seg",
@@ -332,7 +333,7 @@ class TestCmdDecode:
         # int() would read 4.7, true and "41" as the tensor's own shape, and 1e400
         # and 5 would escape the format checks as OverflowError and AttributeError
         path = tmp_path / "tensor.json"
-        obj = json.loads(open(steer_files["weights"]).read())
+        obj = json.loads(Path(steer_files["weights"]).read_text())
         obj["tensors"][0][field] = "@"
         path.write_text(json.dumps(obj).replace('"@"', raw))
         code, _, stderr = run_cli(["decode", "--baseline", "--image", steer_files["image"],
@@ -343,7 +344,7 @@ class TestCmdDecode:
     def test_edited_config_fails_digest_check(self, steer_files, tmp_path):
         # the digest covers the config, so an edit that keeps every tensor shape is caught
         path = tmp_path / "cfg.json"
-        obj = json.loads(open(steer_files["weights"]).read())
+        obj = json.loads(Path(steer_files["weights"]).read_text())
         obj["config"]["eos_id"] = 2
         path.write_text(json.dumps(obj))
         code, _, stderr = run_cli(["decode", "--baseline", "--image", steer_files["image"],
@@ -403,6 +404,11 @@ class TestCmdSweep:
                      "--weights", steer_files["weights"], "--prompt", "0",
                      "--beta", "abc", "--gamma", "1", "--out", str(out)]) == 2
 
+    def test_sweep_without_region_source(self, steer_files, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--image", steer_files["image"], "--weights",
+                     steer_files["weights"], "--prompt", "0", "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--beta", "1", "--gamma", "nan,1.0"],
                                        ["--beta", "inf", "--gamma", "1"],

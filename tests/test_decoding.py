@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -49,7 +50,7 @@ class TestSuppressTokens:
 
     def test_zero_mask_is_identity(self, steer_cfg, steer_weights, steer_image):
         visual = encode_image(steer_image, steer_cfg, steer_weights)
-        seg = SegMask.from_array(np.zeros((8, 8), dtype=np.uint8))
+        seg = SegMask(np.zeros((8, 8), dtype=np.uint8))
         mask = generate_token_mask(seg, steer_cfg.grid())
         out = suppress_tokens(visual, mask, 0.25)
         assert (out.embeddings == visual.embeddings).all()
@@ -70,7 +71,7 @@ class TestSuppressTokens:
 
     def test_length_mismatch(self, steer_cfg, steer_weights, steer_image):
         visual = encode_image(steer_image, steer_cfg, steer_weights)
-        seg = SegMask.from_array(np.zeros((12, 12), dtype=np.uint8))
+        seg = SegMask(np.zeros((12, 12), dtype=np.uint8))
         mask = generate_token_mask(seg, GridSpec(side=3))
         with pytest.raises(ShapeError):
             suppress_tokens(visual, mask, 0.5)
@@ -182,8 +183,7 @@ class TestLogSoftmax:
 
 class TestDecode:
     def test_reduces_to_baseline(self, rand_cfg, rand_weights, rand_image):
-        base, _ = baseline_decode(rand_image, [1, 2, 3], rand_cfg, rand_weights,
-                                  max_tokens=8, eos_id=rand_cfg.eos_id)
+        base, _ = baseline_decode(rand_image, [1, 2, 3], rand_cfg, rand_weights, max_tokens=8)
         seg = half_seg(rand_cfg.image_side, rand_cfg.image_side, "left")
         for gamma in (0.0, 0.5, 1.0, 1.5):
             p = params_for(rand_cfg, alpha=1.0, beta=1.0, gamma=gamma)
@@ -196,9 +196,8 @@ class TestDecode:
                     assert max(abs(fused[i] - v) for i, v in branch) < 1e-6
 
     def test_neutral_mask_reduces_to_baseline(self, rand_cfg, rand_weights, rand_image):
-        base, _ = baseline_decode(rand_image, [1, 2, 3], rand_cfg, rand_weights,
-                                  max_tokens=8, eos_id=rand_cfg.eos_id)
-        seg = SegMask.from_array(np.zeros((16, 16), dtype=np.uint8))
+        base, _ = baseline_decode(rand_image, [1, 2, 3], rand_cfg, rand_weights, max_tokens=8)
+        seg = SegMask(np.zeros((16, 16), dtype=np.uint8))
         p = params_for(rand_cfg, alpha=0.01, beta=5.0, gamma=1.5)
         ids, _ = decode(rand_image, seg, [1, 2, 3], rand_cfg, rand_weights, p)
         assert ids == base
@@ -249,7 +248,10 @@ class TestDecode:
         seg = half_seg(16, 16, "left")
         p = params_for(rand_cfg, max_tokens=4)
         ids, trace = decode(rand_image, seg, [1], rand_cfg, rand_weights, p, topk=3)
-        header = trace.header_obj()
+        header, *records = map(json.loads, trace.to_jsonl().splitlines())
+        assert set(header) == {"mode", "params", "config", "fixture_digest", "mask_digest",
+                               "topk"}
+        assert header["mode"] == "guided" and header["topk"] == 3
         assert header["params"]["alpha"] == 0.01
         assert header["params"]["beta"] == 5.0
         assert header["params"]["gamma"] == 1.5
@@ -262,6 +264,10 @@ class TestDecode:
             scores = [v for _, v in step.fused_topk]
             assert scores == sorted(scores, reverse=True)
         assert [s.chosen for s in trace.steps] == ids
+        for step, record in zip(trace.steps, records, strict=True):
+            assert record == {"t": step.t, "chosen": step.chosen,
+                              **{k: [list(e) for e in getattr(step, k)]
+                                 for k in ("guided_topk", "unguided_topk", "fused_topk")}}
 
     def test_trace_bytes_deterministic(self, rand_cfg, rand_weights, rand_image):
         seg = half_seg(16, 16, "left")
@@ -293,8 +299,7 @@ class TestDecode:
 
 class TestSweep:
     def test_neutral_grid_matches_baseline(self, steer_cfg, steer_weights, steer_image, left_seg):
-        base, _ = baseline_decode(steer_image, [0], steer_cfg, steer_weights,
-                                  max_tokens=1, eos_id=steer_cfg.eos_id)
+        base, _ = baseline_decode(steer_image, [0], steer_cfg, steer_weights, max_tokens=1)
         p = params_for(steer_cfg, alpha=1.0, max_tokens=1)
         rows = sweep(steer_image, left_seg, [0], steer_cfg, steer_weights, [1.0], [1.0], p)
         assert len(rows) == 1

@@ -46,6 +46,13 @@ def brute_downsample(pixels: np.ndarray, out_rows: int, out_cols: int, tau: floa
     return cells
 
 
+def with_pixel(value, dtype) -> np.ndarray:
+    """A (3, 4) zero array of ``dtype`` holding ``value`` at one pixel."""
+    pixels = np.zeros((3, 4), dtype=dtype)
+    pixels[2, 1] = value
+    return pixels
+
+
 @st.composite
 def spec_and_seg(draw):
     spec = GridSpec(
@@ -56,7 +63,7 @@ def spec_and_seg(draw):
     h = draw(st.integers(spec.local_rows, 32))
     w = draw(st.integers(spec.local_cols, 32))
     pixels = draw(hnp.arrays(np.uint8, (h, w), elements=st.integers(0, 1)))
-    return spec, SegMask.from_array(pixels)
+    return spec, SegMask(pixels)
 
 
 class TestExpectedLength:
@@ -74,41 +81,58 @@ class TestExpectedLength:
 
 class TestDownsample:
     def test_all_zero(self):
-        seg = SegMask.from_array(np.zeros((24, 24), dtype=np.uint8))
+        seg = SegMask(np.zeros((24, 24), dtype=np.uint8))
         assert not downsample(seg, 12, 12, 0.0).any()
 
     def test_all_one(self):
-        seg = SegMask.from_array(np.ones((24, 24), dtype=np.uint8))
+        seg = SegMask(np.ones((24, 24), dtype=np.uint8))
         assert downsample(seg, 12, 12, 0.0).all()
 
     def test_single_pixel(self):
         pixels = np.zeros((4, 4), dtype=np.uint8)
         pixels[0, 0] = 1
-        grid = downsample(SegMask.from_array(pixels), 2, 2, 0.0)
+        grid = downsample(SegMask(pixels), 2, 2, 0.0)
         expected = np.array([[1, 0], [0, 0]], dtype=np.uint8)
         assert (grid == expected).all()
 
     def test_identity_at_same_resolution(self):
         rng = np.random.default_rng(3)
         pixels = rng.integers(0, 2, size=(7, 9), dtype=np.uint8)
-        grid = downsample(SegMask.from_array(pixels), 7, 9, 0.0)
+        grid = downsample(SegMask(pixels), 7, 9, 0.0)
         assert (grid == pixels).all()
 
     def test_threshold_is_strict(self):
         # coverage exactly tau must not trigger
-        seg = SegMask.from_array(np.array([[1, 0]], dtype=np.uint8))
+        seg = SegMask(np.array([[1, 0]], dtype=np.uint8))
         assert downsample(seg, 1, 1, 0.5)[0, 0] == 0
         assert downsample(seg, 1, 1, 0.49)[0, 0] == 1
 
-    @pytest.mark.parametrize("bad", [2, 255])
-    def test_seg_mask_rejects_non_binary_pixels(self, bad):
-        pixels = np.zeros((3, 4), dtype=np.uint8)
-        pixels[2, 1] = bad
+    @pytest.mark.parametrize("pixels", [
+        pytest.param(with_pixel(2, np.uint8), id="2"),
+        pytest.param(with_pixel(255, np.uint8), id="255"),
+        # a uint8 cast would read these four as 0, 1, 0 and 1
+        pytest.param(with_pixel(256, np.int64), id="int-256"),
+        pytest.param(with_pixel(-255, np.int64), id="int-minus-255"),
+        pytest.param(with_pixel(0.5, np.float64), id="float-0.5"),
+        pytest.param(with_pixel(1.9, np.float64), id="float-1.9"),
+        pytest.param([[256]], id="list-256"),
+    ])
+    def test_seg_mask_rejects_non_binary_pixels(self, pixels):
         with pytest.raises(InputError):
-            SegMask(width=4, height=3, pixels=pixels)
+            SegMask(pixels)
+
+    def test_seg_mask_shape_checks(self):
+        with pytest.raises(ShapeError):
+            SegMask(np.zeros(3, dtype=np.uint8))
+        with pytest.raises(InputError):
+            SegMask(np.zeros((0, 3), dtype=np.uint8))
+        seg = SegMask(np.array([[True, False, False], [False, False, True]]))
+        assert (seg.width, seg.height) == (3, 2)
+        assert seg.pixels.dtype == np.uint8
+        assert seg.pixels.tolist() == [[1, 0, 0], [0, 0, 1]]
 
     def test_rejects_upsampling_and_bad_args(self):
-        seg = SegMask.from_array(np.zeros((4, 4), dtype=np.uint8))
+        seg = SegMask(np.zeros((4, 4), dtype=np.uint8))
         with pytest.raises(InputError):
             downsample(seg, 5, 4, 0.0)
         with pytest.raises(InputError):
@@ -131,7 +155,7 @@ class TestDownsample:
         # each axis is reduced on its own path, so draw the two sizes independently
         out_r = data.draw(st.integers(1, h), label="out_rows")
         out_c = data.draw(st.integers(1, w), label="out_cols")
-        got = downsample(SegMask.from_array(pixels), out_r, out_c, tau)
+        got = downsample(SegMask(pixels), out_r, out_c, tau)
         assert (got == brute_downsample(pixels, out_r, out_c, tau)).all()
 
     @settings(max_examples=40, deadline=None)
@@ -141,7 +165,7 @@ class TestDownsample:
         delta=st.floats(0.0, 0.09),
     )
     def test_monotone_in_tau(self, pixels, tau_lo, delta):
-        seg = SegMask.from_array(pixels)
+        seg = SegMask(pixels)
         lo = downsample(seg, 4, 4, tau_lo)
         hi = downsample(seg, 4, 4, tau_lo + delta)
         assert (hi <= lo).all()
@@ -272,12 +296,12 @@ class TestMaskFromBBox:
 
 class TestGenerateTokenMask:
     def test_all_zero_seg(self):
-        seg = SegMask.from_array(np.zeros((24, 24), dtype=np.uint8))
+        seg = SegMask(np.zeros((24, 24), dtype=np.uint8))
         assert not generate_token_mask(seg, GridSpec(side=12)).values.any()
 
     def test_all_one_seg_fills_non_separators(self):
         spec = GridSpec(side=12)
-        seg = SegMask.from_array(np.ones((24, 24), dtype=np.uint8))
+        seg = SegMask(np.ones((24, 24), dtype=np.uint8))
         mask = generate_token_mask(seg, spec)
         sep = np.array([s.endswith("_sep") for s in segment_labels(spec)])
         assert mask.values[~sep].all()
@@ -298,7 +322,7 @@ class TestGenerateTokenMask:
             assert (block[:, 6:] == 0).all()
 
     def test_undersized_seg_rejected(self):
-        seg = SegMask.from_array(np.zeros((8, 8), dtype=np.uint8))
+        seg = SegMask(np.zeros((8, 8), dtype=np.uint8))
         with pytest.raises(InputError):
             generate_token_mask(seg, GridSpec(side=12))
 
@@ -318,8 +342,8 @@ class TestGenerateTokenMask:
     )
     def test_set_monotonicity(self, pixels, keep):
         spec = GridSpec(side=4)
-        sub = SegMask.from_array(pixels * keep)
-        sup = SegMask.from_array(pixels)
+        sub = SegMask(pixels * keep)
+        sup = SegMask(pixels)
         m_sub = generate_token_mask(sub, spec)
         m_sup = generate_token_mask(sup, spec)
         assert (m_sub.values <= m_sup.values).all()
@@ -327,7 +351,7 @@ class TestGenerateTokenMask:
     def test_pure_and_deterministic(self):
         rng = np.random.default_rng(5)
         pixels = rng.integers(0, 2, size=(16, 16), dtype=np.uint8)
-        seg = SegMask.from_array(pixels)
+        seg = SegMask(pixels)
         spec = GridSpec(side=4)
         a = generate_token_mask(seg, spec)
         b = generate_token_mask(seg, spec)
@@ -350,16 +374,9 @@ class TestPgmAndJson:
         path = tmp_path / "m.pgm"
         rng = np.random.default_rng(0)
         data = rng.integers(0, 256, size=(5, 7))
-        write_pgm(path, data, binary=True)
+        write_pgm(path, data)
         samples, _ = read_pgm(path)
         assert (samples == data).all()
-
-    def test_p2_writer(self, tmp_path):
-        path = tmp_path / "m.pgm"
-        write_pgm(path, np.array([[0, 1], [1, 0]]), maxval=1, binary=False)
-        samples, maxval = read_pgm(path)
-        assert maxval == 1
-        assert samples.tolist() == [[0, 1], [1, 0]]
 
     def test_malformed_pgm(self, tmp_path):
         bad_magic = tmp_path / "a.pgm"
@@ -396,7 +413,7 @@ class TestPgmAndJson:
         pixels = np.zeros((4, 8), dtype=np.uint8)
         pixels[1:4, 0:3] = 1
         pixels[0, 7] = 1
-        mask = generate_token_mask(SegMask.from_array(pixels), GridSpec(2, 1, 2), tau=0.25)
+        mask = generate_token_mask(SegMask(pixels), GridSpec(2, 1, 2), tau=0.25)
         assert token_mask_to_json(mask, tau=0.25) == (
             '{"G":[1,2],"L":2,"length":17,"segments":["local","local","local","local",'
             '"local_sep","local","local","local","local","local_sep","mid_sep","global",'

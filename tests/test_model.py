@@ -23,15 +23,31 @@ from regioncd import (
     generate_token_mask,
     load_weights,
     save_weights,
-    splitmix64,
 )
 from regioncd.errors import FormatError
 from regioncd import model
 from regioncd.masks import segment_labels
 from regioncd.model import NORM_EPS, _gelu, _rms_norm, attention
-from regioncd.weights import RANDOM_INIT_HI, RANDOM_INIT_LO, tensor_spec
+from regioncd.weights import (
+    _GAMMA64, _MASK64, _MIX1, _MIX2, RANDOM_INIT_HI, RANDOM_INIT_LO, tensor_spec,
+)
 
 from conftest import forward_logits, half_seg, recorded_attention
+
+
+def splitmix64(seed: int):
+    """Yield the splitmix64 sequence for ``seed``, one step at a time in pure integer math.
+
+    The reference for ``regioncd.weights._splitmix64_outputs``, which computes
+    the same values for a whole range of steps at once.
+    """
+    state = seed & _MASK64
+    while True:
+        state = (state + _GAMMA64) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        yield z ^ (z >> 31)
 
 
 def with_tensors(w: WeightSet, **replacements) -> WeightSet:
@@ -162,7 +178,7 @@ class TestEncoder:
     )
     def test_length_for_other_grids(self, cfg):
         w = gen_fixture("random-v1", 1, cfg)
-        img = GrayImage.from_array(np.zeros((cfg.image_side, cfg.image_side)))
+        img = GrayImage(np.zeros((cfg.image_side, cfg.image_side)))
         assert len(encode_image(img, cfg, w)) == expected_length(cfg.grid())
 
     def test_zero_projection_leaves_positional_only(self, rand_cfg, rand_weights):
@@ -171,7 +187,7 @@ class TestEncoder:
             patch_proj__weight=np.zeros((rand_cfg.embed_dim, 1)),
             patch_proj__bias=np.zeros(rand_cfg.embed_dim),
         )
-        img = GrayImage.from_array(np.zeros((rand_cfg.image_side, rand_cfg.image_side)))
+        img = GrayImage(np.zeros((rand_cfg.image_side, rand_cfg.image_side)))
         visual = encode_image(img, rand_cfg, w)
         pos = w.tensors["pos_embed"].astype(np.float64)
         for i, label in enumerate(segment_labels(rand_cfg.grid())):
@@ -183,8 +199,8 @@ class TestEncoder:
         base = np.zeros((side, side))
         changed = base.copy()
         changed[0:4, 0:4] = 1.0  # exactly the first 4x4 patch block
-        va = encode_image(GrayImage.from_array(base), rand_cfg, rand_weights)
-        vb = encode_image(GrayImage.from_array(changed), rand_cfg, rand_weights)
+        va = encode_image(GrayImage(base), rand_cfg, rand_weights)
+        vb = encode_image(GrayImage(changed), rand_cfg, rand_weights)
         diff = np.where(np.any(va.embeddings != vb.embeddings, axis=1))[0].tolist()
         local_len = rand_cfg.feature_side * (rand_cfg.feature_side + 1)
         assert diff == [0, local_len + 1]  # local cell (0,0) and global cell (0,0)
@@ -220,22 +236,34 @@ class TestEncoder:
         spec = cfg.grid()
         w = gen_fixture("random-v1", 2, cfg)
         base = np.zeros((cfg.image_side, cfg.image_side))
-        va = encode_image(GrayImage.from_array(base), cfg, w)
+        va = encode_image(GrayImage(base), cfg, w)
         bh, bw = cfg.image_side // spec.local_rows, cfg.image_side // spec.local_cols
         for r in range(spec.local_rows):
             for c in range(spec.local_cols):
                 block = base.copy()
                 block[r * bh : (r + 1) * bh, c * bw : (c + 1) * bw] = 1.0
-                vb = encode_image(GrayImage.from_array(block), cfg, w)
+                vb = encode_image(GrayImage(block), cfg, w)
                 moved = np.any(va.embeddings != vb.embeddings, axis=1)
-                mask = generate_token_mask(SegMask.from_array(block), spec)
+                mask = generate_token_mask(SegMask(block), spec)
                 assert mask.positive_count() == 2
                 assert (moved == (mask.values == 1)).all()
 
     def test_dimension_mismatch(self, rand_cfg, rand_weights):
-        img = GrayImage.from_array(np.zeros((8, 8)))
+        img = GrayImage(np.zeros((8, 8)))
         with pytest.raises(ShapeError):
             encode_image(img, rand_cfg, rand_weights)
+
+    def test_image_checks(self):
+        img = GrayImage(np.array([[0, 1, 0], [1, 1, 0]], dtype=np.uint8))
+        assert (img.width, img.height) == (3, 2)
+        assert img.intensities.dtype == np.float64
+        with pytest.raises(ShapeError):
+            GrayImage(np.zeros(3))
+        with pytest.raises(NumericError):
+            GrayImage(np.array([[0.5, np.nan]]))
+        for bad in ([[1.5]], [[-0.1]], np.full((1, 1), 255, dtype=np.uint8)):
+            with pytest.raises(InputError):
+                GrayImage(bad)
 
 
 class TestForwardPass:
@@ -417,7 +445,7 @@ def tiled_inputs():
     """Config, weights and image of a 199-token visual prefix: three full query tiles and 7 rows."""
     cfg = ModelConfig(vocab_size=16, embed_dim=32, n_heads=4, n_layers=2, feature_side=6,
                       crop_rows=2, crop_cols=2, image_side=12, max_seq=256)
-    img = GrayImage.from_array(np.random.default_rng(3).random((12, 12)))
+    img = GrayImage(np.random.default_rng(3).random((12, 12)))
     return cfg, gen_fixture("random-v1", 11, cfg), img
 
 
