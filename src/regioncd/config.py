@@ -128,13 +128,6 @@ class GuidanceParams:
             raise InputError("eos_id must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "tau": self.tau,
-            "L": self.spec.side,
-            "G": [self.spec.crop_rows, self.spec.crop_cols],
-            "max_tokens": self.max_tokens,
-            "eos_id": self.eos_id,
-        }
+        """The fields, with ``spec`` written as ``L`` and ``G`` (rows, cols)."""
+        obj = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "spec"}
+        return {**obj, "L": self.spec.side, "G": [self.spec.crop_rows, self.spec.crop_cols]}

@@ -13,6 +13,10 @@ The two branches are the two rows of one :class:`DecoderSession`, stacked
 after each has been prefilled and has read the prompt, so every step is one
 forward pass for both. A session holds one ``text_ids`` list for all its
 rows: both branches always consume the same generated prefix.
+
+:func:`decode` and :func:`sweep` run one engine over a list of (beta, gamma)
+cells: one unguided prefill serves every cell, one guided prefill serves all
+cells of a beta, and ``decode`` is the one-cell case.
 """
 
 from __future__ import annotations
@@ -136,7 +140,7 @@ def _run_steps(
     params: GuidanceParams,
     topk: int,
     pick: Callable[[np.ndarray], int],
-) -> tuple[list[int], list[StepRecord]]:
+) -> list[StepRecord]:
     """The step loop from the prompt logits ``(rows, vocab)`` of ``session``.
 
     Two rows are (guided, unguided), whose fused scores are
@@ -145,7 +149,6 @@ def _run_steps(
     from the fused scores; the session is extended with every chosen token
     except the last.
     """
-    out: list[int] = []
     steps: list[StepRecord] = []
     for t in range(params.max_tokens):
         lps = [log_softmax(x) for x in logits]
@@ -163,11 +166,46 @@ def _run_steps(
                 chosen=chosen,
             )
         )
-        out.append(chosen)
         if chosen == params.eos_id or t + 1 == params.max_tokens:
             break
         logits = session.extend_with_tokens([chosen])
-    return out, steps
+    return steps
+
+
+def _run_cells(
+    img: GrayImage,
+    seg: SegMask,
+    prompt: list[int],
+    cfg: ModelConfig,
+    w: WeightSet,
+    cells: list[GuidanceParams],
+    topk: int,
+    pick: Callable[[np.ndarray], int],
+) -> tuple[TokenMask, list[list[StepRecord]]]:
+    """The guided decode of every cell; returns (token mask, each cell's steps).
+
+    The cells differ in beta and gamma only. Each stacks the two
+    prompt-extended sessions into a two-row session of its own. All cells of
+    a beta run, and its guided session is freed, before the next guided
+    prefill, so no more than two prefilled sessions are alive at once.
+    """
+    base = cells[0]
+    _check_request(prompt, cfg, base, topk)
+    mask = generate_token_mask(seg, base.spec, base.tau)
+    visual = encode_image(img, cfg, w)
+    unguided = DecoderSession(cfg, w, suppress_tokens(visual, mask, base.alpha))
+    logits_u = unguided.extend_with_tokens(prompt)
+    steps: dict[int, list[StepRecord]] = {}
+    for beta in dict.fromkeys(cell.beta for cell in cells):
+        guided = DecoderSession(cfg, w, visual, attn_policy=(mask.values, beta))
+        logits = np.concatenate([guided.extend_with_tokens(prompt), logits_u])
+        for i, cell in enumerate(cells):
+            if cell.beta == beta:
+                # the stack is passed inline, so its KV cache is freed with its cell
+                steps[i] = _run_steps(DecoderSession.stack([guided, unguided]), logits, cell,
+                                      topk, pick)
+        del guided
+    return mask, [steps[i] for i in range(len(cells))]
 
 
 def decode(
@@ -188,17 +226,11 @@ def decode(
     renormalized by log-softmax and the next token drawn at the given
     temperature (seeded, reproducible).
     """
-    _check_request(prompt, cfg, params, topk)
     if not math.isfinite(temperature) or (sample and temperature <= 0.0):
         raise InputError(f"temperature must be finite, and positive when sampling, "
                          f"got {temperature}")
     if sample and seed < 0:
         raise InputError(f"sampling seed must be >= 0, got {seed}")
-    mask = generate_token_mask(seg, params.spec, params.tau)
-    visual = encode_image(img, cfg, w)
-    guided = DecoderSession(cfg, w, visual, attn_policy=(mask.values, params.beta))
-    unguided = DecoderSession(cfg, w, suppress_tokens(visual, mask, params.alpha))
-
     pick = _greedy_pick
     if sample:
         rng = np.random.default_rng(seed)
@@ -211,8 +243,7 @@ def decode(
             probs = np.exp(log_softmax(scaled))
             return int(rng.choice(cfg.vocab_size, p=probs / probs.sum()))
 
-    logits = np.concatenate([s.extend_with_tokens(prompt) for s in (guided, unguided)])
-    out, steps = _run_steps(DecoderSession.stack([guided, unguided]), logits, params, topk, pick)
+    mask, (steps,) = _run_cells(img, seg, prompt, cfg, w, [params], topk, pick)
     trace = DecodeTrace(
         params=params.to_dict(),
         config=cfg.to_dict(),
@@ -221,7 +252,7 @@ def decode(
         topk=topk,
         steps=steps,
     )
-    return out, trace
+    return [s.chosen for s in steps], trace
 
 
 def baseline_decode(
@@ -240,8 +271,7 @@ def baseline_decode(
     params = GuidanceParams(spec=cfg.grid(), max_tokens=max_tokens, eos_id=cfg.eos_id)
     _check_request(prompt, cfg, params, topk)
     session = DecoderSession(cfg, w, encode_image(img, cfg, w))
-    out, steps = _run_steps(session, session.extend_with_tokens(prompt), params, topk,
-                            _greedy_pick)
+    steps = _run_steps(session, session.extend_with_tokens(prompt), params, topk, _greedy_pick)
     trace = DecodeTrace(
         params={"max_tokens": max_tokens, "eos_id": cfg.eos_id},
         config=cfg.to_dict(),
@@ -251,7 +281,7 @@ def baseline_decode(
         mode="baseline",
         steps=steps,
     )
-    return out, trace
+    return [s.chosen for s in steps], trace
 
 
 @dataclass
@@ -274,13 +304,8 @@ def sweep(
 ) -> list[SweepRow]:
     """One greedy decode per (beta, gamma) pair, beta-major row order.
 
-    Each cell is ``params`` with its beta and gamma replaced. The prefills
-    are shared per distinct branch input: the unguided branch depends on
-    neither beta nor gamma and the guided branch only on beta, so a sweep
-    runs one unguided prefill and one guided prefill per distinct beta. Every
-    cell stacks those two prompt-extended sessions into a two-row session of
-    its own, whose one ``text_ids`` list both branches extend. The rows are
-    identical to running :func:`decode` on each cell.
+    Each cell is ``params`` with its beta and gamma replaced, and its row is
+    what :func:`decode` returns for that cell.
 
     ``step1_margin`` is the gap between the best and second-best fused
     scores at the first step, a scalar view of how decisively the guidance
@@ -289,29 +314,13 @@ def sweep(
     if not beta_list or not gamma_list:
         raise InputError("beta and gamma lists must be non-empty")
     cells = [replace(params, beta=b, gamma=g) for b in beta_list for g in gamma_list]
-    topk = max(2, DEFAULT_TOPK)
-    _check_request(prompt, cfg, params, topk)
-    mask = generate_token_mask(seg, params.spec, params.tau)
-    visual = encode_image(img, cfg, w)
-    unguided = DecoderSession(cfg, w, suppress_tokens(visual, mask, params.alpha))
-    logits_u = unguided.extend_with_tokens(prompt)
-
-    rows: list[SweepRow | None] = [None] * len(cells)
-    # All cells of one beta run, and its session is freed, before the next guided
-    # prefill, so no more than two prefilled sessions are alive at once, as in decode.
-    for beta in dict.fromkeys(run.beta for run in cells):
-        guided = DecoderSession(cfg, w, visual, attn_policy=(mask.values, beta))
-        logits = np.concatenate([guided.extend_with_tokens(prompt), logits_u])
-        for i, run in enumerate(cells):
-            if run.beta != beta:
-                continue
-            ids, steps = _run_steps(DecoderSession.stack([guided, unguided]), logits, run, topk,
-                                    _greedy_pick)
-            fused = steps[0].fused_topk
-            rows[i] = SweepRow(beta=float(run.beta), gamma=float(run.gamma), output_ids=ids,
-                               step1_margin=fused[0][1] - fused[1][1])
-        del guided
-    return rows
+    _, records = _run_cells(img, seg, prompt, cfg, w, cells, DEFAULT_TOPK, _greedy_pick)
+    return [
+        SweepRow(beta=float(cell.beta), gamma=float(cell.gamma),
+                 output_ids=[s.chosen for s in steps],
+                 step1_margin=steps[0].fused_topk[0][1] - steps[0].fused_topk[1][1])
+        for cell, steps in zip(cells, records)
+    ]
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:

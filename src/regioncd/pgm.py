@@ -2,38 +2,35 @@
 read, and P5 is written.
 
 Comments starting with ``#`` are allowed anywhere in the header and, for
-P2 files, between samples as well.
+P2 files, between samples as well. Every header field and every P2 sample
+is an unsigned decimal: ASCII digits only, so a sign, an underscore or a
+value beyond int64 is a :class:`FormatError`.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
 
 from regioncd.errors import FormatError
 
-_WHITESPACE = b" \t\r\n\v\f"
+# a comment runs to the end of its line; header fields are separated by
+# whitespace or comments, and a P2 body is its samples once comments are removed
+_COMMENT = rb"#[^\r\n]*"
+_HEADER = re.compile(rb"P[25]" + (rb"(?:\s|" + _COMMENT + rb"[\r\n])+([^\s#]+)") * 3)
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Return the next header token and the index just past it."""
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < n and data[pos : pos + 1] not in b"\r\n":
-                pos += 1
-        elif c in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise FormatError("unexpected end of PGM header")
-    start = pos
-    while pos < n and data[pos : pos + 1] not in _WHITESPACE and data[pos : pos + 1] != b"#":
-        pos += 1
-    return data[start:pos], pos
+def _unsigned(path: str | Path, what: str, tokens: list[bytes]) -> np.ndarray:
+    """``tokens`` as an int64 array, each required to be ASCII digits that fit int64."""
+    bad = next((t for t in tokens if not t.isdigit()), None)
+    if bad is not None:
+        raise FormatError(f"{path}: {what} {bad!r} is not an unsigned decimal")
+    try:
+        return np.array(tokens).astype(np.int64)
+    except OverflowError:
+        raise FormatError(f"{path}: {what} too large for int64") from None
 
 
 def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
@@ -42,15 +39,11 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise FormatError(f"{path}: not a PGM file (magic {magic!r})")
-    pos = 2
-    fields = []
-    for name in ("width", "height", "maxval"):
-        token, pos = _next_token(data, pos)
-        try:
-            fields.append(int(token))
-        except ValueError:
-            raise FormatError(f"{path}: non-numeric {name} field {token!r}") from None
-    width, height, maxval = fields
+    header = _HEADER.match(data)
+    if header is None:
+        raise FormatError(f"{path}: PGM header needs width, height and maxval")
+    width, height, maxval = _unsigned(path, "header field", list(header.groups())).tolist()
+    pos = header.end()
     if width < 1 or height < 1:
         raise FormatError(f"{path}: bad dimensions {width}x{height}")
     if not 1 <= maxval <= 255:
@@ -64,27 +57,27 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
             raise FormatError(f"{path}: raster truncated ({len(raster)} of {count} bytes)")
         values = np.frombuffer(raster, dtype=np.uint8).astype(np.int64)
     else:
-        values = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            token, pos = _next_token(data, pos)
-            try:
-                values[i] = int(token)
-            except ValueError:
-                raise FormatError(f"{path}: non-numeric sample {token!r}") from None
+        tokens = re.sub(_COMMENT, b" ", data[pos:]).split()[:count]
+        if len(tokens) != count:
+            raise FormatError(f"{path}: {len(tokens)} of {count} samples")
+        values = _unsigned(path, "sample", tokens)
     if values.max(initial=0) > maxval:
         raise FormatError(f"{path}: sample exceeds declared maxval {maxval}")
     return values.reshape(height, width), maxval
 
 
 def write_pgm(path: str | Path, samples: np.ndarray, maxval: int = 255) -> None:
-    """Write a (height, width) integer array as P5 (binary)."""
+    """Write a (height, width) integer array as P5 (binary); other samples raise FormatError."""
     arr = np.asarray(samples)
     if arr.ndim != 2:
         raise FormatError("samples must be a 2-D array")
     if not 1 <= maxval <= 255:
         raise FormatError(f"maxval {maxval} outside [1, 255]")
-    if arr.min(initial=0) < 0 or arr.max(initial=0) > maxval:
+    if not ((arr >= 0) & (arr <= maxval)).all():
         raise FormatError("sample values outside [0, maxval]")
+    raster = arr.astype(np.uint8)
+    if (raster != arr).any():
+        raise FormatError("samples must be integers")
     height, width = arr.shape
     header = f"P5\n{width} {height}\n{maxval}\n"
-    Path(path).write_bytes(header.encode("ascii") + arr.astype(np.uint8).tobytes())
+    Path(path).write_bytes(header.encode("ascii") + raster.tobytes())

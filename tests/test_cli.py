@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regioncd import STEER_CONFIG, gen_fixture, save_weights
 from regioncd.cli import main
 from regioncd.pgm import write_pgm
+from regioncd.verification import _write_steer_artifacts
 
 
 # what the CLI's catch-all handler prints for an exception it was not written for
@@ -38,19 +38,9 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
 
 
 @pytest.fixture(scope="module")
-def steer_files(tmp_path_factory, steer_image, left_seg):
+def steer_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("steer")
-    paths = {
-        "weights": root / "steer.json",
-        "image": root / "img.pgm",
-        "left": root / "left.pgm",
-        "zero": root / "zero.pgm",
-    }
-    save_weights(gen_fixture("steer-v1", 0, STEER_CONFIG), paths["weights"])
-    write_pgm(paths["image"], np.rint(steer_image.intensities * 255).astype(np.uint8))
-    write_pgm(paths["left"], left_seg.pixels * 255)
-    write_pgm(paths["zero"], np.zeros((8, 8), dtype=np.uint8))
-    files = {k: str(v) for k, v in paths.items()}
+    files = {k: str(v) for k, v in _write_steer_artifacts(root).items()}
     files["fuzz_out"] = root / "fuzz.jsonl"
     return files
 
@@ -130,7 +120,7 @@ class TestCmdMask:
 class TestCmdDecode:
     def test_defaults_echoed_in_header(self, steer_files, tmp_path, capsys):
         out = tmp_path / "trace.jsonl"
-        code = main(["decode", "--image", steer_files["image"], "--seg", steer_files["left"],
+        code = main(["decode", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
                      "--weights", steer_files["weights"], "--prompt", "0",
                      "--max-tokens", "1", "--out", str(out)])
         assert code == 0
@@ -143,7 +133,7 @@ class TestCmdDecode:
         assert len(header["mask_digest"]) == 64
 
     def test_steer_left_emits_token_two(self, steer_files, capsys):
-        code = main(["decode", "--image", steer_files["image"], "--seg", steer_files["left"],
+        code = main(["decode", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
                      "--weights", steer_files["weights"], "--prompt", "0",
                      "--beta", "9", "--max-tokens", "1"])
         assert code == 0
@@ -152,7 +142,7 @@ class TestCmdDecode:
     def test_neutral_params_match_baseline(self, steer_files, capsys):
         args = ["decode", "--image", steer_files["image"], "--weights",
                 steer_files["weights"], "--prompt", "0", "--max-tokens", "3"]
-        assert main(args + ["--seg", steer_files["left"], "--alpha", "1",
+        assert main(args + ["--seg", steer_files["seg_left"], "--alpha", "1",
                             "--beta", "1", "--gamma", "1"]) == 0
         guided_out = capsys.readouterr().out
         assert main(args + ["--baseline"]) == 0
@@ -161,7 +151,7 @@ class TestCmdDecode:
 
     def test_trace_bytes_idempotent(self, steer_files, tmp_path):
         out = tmp_path / "t.jsonl"
-        args = ["decode", "--image", steer_files["image"], "--seg", steer_files["left"],
+        args = ["decode", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
                 "--weights", steer_files["weights"], "--prompt", "0",
                 "--max-tokens", "2", "--out", str(out)]
         assert main(args) == 0
@@ -174,7 +164,7 @@ class TestCmdDecode:
                      "--weights", steer_files["weights"], "--prompt", "0"]) == 2
 
     def test_invalid_guidance_values(self, steer_files):
-        base = ["decode", "--image", steer_files["image"], "--seg", steer_files["left"],
+        base = ["decode", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
                 "--weights", steer_files["weights"], "--prompt", "0"]
         assert main(base + ["--alpha", "1.5"]) == 2
         assert main(base + ["--beta", "0.5"]) == 2
@@ -184,7 +174,7 @@ class TestCmdDecode:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_guidance_values(self, steer_files, tmp_path, flag, value):
         out = tmp_path / "t.jsonl"
-        assert main(["decode", "--image", steer_files["image"], "--seg", steer_files["left"],
+        assert main(["decode", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
                      "--weights", steer_files["weights"], "--prompt", "0", flag, value,
                      "--out", str(out)]) == 2
         assert not out.exists()
@@ -205,7 +195,7 @@ class TestCmdDecode:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, stdout, _ = run_cli([
-                "decode", "--image", steer_files["image"], "--seg", steer_files["left"],
+                "decode", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
                 "--weights", steer_files["weights"], "--prompt", "0", "--beta", "1e308",
                 "--max-tokens", "3", "--out", str(out)])
         assert code == 0
@@ -223,7 +213,7 @@ class TestCmdDecode:
                                        ["--baseline", "--topk=-3"]], ids=" ".join)
     def test_bad_decode_options_are_input_errors(self, steer_files, tmp_path, flags):
         out = tmp_path / "t.jsonl"
-        region = [] if "--baseline" in flags else ["--seg", steer_files["left"]]
+        region = [] if "--baseline" in flags else ["--seg", steer_files["seg_left"]]
         code, _, stderr = run_cli([
             "decode", "--image", steer_files["image"], "--weights", steer_files["weights"],
             "--prompt", "0", "--out", str(out)] + region + flags)
@@ -235,7 +225,7 @@ class TestCmdDecode:
                                       "--tau", "--sample", "--temperature", "--seed"])
     def test_baseline_rejects_guided_options(self, steer_files, tmp_path, flag):
         # each value is valid, or the library default, or the nan that used to exit 0
-        value = {"--seg": [steer_files["left"]],
+        value = {"--seg": [steer_files["seg_left"]],
                  "--bbox": ['{"x_min": 0, "y_min": 0, "x_max": 4, "y_max": 8}'],
                  "--alpha": ["1"], "--beta": ["5"], "--gamma": ["nan"], "--tau": ["0"],
                  "--sample": [], "--temperature": ["0.0001"], "--seed": ["0"]}[flag]
@@ -253,7 +243,7 @@ class TestCmdDecode:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, _, stderr = run_cli([
-                "decode", "--image", steer_files["image"], "--seg", steer_files["left"],
+                "decode", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
                 "--weights", steer_files["weights"], "--prompt", "0", "--gamma", "1e308",
                 "--out", str(out)])
         assert code == 3
@@ -287,7 +277,7 @@ class TestCmdDecode:
         if baseline:  # --baseline rejects every guided-only option
             argv += ["--baseline"]
         else:
-            argv += ["--seg", steer_files["left"], f"--seed={seed}"]
+            argv += ["--seg", steer_files["seg_left"], f"--seed={seed}"]
             argv += [f"--{name}={value!r}" for name, value in guidance.items()]
             argv += ["--sample"] * sample
         with warnings.catch_warnings():
@@ -308,7 +298,7 @@ class TestCmdDecode:
         raw[0:4] = struct.pack("<f", float("nan"))
         obj["tensors"][0]["data"] = base64.b64encode(bytes(raw)).decode("ascii")
         path.write_text(json.dumps(obj))
-        code = main(["decode", "--image", steer_files["image"], "--seg", steer_files["left"],
+        code = main(["decode", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
                      "--weights", str(path), "--prompt", "0"])
         assert code == 3
 
@@ -321,8 +311,9 @@ class TestCmdDecode:
         obj = json.loads(Path(steer_files["weights"]).read_text())
         obj["config"][field] = value
         path.write_text(json.dumps(obj))
-        code, _, stderr = run_cli(["decode", "--image", steer_files["image"], "--seg",
-                                   steer_files["left"], "--weights", str(path), "--prompt", "0"])
+        code, _, stderr = run_cli(["decode", "--image", steer_files["image"],
+                                   "--seg", steer_files["seg_left"], "--weights", str(path),
+                                   "--prompt", "0"])
         assert code == 2
         assert field in stderr and not CATCH_ALL.search(stderr), stderr
 
@@ -355,7 +346,7 @@ class TestCmdDecode:
     def test_corrupt_weights_exit_validation(self, steer_files, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        code = main(["decode", "--image", steer_files["image"], "--seg", steer_files["left"],
+        code = main(["decode", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
                      "--weights", str(path), "--prompt", "0"])
         assert code == 2
 
@@ -363,7 +354,7 @@ class TestCmdDecode:
 class TestCmdSweep:
     def test_grid_size_and_determinism(self, steer_files, tmp_path):
         out = tmp_path / "s.csv"
-        args = ["sweep", "--image", steer_files["image"], "--seg", steer_files["left"],
+        args = ["sweep", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
                 "--weights", steer_files["weights"], "--prompt", "0",
                 "--beta", "1,3,5,10", "--gamma", "1.0,1.1,1.3,1.5",
                 "--max-tokens", "1", "--out", str(out)]
@@ -377,7 +368,7 @@ class TestCmdSweep:
 
     def test_single_neutral_row_matches_baseline(self, steer_files, tmp_path, capsys):
         out = tmp_path / "s.csv"
-        code = main(["sweep", "--image", steer_files["image"], "--seg", steer_files["left"],
+        code = main(["sweep", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
                      "--weights", steer_files["weights"], "--prompt", "0", "--alpha", "1",
                      "--beta", "1", "--gamma", "1", "--max-tokens", "2", "--out", str(out)])
         assert code == 0
@@ -391,7 +382,7 @@ class TestCmdSweep:
 
     def test_margin_column_monotone(self, steer_files, tmp_path):
         out = tmp_path / "s.csv"
-        assert main(["sweep", "--image", steer_files["image"], "--seg", steer_files["left"],
+        assert main(["sweep", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
                      "--weights", steer_files["weights"], "--prompt", "0",
                      "--beta", "1,3,5,10", "--gamma", "1.3", "--max-tokens", "1",
                      "--out", str(out)]) == 0
@@ -400,7 +391,7 @@ class TestCmdSweep:
 
     def test_bad_lists(self, steer_files, tmp_path):
         out = tmp_path / "s.csv"
-        assert main(["sweep", "--image", steer_files["image"], "--seg", steer_files["left"],
+        assert main(["sweep", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
                      "--weights", steer_files["weights"], "--prompt", "0",
                      "--beta", "abc", "--gamma", "1", "--out", str(out)]) == 2
 
@@ -415,13 +406,13 @@ class TestCmdSweep:
                                        ["--beta", "3,nan", "--gamma", "1,1.5"]])
     def test_nonfinite_cells_rejected(self, steer_files, tmp_path, flags):
         out = tmp_path / "s.csv"
-        assert main(["sweep", "--image", steer_files["image"], "--seg", steer_files["left"],
+        assert main(["sweep", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
                      "--weights", steer_files["weights"], "--prompt", "0", "--max-tokens", "1",
                      "--out", str(out)] + flags) == 2
         assert not out.exists()
 
     def test_no_topk_option(self, steer_files, tmp_path):
-        assert main(["sweep", "--image", steer_files["image"], "--seg", steer_files["left"],
+        assert main(["sweep", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
                      "--weights", steer_files["weights"], "--prompt", "0", "--topk", "3",
                      "--out", str(tmp_path / "s.csv")]) == 2
 

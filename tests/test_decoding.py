@@ -25,9 +25,10 @@ from regioncd import (
 )
 
 from regioncd.decoding import DEFAULT_TOPK
-from regioncd.model import attention, region_bias
+from regioncd.model import region_bias
+from regioncd.verification import REDUCTION_PROMPT, _reweighted as reweight_attention
 
-from conftest import half_seg
+from conftest import forward_logits, half_seg
 from test_model import steer_logits_by_hand
 
 finite_scores = st.lists(
@@ -75,11 +76,6 @@ class TestSuppressTokens:
         mask = generate_token_mask(seg, GridSpec(side=3))
         with pytest.raises(ShapeError):
             suppress_tokens(visual, mask, 0.5)
-
-
-def reweight_attention(scores, mask, beta) -> np.ndarray:
-    """One attention row through the model's kernel and region bias."""
-    return attention(scores, region_bias(mask, beta))
 
 
 class TestReweightAttention:
@@ -297,6 +293,29 @@ class TestDecode:
                    params_for(rand_cfg, max_tokens=100))
 
 
+def reference_greedy(img, seg, prompt, cfg, w, params) -> tuple[list[int], list[np.ndarray]]:
+    """Greedy guided decode with no KV cache: ids and each step's fused scores.
+
+    Every step builds fresh guided and unguided sessions over ``prompt + ids``
+    and fuses their log-probabilities by the paper's formula, so it shares no
+    session, stacking or cell handling with the decode engine.
+    """
+    mask = generate_token_mask(seg, params.spec, params.tau)
+    visual = encode_image(img, cfg, w)
+    suppressed = suppress_tokens(visual, mask, params.alpha)
+    ids, scores = [], []
+    for _ in range(params.max_tokens):
+        text = prompt + ids
+        g = scipy.special.log_softmax(
+            forward_logits(visual, text, cfg, w, attn_policy=(mask.values, params.beta)))
+        u = scipy.special.log_softmax(forward_logits(suppressed, text, cfg, w))
+        scores.append((1.0 - params.gamma) * u + params.gamma * g)
+        ids.append(int(np.argmax(scores[-1])))
+        if ids[-1] == params.eos_id:
+            break
+    return ids, scores
+
+
 class TestSweep:
     def test_neutral_grid_matches_baseline(self, steer_cfg, steer_weights, steer_image, left_seg):
         base, _ = baseline_decode(steer_image, [0], steer_cfg, steer_weights, max_tokens=1)
@@ -354,6 +373,27 @@ class TestSweep:
             assert row.step1_margin == fused[0][1] - fused[1][1]
         # stacks of one prompt-extended pair must diverge for the check above to bite
         assert len({tuple(r.output_ids) for r in rows}) >= 2
+
+    def test_engine_matches_cache_free_reference(self, rand_cfg, rand_weights, rand_image):
+        betas, gammas = [1.0, 3.0, 10.0], [0.0, 1.5]
+        seg = half_seg(rand_cfg.image_side, rand_cfg.image_side, "left")
+        p = params_for(rand_cfg, max_tokens=8)
+        args = (rand_image, seg, REDUCTION_PROMPT, rand_cfg, rand_weights)
+        rows = sweep(*args, betas, gammas, p)
+        worst = 0.0
+        for row in rows:
+            cell = params_for(rand_cfg, max_tokens=8, beta=row.beta, gamma=row.gamma)
+            ref_ids, ref_scores = reference_greedy(*args, cell)
+            ids, trace = decode(*args, cell)
+            assert ids == row.output_ids == ref_ids
+            for step, ref in zip(trace.steps, ref_scores, strict=True):
+                worst = max([worst] + [abs(v - ref[i]) for i, v in step.fused_topk])
+            top2 = np.sort(ref_scores[0])[-2:]
+            worst = max(worst, abs(row.step1_margin - (top2[1] - top2[0])))
+        assert worst < 1e-12
+        # every beta moves the guided cells' scores, so a cell run at another
+        # cell's beta would miss its reference by far more than the tolerance
+        assert len({r.step1_margin for r in rows if r.gamma}) == len(betas)
 
     @staticmethod
     def count_prefills(monkeypatch) -> list:

@@ -392,6 +392,35 @@ class TestPgmAndJson:
         with pytest.raises(FormatError):
             read_pgm(big_maxval)
 
+    @pytest.mark.parametrize("token", ["-1", "+5", "1_0", "99999999999999999999"])
+    def test_p2_rejects_non_decimal_tokens(self, tmp_path, token):
+        """A sign, an underscore or an int64 overflow is rejected as a sample and in the header."""
+        path = tmp_path / "m.pgm"
+        for text in (f"P2\n2 1\n255\n{token} 0\n", f"P2\n{token} 1\n255\n" + "1 " * 10,
+                     f"P2\n2 1\n{token}\n1 0\n"):
+            path.write_text(text)
+            with pytest.raises(FormatError):
+                read_pgm(path)
+
+    def test_p2_body_comments_and_count(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_text("P2\n2 2\n9\n1 2\n# 3 4\n3\n")
+        with pytest.raises(FormatError):
+            read_pgm(path)
+        path.write_text("P2\n2 2\n9\n1 2#c\n3 4\n")
+        assert read_pgm(path)[0].tolist() == [[1, 2], [3, 4]]
+        data = np.random.default_rng(3).integers(0, 256, size=(30, 40))
+        rows = "".join(" ".join(map(str, r)) + f"\t# row {i}\r\n" for i, r in enumerate(data))
+        path.write_text(f"P2 40 30 255\n{rows}", newline="")
+        assert (read_pgm(path)[0] == data).all()
+
+    def test_write_pgm_rejects_non_integer_samples(self, tmp_path):
+        for samples in ([[1.9, 0.5]], [[0.0, math.nan]], [[1.0, math.inf]]):
+            with pytest.raises(FormatError):
+                write_pgm(tmp_path / "m.pgm", np.array(samples))
+        write_pgm(tmp_path / "ok.pgm", np.array([[1.0, 255.0]]))
+        assert read_pgm(tmp_path / "ok.pgm")[0].tolist() == [[1, 255]]
+
     def test_token_mask_json_roundtrip(self):
         spec = GridSpec(side=2)
         mask = generate_token_mask(half_seg(4, 4, "left"), spec, tau=0.0)
