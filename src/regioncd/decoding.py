@@ -15,8 +15,11 @@ forward pass for both. A session holds one ``text_ids`` list for all its
 rows: both branches always consume the same generated prefix.
 
 :func:`decode` and :func:`sweep` run one engine over a list of (beta, gamma)
-cells: one unguided prefill serves every cell, one guided prefill serves all
-cells of a beta, and ``decode`` is the one-cell case.
+cells: one unguided prefill serves every cell, and one guided prefill and
+one stacked session serve all cells of a beta. Gamma acts on the logits
+only, so cells of a beta that emit the same ids share each step's forward;
+the session is rewound only where a cell emits an id the others did not.
+``decode`` is the one-cell case.
 """
 
 from __future__ import annotations
@@ -134,24 +137,58 @@ def _check_request(
         )
 
 
+class _SharedSession:
+    """A session and the log-probs of its rows after each prefix it has read.
+
+    ``ids`` are the generated ids the session holds past the prompt, and
+    ``logprobs[k]`` the rows' log-probabilities after the first ``k`` of them
+    (``logprobs[0]`` after the prompt). Cells that emit the same ids read one
+    another's forwards from it; a cell that emits a different id rewinds the
+    session to that position and extends it from there.
+    """
+
+    def __init__(self, session: DecoderSession, logits: np.ndarray):
+        self.session = session
+        self.prompt_end = session.length
+        self.ids: list[int] = []
+        self.logprobs = [[log_softmax(x) for x in logits]]
+
+    def after(self, t: int, token: int, keep: bool) -> list[np.ndarray]:
+        """The rows' log-probs after ``ids[:t]`` and ``token``.
+
+        The caller's first ``t`` ids must be ``ids[:t]``. ``keep`` stores the
+        new log-probs for a later cell; without it only the ids are recorded.
+        """
+        if t + 1 < len(self.logprobs) and self.ids[t] == token:
+            return self.logprobs[t + 1]
+        if t < len(self.ids):
+            self.session.rewind(self.prompt_end + t)
+            del self.ids[t:], self.logprobs[t + 1 :]
+        lps = [log_softmax(x) for x in self.session.extend_with_tokens([token])]
+        self.ids.append(token)
+        if keep:
+            self.logprobs.append(lps)
+        return lps
+
+
 def _run_steps(
-    session: DecoderSession,
-    logits: np.ndarray,
+    shared: _SharedSession,
     params: GuidanceParams,
     topk: int,
     pick: Callable[[np.ndarray], int],
+    keep: bool = False,
 ) -> list[StepRecord]:
-    """The step loop from the prompt logits ``(rows, vocab)`` of ``session``.
+    """The step loop of one cell over ``shared``, from its prompt log-probs.
 
     Two rows are (guided, unguided), whose fused scores are
     :func:`fuse_logits` of the two log-probabilities at ``params.gamma``; one
     row's fused scores are its own log-probs. ``pick`` chooses the next token
-    from the fused scores; the session is extended with every chosen token
-    except the last.
+    from the fused scores; every chosen token except the last is read through
+    ``shared``, which stores the log-probs for later cells if ``keep``.
     """
     steps: list[StepRecord] = []
+    lps = shared.logprobs[0]
     for t in range(params.max_tokens):
-        lps = [log_softmax(x) for x in logits]
         with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
             fused = fuse_logits(lps[0], lps[1], params.gamma) if len(lps) == 2 else lps[0]
         if not np.isfinite(fused).all():
@@ -168,7 +205,7 @@ def _run_steps(
         )
         if chosen == params.eos_id or t + 1 == params.max_tokens:
             break
-        logits = session.extend_with_tokens([chosen])
+        lps = shared.after(t, chosen, keep)
     return steps
 
 
@@ -184,10 +221,14 @@ def _run_cells(
 ) -> tuple[TokenMask, list[list[StepRecord]]]:
     """The guided decode of every cell; returns (token mask, each cell's steps).
 
-    The cells differ in beta and gamma only. Each stacks the two
-    prompt-extended sessions into a two-row session of its own. All cells of
-    a beta run, and its guided session is freed, before the next guided
-    prefill, so no more than two prefilled sessions are alive at once.
+    The cells differ in beta and gamma only, and gamma changes no forward
+    pass, so all cells of a beta run over one two-row session stacked from
+    the two prompt-extended sessions. A cell reads the forwards of earlier
+    cells while its ids match theirs and rewinds the session where they
+    differ, so each row equals a standalone decode of its cell. Log-probs are
+    stored only while another cell of the beta is still to run. The stacked
+    session is freed before the next guided prefill, so no more than two
+    prefilled sessions and one stack are alive at once.
     """
     base = cells[0]
     _check_request(prompt, cfg, base, topk)
@@ -199,12 +240,12 @@ def _run_cells(
     for beta in dict.fromkeys(cell.beta for cell in cells):
         guided = DecoderSession(cfg, w, visual, attn_policy=(mask.values, beta))
         logits = np.concatenate([guided.extend_with_tokens(prompt), logits_u])
-        for i, cell in enumerate(cells):
-            if cell.beta == beta:
-                # the stack is passed inline, so its KV cache is freed with its cell
-                steps[i] = _run_steps(DecoderSession.stack([guided, unguided]), logits, cell,
-                                      topk, pick)
+        shared = _SharedSession(DecoderSession.stack([guided, unguided]), logits)
         del guided
+        of_beta = [i for i, cell in enumerate(cells) if cell.beta == beta]
+        for n, i in enumerate(of_beta, 1):
+            steps[i] = _run_steps(shared, cells[i], topk, pick, keep=n < len(of_beta))
+        del shared
     return mask, [steps[i] for i in range(len(cells))]
 
 
@@ -271,7 +312,8 @@ def baseline_decode(
     params = GuidanceParams(spec=cfg.grid(), max_tokens=max_tokens, eos_id=cfg.eos_id)
     _check_request(prompt, cfg, params, topk)
     session = DecoderSession(cfg, w, encode_image(img, cfg, w))
-    steps = _run_steps(session, session.extend_with_tokens(prompt), params, topk, _greedy_pick)
+    shared = _SharedSession(session, session.extend_with_tokens(prompt))
+    steps = _run_steps(shared, params, topk, _greedy_pick)
     trace = DecodeTrace(
         params={"max_tokens": max_tokens, "eos_id": cfg.eos_id},
         config=cfg.to_dict(),

@@ -166,7 +166,8 @@ class DecoderSession:
     text positions always carry mask value 0. :meth:`stack` gathers
     prefilled sessions into one session with a row per source row, so the
     guided and the unguided branch of a decode run one forward per step.
-    Every row consumes the same ``text_ids``.
+    Every row consumes the same ``text_ids``; :meth:`rewind` drops a tail of
+    them.
 
     Keys and values are cached in one preallocated array of shape
     ``(n_layers, 2, rows, n_heads, max_seq, head_dim)``; a block writes its
@@ -245,6 +246,21 @@ class DecoderSession:
         out._kv = np.empty(shape)
         np.concatenate([s._kv[..., :n, :] for s in sessions], axis=2, out=out._kv[..., :n, :])
         return out
+
+    def rewind(self, length: int) -> None:
+        """Forget every position from ``length`` on, keeping the visual prefix.
+
+        The cache entries past ``length`` stay in the buffers but are never
+        read: every read stops at the session's length, and the next block
+        writes its positions before it reads them. So a rewound session then
+        extended is, bit for bit, a fresh session fed the same ids.
+        """
+        if not self._n_visual <= length <= self._len:
+            raise InputError(
+                f"rewind length {length} outside [{self._n_visual}, {self._len}]"
+            )
+        del self.text_ids[length - self._n_visual :]
+        self._len = length
 
     def extend_with_tokens(self, ids: Sequence[int]) -> np.ndarray:
         """Append token ids causally to every row; returns next-token logits ``(rows, vocab)``."""

@@ -2,7 +2,8 @@
 read, and P5 is written.
 
 Comments starting with ``#`` are allowed anywhere in the header and, for
-P2 files, between samples as well. Every header field and every P2 sample
+P2 files, between samples as well. Once comments are removed, a P2 body
+holds exactly width*height samples. Every header field and every P2 sample
 is an unsigned decimal: ASCII digits only, so a sign, an underscore or a
 value beyond int64 is a :class:`FormatError`.
 """
@@ -57,9 +58,10 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
             raise FormatError(f"{path}: raster truncated ({len(raster)} of {count} bytes)")
         values = np.frombuffer(raster, dtype=np.uint8).astype(np.int64)
     else:
-        tokens = re.sub(_COMMENT, b" ", data[pos:]).split()[:count]
+        tokens = re.sub(_COMMENT, b" ", data[pos:]).split()
         if len(tokens) != count:
-            raise FormatError(f"{path}: {len(tokens)} of {count} samples")
+            raise FormatError(f"{path}: {len(tokens)} samples where {width}x{height} "
+                              f"declares {count}")
         values = _unsigned(path, "sample", tokens)
     if values.max(initial=0) > maxval:
         raise FormatError(f"{path}: sample exceeds declared maxval {maxval}")

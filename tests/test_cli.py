@@ -104,6 +104,16 @@ class TestCmdMask:
         assert main(["mask", "--seg", str(tmp_path / "no.pgm"),
                      "--out", str(tmp_path / "m.json")]) == 2
 
+    def test_p2_with_extra_samples_exits_validation(self, tmp_path):
+        seg = tmp_path / "extra.pgm"
+        seg.write_text("P2\n2 2\n9\n1 2 3 4 5 junk\n")
+        out = tmp_path / "m.json"
+        code, stdout, stderr = run_cli(["mask", "--seg", str(seg), "--L", "1",
+                                        "--out", str(out)])
+        assert code == 2
+        assert stderr.startswith("error: ") and not CATCH_ALL.search(stderr)
+        assert not out.exists()
+
     def test_idempotent_bytes(self, tmp_path):
         seg = tmp_path / "seg.pgm"
         rng = np.random.default_rng(1)

@@ -374,26 +374,91 @@ class TestSweep:
         # stacks of one prompt-extended pair must diverge for the check above to bite
         assert len({tuple(r.output_ids) for r in rows}) >= 2
 
+    @staticmethod
+    def worst_reference_gap(args, rows, max_tokens) -> float:
+        """Check each row against a standalone decode and :func:`reference_greedy`.
+
+        Ids must agree exactly, and the row's margin must equal the decode's;
+        returns the largest gap of any fused score or margin to the reference.
+        """
+        worst = 0.0
+        for row in rows:
+            cell = params_for(args[3], max_tokens=max_tokens, beta=row.beta, gamma=row.gamma)
+            ref_ids, ref_scores = reference_greedy(*args, cell)
+            ids, trace = decode(*args, cell)
+            assert ids == row.output_ids == ref_ids
+            fused = trace.steps[0].fused_topk
+            assert row.step1_margin == fused[0][1] - fused[1][1]
+            for step, ref in zip(trace.steps, ref_scores, strict=True):
+                worst = max([worst] + [abs(v - ref[i]) for i, v in step.fused_topk])
+            top2 = np.sort(ref_scores[0])[-2:]
+            worst = max(worst, abs(row.step1_margin - (top2[1] - top2[0])))
+        return worst
+
     def test_engine_matches_cache_free_reference(self, rand_cfg, rand_weights, rand_image):
         betas, gammas = [1.0, 3.0, 10.0], [0.0, 1.5]
         seg = half_seg(rand_cfg.image_side, rand_cfg.image_side, "left")
         p = params_for(rand_cfg, max_tokens=8)
         args = (rand_image, seg, REDUCTION_PROMPT, rand_cfg, rand_weights)
         rows = sweep(*args, betas, gammas, p)
-        worst = 0.0
-        for row in rows:
-            cell = params_for(rand_cfg, max_tokens=8, beta=row.beta, gamma=row.gamma)
-            ref_ids, ref_scores = reference_greedy(*args, cell)
-            ids, trace = decode(*args, cell)
-            assert ids == row.output_ids == ref_ids
-            for step, ref in zip(trace.steps, ref_scores, strict=True):
-                worst = max([worst] + [abs(v - ref[i]) for i, v in step.fused_topk])
-            top2 = np.sort(ref_scores[0])[-2:]
-            worst = max(worst, abs(row.step1_margin - (top2[1] - top2[0])))
-        assert worst < 1e-12
+        assert self.worst_reference_gap(args, rows, 8) < 1e-12
         # every beta moves the guided cells' scores, so a cell run at another
         # cell's beta would miss its reference by far more than the tolerance
         assert len({r.step1_margin for r in rows if r.gamma}) == len(betas)
+
+    def test_divergent_cells_rewind_the_shared_session(self, monkeypatch, rand_cfg,
+                                                       rand_weights, rand_image):
+        # the gammas alternate between cells that agree and cells that diverge, so
+        # a cell rewinds the session to a path an earlier cell left
+        betas, gammas = [1.0, 3.0, 10.0], [0.0, 3.0, 0.5, 2.0, 1.0, 1.5]
+        seg = half_seg(rand_cfg.image_side, rand_cfg.image_side, "left")
+        args = (rand_image, seg, REDUCTION_PROMPT, rand_cfg, rand_weights)
+        rewinds = []
+        rewind = DecoderSession.rewind
+
+        def recording_rewind(session, length):
+            rewinds.append(length - session.cfg.n_visual - len(REDUCTION_PROMPT))
+            rewind(session, length)
+
+        monkeypatch.setattr(DecoderSession, "rewind", recording_rewind)
+        rows = sweep(*args, betas, gammas, params_for(rand_cfg, max_tokens=12))
+        monkeypatch.undo()
+        by_beta = [{tuple(r.output_ids) for r in rows if r.beta == beta} for beta in betas]
+        diverging = [ids for ids in by_beta if len(ids) > 1]
+        # cells of one beta that agree on step 0 and differ later
+        assert diverging and all(len({i[0] for i in ids}) == 1 for ids in diverging)
+        assert len(rewinds) > len(diverging) and min(rewinds) > 0
+        assert self.worst_reference_gap(args, rows, 12) < 1e-12
+
+    def test_agreeing_cells_share_every_step(self, monkeypatch, rand_cfg, rand_weights,
+                                             rand_image):
+        betas, gammas, max_tokens = [1.0, 3.0], [0.0, 0.5, 1.0], 8
+        seg = half_seg(rand_cfg.image_side, rand_cfg.image_side, "left")
+        calls = {"step": 0, "stack": 0, "rewind": 0}
+        extend, stack, rewind = (DecoderSession.extend_with_tokens, DecoderSession.stack,
+                                 DecoderSession.rewind)
+
+        def counting_extend(session, ids):
+            calls["step"] += len(ids) == 1
+            return extend(session, ids)
+
+        def counting_stack(sessions):
+            calls["stack"] += 1
+            return stack(sessions)
+
+        def counting_rewind(session, length):
+            calls["rewind"] += 1
+            rewind(session, length)
+
+        monkeypatch.setattr(DecoderSession, "extend_with_tokens", counting_extend)
+        monkeypatch.setattr(DecoderSession, "stack", staticmethod(counting_stack))
+        monkeypatch.setattr(DecoderSession, "rewind", counting_rewind)
+        rows = sweep(rand_image, seg, REDUCTION_PROMPT, rand_cfg, rand_weights, betas, gammas,
+                     params_for(rand_cfg, max_tokens=max_tokens))
+        assert len({tuple(r.output_ids) for r in rows}) == 1
+        assert len(rows[0].output_ids) == max_tokens
+        assert calls == {"step": (max_tokens - 1) * len(betas), "stack": len(betas),
+                         "rewind": 0}
 
     @staticmethod
     def count_prefills(monkeypatch) -> list:

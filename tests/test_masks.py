@@ -414,6 +414,17 @@ class TestPgmAndJson:
         path.write_text(f"P2 40 30 255\n{rows}", newline="")
         assert (read_pgm(path)[0] == data).all()
 
+    def test_p2_rejects_extra_samples(self, tmp_path):
+        """A body holding more samples than width*height is an error, not truncated."""
+        path = tmp_path / "m.pgm"
+        for text in ("P2\n2 2\n9\n1 2 3 4 5 junk\n", "P2\n2 2\n9\n1 2 3 4 5\n",
+                     "P2\n2 2\n9\n1 2\n3 4\n# end\n9\n"):
+            path.write_text(text)
+            with pytest.raises(FormatError):
+                read_pgm(path)
+        path.write_text("P2\n2 2\n9\n1 2\n3 4\n# end 5\n\n")
+        assert read_pgm(path)[0].tolist() == [[1, 2], [3, 4]]
+
     def test_write_pgm_rejects_non_integer_samples(self, tmp_path):
         for samples in ([[1.9, 0.5]], [[0.0, math.nan]], [[1.0, math.inf]]):
             with pytest.raises(FormatError):

@@ -521,6 +521,59 @@ class TestHeadMajorCache:
                 .extend_with_tokens([9])).all()
         assert parent.text_ids == [1, 2, 9] and stacks[0].text_ids == [1, 2, 3, 4, 5]
 
+    @pytest.mark.parametrize("betas", [[3.0], [3.0, 1.0]], ids=["one-row", "stacked"])
+    def test_rewound_session_matches_fresh(self, rand_cfg, rand_weights, rand_image, betas):
+        visual = encode_image(rand_image, rand_cfg, rand_weights)
+
+        def fresh():
+            return DecoderSession.stack(
+                [self.prompted(rand_cfg, rand_weights, visual, beta) for beta in betas])
+
+        session = fresh()
+        session.extend_with_tokens([3])
+        mid = session.length
+        session.extend_with_tokens([4, 5])
+        session.extend_with_tokens([6])
+        session.rewind(mid)
+        assert session.length == mid and session.text_ids == [1, 2, 3]
+        alone = fresh()
+        alone.extend_with_tokens([3])
+        # other ids than the ones rewound, one at a time and as a block
+        for block in ([7], [8, 9], [10]):
+            assert (session.extend_with_tokens(block) == alone.extend_with_tokens(block)).all()
+        assert session.text_ids == alone.text_ids == [1, 2, 3, 7, 8, 9, 10]
+
+    def test_rewind_bounds(self, rand_cfg, rand_weights, rand_image):
+        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        session = self.prompted(rand_cfg, rand_weights, visual, 3.0)
+        for length in (len(visual) - 1, session.length + 1):
+            with pytest.raises(InputError):
+                session.rewind(length)
+        assert session.length == len(visual) + 2 and session.text_ids == [1, 2]
+        session.rewind(session.length)
+        assert session.text_ids == [1, 2]
+        session.rewind(len(visual))
+        assert session.length == len(visual) and session.text_ids == []
+        alone = DecoderSession(rand_cfg, rand_weights, visual,
+                               attn_policy=(np.ones(len(visual)), 3.0))
+        assert (session.extend_with_tokens([4]) == alone.extend_with_tokens([4])).all()
+
+    def test_stack_of_rewound_session_copies_live_positions(self, rand_cfg, rand_weights,
+                                                           rand_image):
+        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        session = self.prompted(rand_cfg, rand_weights, visual, 3.0)
+        live = session.length
+        session.extend_with_tokens([3, 4, 5])
+        session.rewind(live)
+        session._kv[..., live:, :] = -7.25  # mark the stale positions
+        stacked = DecoderSession.stack([session, session])
+        assert stacked.length == live and stacked.text_ids == [1, 2]
+        assert (stacked._kv[..., :live, :] == session._kv[..., :live, :]).all()
+        assert not (stacked._kv[..., live:, :] == -7.25).any()
+        alone = self.prompted(rand_cfg, rand_weights, visual, 3.0)
+        want = DecoderSession.stack([alone, alone]).extend_with_tokens([6])
+        assert (stacked.extend_with_tokens([6]) == want).all()
+
     def test_fills_exactly_max_seq(self, rand_cfg, rand_weights, rand_image):
         visual = encode_image(rand_image, rand_cfg, rand_weights)
         session = DecoderSession(rand_cfg, rand_weights, visual)

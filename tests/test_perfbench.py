@@ -42,3 +42,6 @@ def test_traced_sweep_run():
     assert result["correct"] is True
     # one unguided prefill plus one guided prefill per distinct beta (1, 3, 5, 10)
     assert result["metrics"]["model.prefill.calls"]["value"] == 5
+    # 16 cells x 3 steps if every cell ran its own steps; cells that emit the
+    # same ids share one forward per step
+    assert result["metrics"]["model.step.calls"]["value"] < 48
