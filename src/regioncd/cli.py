@@ -135,24 +135,36 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+# fixture options that seed or shape a random-v1 fixture, with their defaults; they
+# default to None on the command line, so that steer-v1, one fixed model, can reject them
+_FIXTURE_OPTIONS = {"seed": 0, "vocab_size": 16, "embed_dim": 32, "n_heads": 4, "n_layers": 2,
+                    "L": 4, "G": (1, 1), "image_side": 16, "max_seq": 64, "eos_id": 0,
+                    "sep_embed_id": 0}
+
+
 def _cmd_fixture(args) -> int:
+    given = _given(args, *_FIXTURE_OPTIONS)
     if args.kind == "steer-v1":
-        cfg = weights.STEER_CONFIG
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise InputError(f"--kind steer-v1 is one fixed model and takes no {flags}")
+        w = weights.gen_fixture(args.kind, 0, weights.STEER_CONFIG)
     else:
+        opts = {**_FIXTURE_OPTIONS, **given}
         cfg = ModelConfig(
-            vocab_size=args.vocab_size,
-            embed_dim=args.embed_dim,
-            n_heads=args.n_heads,
-            n_layers=args.n_layers,
-            feature_side=args.L,
-            crop_rows=args.G[0],
-            crop_cols=args.G[1],
-            image_side=args.image_side,
-            max_seq=args.max_seq,
-            eos_id=args.eos_id,
-            sep_embed_id=args.sep_embed_id,
+            vocab_size=opts["vocab_size"],
+            embed_dim=opts["embed_dim"],
+            n_heads=opts["n_heads"],
+            n_layers=opts["n_layers"],
+            feature_side=opts["L"],
+            crop_rows=opts["G"][0],
+            crop_cols=opts["G"][1],
+            image_side=opts["image_side"],
+            max_seq=opts["max_seq"],
+            eos_id=opts["eos_id"],
+            sep_embed_id=opts["sep_embed_id"],
         )
-    w = weights.gen_fixture(args.kind, args.seed, cfg)
+        w = weights.gen_fixture(args.kind, opts["seed"], cfg)
     weights.save_weights(w, args.out)
     print(f"digest: {w.digest()}")
     return 0
@@ -220,18 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixture", help="generate a weight fixture file")
     p.add_argument("--kind", required=True, choices=list(weights.FIXTURE_KINDS))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--vocab-size", type=int, default=16)
-    p.add_argument("--embed-dim", type=int, default=32)
-    p.add_argument("--n-heads", type=int, default=4)
-    p.add_argument("--n-layers", type=int, default=2)
-    p.add_argument("--L", type=int, default=4)
-    p.add_argument("--G", type=_parse_grid, default=(1, 1))
-    p.add_argument("--image-side", type=int, default=16)
-    p.add_argument("--max-seq", type=int, default=64)
-    p.add_argument("--eos-id", type=int, default=0)
-    p.add_argument("--sep-embed-id", type=int, default=0)
+    for name, default in _FIXTURE_OPTIONS.items():
+        shown = "x".join(map(str, default)) if name == "G" else default
+        p.add_argument("--" + name.replace("_", "-"), type=_parse_grid if name == "G" else int,
+                       help=f"random-v1 only ({shown})")
     p.set_defaults(handler=_cmd_fixture)
 
     p = sub.add_parser("verify", help="run the built-in acceptance suite")

@@ -137,44 +137,53 @@ def _check_request(
         )
 
 
+# the rows' log-probs after one prefix, and each row's top-k list of them
+_Read = tuple[list[np.ndarray], list[list[tuple[int, float]]]]
+
+
 class _SharedSession:
-    """A session and the log-probs of its rows after each prefix it has read.
+    """A session and what its rows read after each prefix it has read.
 
     ``ids`` are the generated ids the session holds past the prompt, and
-    ``logprobs[k]`` the rows' log-probabilities after the first ``k`` of them
-    (``logprobs[0]`` after the prompt). Cells that emit the same ids read one
-    another's forwards from it; a cell that emits a different id rewinds the
-    session to that position and extends it from there.
+    ``after_prefix[k]`` the rows' log-probabilities and their top-``topk``
+    lists after the first ``k`` of them (``after_prefix[0]`` after the
+    prompt). Cells that emit the same ids read one another's forwards and
+    top-k lists from it; a cell that emits a different id rewinds the session
+    to that position and extends it from there.
     """
 
-    def __init__(self, session: DecoderSession, logits: np.ndarray):
+    def __init__(self, session: DecoderSession, logits: np.ndarray, topk: int):
         self.session = session
         self.prompt_end = session.length
+        self.topk = topk
         self.ids: list[int] = []
-        self.logprobs = [[log_softmax(x) for x in logits]]
+        self.after_prefix = [self._read(logits)]
 
-    def after(self, t: int, token: int, keep: bool) -> list[np.ndarray]:
-        """The rows' log-probs after ``ids[:t]`` and ``token``.
+    def _read(self, logits: np.ndarray) -> _Read:
+        lps = [log_softmax(x) for x in logits]
+        return lps, [_topk(lp, self.topk) for lp in lps]
 
-        The caller's first ``t`` ids must be ``ids[:t]``. ``keep`` stores the
-        new log-probs for a later cell; without it only the ids are recorded.
+    def after(self, t: int, token: int, keep: bool) -> _Read:
+        """The rows' log-probs and top-k lists after ``ids[:t]`` and ``token``.
+
+        The caller's first ``t`` ids must be ``ids[:t]``. ``keep`` stores them
+        for a later cell; without it only the ids are recorded.
         """
-        if t + 1 < len(self.logprobs) and self.ids[t] == token:
-            return self.logprobs[t + 1]
+        if t + 1 < len(self.after_prefix) and self.ids[t] == token:
+            return self.after_prefix[t + 1]
         if t < len(self.ids):
             self.session.rewind(self.prompt_end + t)
-            del self.ids[t:], self.logprobs[t + 1 :]
-        lps = [log_softmax(x) for x in self.session.extend_with_tokens([token])]
+            del self.ids[t:], self.after_prefix[t + 1 :]
+        read = self._read(self.session.extend_with_tokens([token]))
         self.ids.append(token)
         if keep:
-            self.logprobs.append(lps)
-        return lps
+            self.after_prefix.append(read)
+        return read
 
 
 def _run_steps(
     shared: _SharedSession,
     params: GuidanceParams,
-    topk: int,
     pick: Callable[[np.ndarray], int],
     keep: bool = False,
 ) -> list[StepRecord]:
@@ -184,10 +193,12 @@ def _run_steps(
     :func:`fuse_logits` of the two log-probabilities at ``params.gamma``; one
     row's fused scores are its own log-probs. ``pick`` chooses the next token
     from the fused scores; every chosen token except the last is read through
-    ``shared``, which stores the log-probs for later cells if ``keep``.
+    ``shared``, which stores the log-probs for later cells if ``keep``. The
+    branch top-k lists of a record are ``shared``'s, so the records of cells
+    that read one prefix hold the same lists.
     """
     steps: list[StepRecord] = []
-    lps = shared.logprobs[0]
+    lps, tops = shared.after_prefix[0]
     for t in range(params.max_tokens):
         with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
             fused = fuse_logits(lps[0], lps[1], params.gamma) if len(lps) == 2 else lps[0]
@@ -197,15 +208,15 @@ def _run_steps(
         steps.append(
             StepRecord(
                 t=t,
-                guided_topk=_topk(lps[0], topk),
-                unguided_topk=_topk(lps[-1], topk),
-                fused_topk=_topk(fused, topk),
+                guided_topk=tops[0],
+                unguided_topk=tops[-1],
+                fused_topk=_topk(fused, shared.topk),
                 chosen=chosen,
             )
         )
         if chosen == params.eos_id or t + 1 == params.max_tokens:
             break
-        lps = shared.after(t, chosen, keep)
+        lps, tops = shared.after(t, chosen, keep)
     return steps
 
 
@@ -240,11 +251,11 @@ def _run_cells(
     for beta in dict.fromkeys(cell.beta for cell in cells):
         guided = DecoderSession(cfg, w, visual, attn_policy=(mask.values, beta))
         logits = np.concatenate([guided.extend_with_tokens(prompt), logits_u])
-        shared = _SharedSession(DecoderSession.stack([guided, unguided]), logits)
+        shared = _SharedSession(DecoderSession.stack([guided, unguided]), logits, topk)
         del guided
         of_beta = [i for i, cell in enumerate(cells) if cell.beta == beta]
         for n, i in enumerate(of_beta, 1):
-            steps[i] = _run_steps(shared, cells[i], topk, pick, keep=n < len(of_beta))
+            steps[i] = _run_steps(shared, cells[i], pick, keep=n < len(of_beta))
         del shared
     return mask, [steps[i] for i in range(len(cells))]
 
@@ -312,8 +323,8 @@ def baseline_decode(
     params = GuidanceParams(spec=cfg.grid(), max_tokens=max_tokens, eos_id=cfg.eos_id)
     _check_request(prompt, cfg, params, topk)
     session = DecoderSession(cfg, w, encode_image(img, cfg, w))
-    shared = _SharedSession(session, session.extend_with_tokens(prompt))
-    steps = _run_steps(shared, params, topk, _greedy_pick)
+    shared = _SharedSession(session, session.extend_with_tokens(prompt), topk)
+    steps = _run_steps(shared, params, _greedy_pick)
     trace = DecodeTrace(
         params={"max_tokens": max_tokens, "eos_id": cfg.eos_id},
         config=cfg.to_dict(),

@@ -13,6 +13,11 @@ read the same tokens. Attention is head-major: each layer caches its keys
 and values in preallocated ``(rows, n_heads, max_seq, head_dim)`` buffers
 that a block writes in place, and the scores and the context are batched
 matrix products over the rows and heads, one tile of query rows at a time.
+The one kernel, :func:`attention`, turns a tile's scores into unnormalized
+weights in place; the context is normalized after the product with the
+values, so no pass divides the key-wide weights. Every step that is not a
+matrix product runs in place, so a block allocates few arrays the size of
+its activations and none the size of its scores beyond one buffer.
 
 Weights are stored as float32; all forward-pass arithmetic runs in float64,
 which keeps results reproducible to well below 1e-6 across platforms.
@@ -118,14 +123,39 @@ def encode_image(img: GrayImage, cfg: ModelConfig, w: WeightSet) -> VisualSequen
 
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    # np.mean is this add.reduce and divide, bit for bit, at more call overhead
-    ms = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
-    return x / np.sqrt(ms + NORM_EPS) * gain + bias
+    """``x / sqrt(mean(x**2) + eps) * gain + bias`` in one fresh array; ``x`` is only read.
+
+    The steps run in place in the order of that expression, so the result
+    equals it bit for bit. ``np.add.reduce`` and a division are ``np.mean``,
+    bit for bit, at less call overhead.
+    """
+    out = np.square(x)
+    ms = np.add.reduce(out, axis=-1, keepdims=True)
+    ms /= x.shape[-1]
+    ms += NORM_EPS
+    np.sqrt(ms, out=ms)
+    np.divide(x, ms, out=out)
+    out *= gain
+    out += bias
+    return out
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    # tanh approximation
-    return 0.5 * x * (1.0 + np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * x * x * x)))
+    """The tanh approximation ``0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))``, in place on ``x``.
+
+    Each step runs in the order of that expression; a product or sum with its
+    operands swapped is the same float, so the result equals it bit for bit.
+    """
+    u = x * 0.044715
+    u *= x
+    u *= x
+    u += x
+    u *= _SQRT_2_OVER_PI
+    np.tanh(u, out=u)
+    u += 1.0
+    x *= 0.5
+    x *= u
+    return x
 
 
 def region_bias(mask: np.ndarray, beta: float) -> np.ndarray:
@@ -143,18 +173,22 @@ def region_bias(mask: np.ndarray, beta: float) -> np.ndarray:
     return np.where(np.asarray(mask) != 0, math.log(beta), 0.0)
 
 
-def attention(scores: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """``softmax(scores + bias)`` over the last axis.
+def attention(scores: np.ndarray, bias: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized softmax weights of ``scores + bias`` over the last axis, in place.
 
+    Overwrites ``scores`` with ``exp(scores + bias - max)`` and returns it with
+    its row sums (last axis kept), so ``weights / sums`` is
+    ``softmax(scores + bias)``. A caller that only needs ``weights @ values``
+    divides that small product by the sums instead of dividing every weight.
     The bias carries both the visibility mask (-inf on hidden keys) and the
-    region reweighting (:func:`region_bias`); with a zero bias this is a
-    plain softmax.
+    region reweighting (:func:`region_bias`); ``None`` stands for a zero bias
+    and skips its pass. The bias itself is never written.
     """
-    s = scores + bias  # the one temporary; the steps below work in place on it
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    return s
+    if bias is not None:
+        scores += bias
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    return scores, scores.sum(axis=-1, keepdims=True)
 
 
 class DecoderSession:
@@ -174,8 +208,10 @@ class DecoderSession:
     keys and values into positions ``[start, total)``, so each appended token
     costs a single attention row per head and no reallocation. The scores,
     the softmax and the context then run over tiles of at most
-    :data:`QUERY_TILE` query rows, so a prefill's score tile stays in cache; a
-    prompt or a step is a single tile.
+    :data:`QUERY_TILE` query rows, each written into the front of one
+    buffer, so a prefill's score tile stays in cache; a prompt or a step is
+    a single tile. A block whose bias is zero in every row (an unguided or
+    beta = 1 prefill, any step of such rows) skips the bias pass.
     """
 
     def __init__(
@@ -286,38 +322,50 @@ class DecoderSession:
         total = start + b
         # query position p sees the whole visual prefix and every key at a position
         # <= p, so when the block's last key is one of those for its first query
-        # (a one-token block, the visual prefill) the bias is the policy row as is
+        # (a one-token block, the visual prefill) the bias is the policy row as is,
+        # and none at all where every row's policy is zero
         if total <= max(self._n_visual, start + 1):
-            bias = np.broadcast_to(self._bias[:, None, None, :total], (rows, 1, b, total))
+            bias = None
+            if self._bias[:, :total].any():
+                bias = np.broadcast_to(self._bias[:, None, None, :total], (rows, 1, b, total))
         else:
             keys = np.arange(total)
             visible = (keys < self._n_visual) | (keys <= np.arange(start, total)[:, None])
             bias = np.where(visible, self._bias[:, None, None, :total], -np.inf)
         # bias is (rows, 1, b, total) and broadcasts over the heads
-        h = emb.reshape(rows * b, d)
+        h = emb.reshape(rows * b, d)  # the caller's array: read, never written
         scale = 1.0 / math.sqrt(cfg.head_dim)
         split = (rows, b, cfg.n_heads, cfg.head_dim)
         to_heads = (0, 2, 1, 3)  # (rows, b, heads, channel) <-> (rows, heads, b, channel)
         ctx = np.empty(split)
+        # every tile's scores are written into the front of one buffer
+        scores_buf = np.empty(rows * cfg.n_heads * min(b, QUERY_TILE) * total)
         for li in range(cfg.n_layers):
             p = f"layers.{li}."
             k, v = self._kv[li]
             xn = _rms_norm(h, self._t[p + "attn_norm.gain"], self._t[p + "attn_norm.bias"])
-            q = (xn @ self._t[p + "attn.wq"]).reshape(split).transpose(to_heads)
+            q = xn @ self._t[p + "attn.wq"]
+            q *= scale  # scaling q, not the scores: the same floats when scale is a power of 2
+            q = q.reshape(split).transpose(to_heads)
             k[:, :, start:total] = (xn @ self._t[p + "attn.wk"]).reshape(split).transpose(to_heads)
             v[:, :, start:total] = (xn @ self._t[p + "attn.wv"]).reshape(split).transpose(to_heads)
             keys_t, values = k[:, :, :total].transpose(0, 1, 3, 2), v[:, :, :total]
             for q0 in range(0, b, QUERY_TILE):
-                tile = slice(q0, q0 + QUERY_TILE)
-                scores = q[:, :, tile] @ keys_t  # (rows, heads, tile, total)
-                scores *= scale
-                probs = attention(scores, bias[:, :, tile])
-                ctx[:, tile] = (probs @ values).transpose(to_heads)
-            h = h + ctx.reshape(rows * b, d) @ self._t[p + "attn.wo"]
+                n = min(QUERY_TILE, b - q0)
+                tile = slice(q0, q0 + n)
+                scores = scores_buf[: rows * cfg.n_heads * n * total].reshape(
+                    rows, cfg.n_heads, n, total)
+                np.matmul(q[:, :, tile], keys_t, out=scores)
+                weights, sums = attention(scores, None if bias is None else bias[:, :, tile])
+                np.divide(weights @ values, sums, out=ctx[:, tile].transpose(to_heads))
+            a = ctx.reshape(rows * b, d) @ self._t[p + "attn.wo"]
+            a += h  # h + a, bit for bit, into a fresh array
+            h = a
             xn = _rms_norm(h, self._t[p + "ffn_norm.gain"], self._t[p + "ffn_norm.bias"])
-            h = h + _gelu(xn @ self._t[p + "ffn.w1"] + self._t[p + "ffn.b1"]) @ self._t[
-                p + "ffn.w2"
-            ] + self._t[p + "ffn.b2"]
+            f = xn @ self._t[p + "ffn.w1"]
+            f += self._t[p + "ffn.b1"]
+            h += _gelu(f) @ self._t[p + "ffn.w2"]
+            h += self._t[p + "ffn.b2"]
         self._len = total
         last = h.reshape(rows, b, d)[:, -1]
         z = _rms_norm(last, self._t["final_norm.gain"], self._t["final_norm.bias"])

@@ -136,8 +136,14 @@ def check_canonical_lengths() -> tuple[bool, str]:
 
 
 def _reweighted(scores: np.ndarray, mask: np.ndarray, beta: float) -> np.ndarray:
-    """One attention row through the kernel and region bias the decode runs."""
-    return model.attention(scores, model.region_bias(mask, beta))
+    """One attention row through the kernel and region bias the decode runs.
+
+    The kernel overwrites the scores it is given, so it gets a copy; the row is
+    its ``weights / sums``.
+    """
+    weights, sums = model.attention(np.array(scores, dtype=np.float64),
+                                    model.region_bias(mask, beta))
+    return weights / sums
 
 
 def check_reweight_oracle() -> tuple[bool, str]:

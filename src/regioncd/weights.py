@@ -191,7 +191,13 @@ def _steer_weights(cfg: ModelConfig) -> WeightSet:
 
 
 def gen_fixture(kind: str, seed: int, cfg: ModelConfig) -> WeightSet:
-    """Build a weight fixture; random-v1 is seed-reproducible bit for bit."""
+    """Build a weight fixture; random-v1 is seed-reproducible bit for bit.
+
+    The seed is the 64-bit state of the random stream, so one outside
+    [0, 2^64) is rejected rather than reduced onto the seed it wraps to.
+    """
+    if not 0 <= seed < 2**64:
+        raise InputError(f"fixture seed must lie in [0, 2^64), got {seed}")
     if kind == "random-v1":
         # the tensors take consecutive runs of one stream, in canonical order
         tensors, first = {}, 0

@@ -17,7 +17,7 @@ def forward_logits(visual, text: Sequence[int], cfg, w, attn_policy=None) -> np.
 
 @contextmanager
 def recorded_attention():
-    """Record the probabilities of every attention softmax the model runs.
+    """Record the probabilities ``weights / sums`` of every attention kernel call.
 
     Yields a list that fills with ``(layer, start, probs)`` per layer of every
     block a session processes, where ``probs`` is ``(rows, block, heads,
@@ -35,13 +35,13 @@ def recorded_attention():
         return process(session, emb)
 
     def recording(scores, bias):
-        probs = kernel(scores, bias)
-        block["tiles"].append(probs)
+        weights, sums = kernel(scores, bias)
+        block["tiles"].append(weights / sums)
         if len(block["tiles"]) == block["n_tiles"]:
             joined = np.concatenate(block["tiles"], axis=2).transpose(0, 2, 1, 3)
             records.append((block["layer"], block["start"], joined))
             block.update(layer=block["layer"] + 1, tiles=[])
-        return probs
+        return weights, sums
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(DecoderSession, "_process_block", processing)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regioncd import STEER_CONFIG, gen_fixture
 from regioncd.cli import main
 from regioncd.pgm import write_pgm
 from regioncd.verification import _write_steer_artifacts
@@ -438,14 +439,36 @@ class TestCmdFixture:
         assert line1.startswith("digest: ")
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_steer_fixture_ignores_seed(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "1"), ("--seed", "0"), ("--vocab-size", "16"), ("--embed-dim", "8"),
+        ("--n-heads", "1"), ("--n-layers", "1"), ("--L", "2"), ("--G", "1x1"),
+        ("--image-side", "8"), ("--max-seq", "64"), ("--eos-id", "0"), ("--sep-embed-id", "0"),
+    ])
+    def test_steer_fixture_rejects_seed_and_shape_options(self, tmp_path, capsys, flag, value):
+        # steer-v1 is one fixed model: a seed or a shape it would ignore is an error,
+        # even one equal to the default or to the steer config
         out = tmp_path / "s.json"
-        digests = []
-        for seed in ("1", "2"):
-            assert main(["fixture", "--kind", "steer-v1", "--seed", seed,
-                         "--out", str(out)]) == 0
-            digests.append(capsys.readouterr().out)
-        assert digests[0] == digests[1]
+        assert main(["fixture", "--kind", "steer-v1", flag, value, "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["fixture", "--kind", "steer-v1", "--out", str(out)]) == 0
+        steer = gen_fixture("steer-v1", 0, STEER_CONFIG)
+        assert capsys.readouterr().out == f"digest: {steer.digest()}\n"
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 7), str(-(2**64))])
+    def test_seed_outside_64_bits_is_rejected(self, tmp_path, seed):
+        # the stream would reduce it mod 2^64 onto another seed's fixture
+        out = tmp_path / "x.json"
+        assert main(["fixture", "--kind", "random-v1", "--seed", seed, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_seed_range_ends_are_accepted(self, tmp_path, capsys):
+        digests = set()
+        for seed in ("0", str(2**64 - 1)):
+            assert main(["fixture", "--kind", "random-v1", "--seed", seed,
+                         "--out", str(tmp_path / f"{seed}.json")]) == 0
+            digests.add(capsys.readouterr().out)
+        assert len(digests) == 2
 
     def test_unknown_kind(self, tmp_path):
         assert main(["fixture", "--kind", "nope", "--out", str(tmp_path / "x.json")]) == 2

@@ -385,13 +385,24 @@ class TestForwardPass:
             assert a._t[name] is shared and b._t[name] is shared and stacked._t[name] is shared
 
 
+def rms_norm_expr(x, gain, bias):
+    """RMSNorm written out as one expression, the reference for ``model._rms_norm``."""
+    return x / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + NORM_EPS) * gain + bias
+
+
+def gelu_expr(x):
+    """The tanh GELU written out as one expression, the reference for ``model._gelu``."""
+    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x * x * x)))
+
+
 class TokenMajorReference:
     """The forward pass in its earlier token-major formulation, as a reference.
 
     Keys and values are ``(tokens, heads, head_dim)`` arrays grown by
     ``np.concatenate`` on every block, and the scores and the context are
-    ``np.einsum`` contractions; the softmax is written out. The norms and the
-    feed-forward are the model's own, since only attention was reformulated.
+    ``np.einsum`` contractions. The softmax, the norms and the feed-forward
+    are written out as expressions, out of place, so nothing here runs the
+    model's in-place kernels.
     """
 
     def __init__(self, cfg, w, visual, attn_policy=None):
@@ -421,7 +432,7 @@ class TokenMajorReference:
         h = emb
         for li in range(cfg.n_layers):
             p = f"layers.{li}."
-            xn = _rms_norm(h, t[p + "attn_norm.gain"], t[p + "attn_norm.bias"])
+            xn = rms_norm_expr(h, t[p + "attn_norm.gain"], t[p + "attn_norm.bias"])
             q, k, v = ((xn @ t[p + f"attn.w{c}"]).reshape(b, cfg.n_heads, cfg.head_dim)
                        for c in "qkv")
             if self.kv[li] is not None:
@@ -434,11 +445,11 @@ class TokenMajorReference:
             self.attention_rows.append((li, start, probs))
             ctx = np.einsum("bht,thd->bhd", probs, v).reshape(b, cfg.embed_dim)
             h = h + ctx @ t[p + "attn.wo"]
-            xn = _rms_norm(h, t[p + "ffn_norm.gain"], t[p + "ffn_norm.bias"])
-            h = h + _gelu(xn @ t[p + "ffn.w1"] + t[p + "ffn.b1"]) @ t[p + "ffn.w2"] + t[
+            xn = rms_norm_expr(h, t[p + "ffn_norm.gain"], t[p + "ffn_norm.bias"])
+            h = h + gelu_expr(xn @ t[p + "ffn.w1"] + t[p + "ffn.b1"]) @ t[p + "ffn.w2"] + t[
                 p + "ffn.b2"]
         self.length = total
-        return _rms_norm(h[-1], t["final_norm.gain"], t["final_norm.bias"]) @ t["head.weight"]
+        return rms_norm_expr(h[-1], t["final_norm.gain"], t["final_norm.bias"]) @ t["head.weight"]
 
 
 def tiled_inputs():
@@ -605,18 +616,74 @@ class TestHeadMajorCache:
         with pytest.raises(InputError):
             DecoderSession.stack([])
 
-    def test_attention_leaves_its_arguments_and_results_unchanged(self):
+    def test_attention_overwrites_its_scores_and_leaves_its_bias(self):
+        # the kernel owns the scores tile it is given and turns it into the
+        # unnormalized weights; the bias, which every tile of a block shares, is
+        # only read. weights / sums is the written-out softmax, bit for bit, and
+        # no bias is a zero bias, bit for bit
         rng = np.random.default_rng(4)
         scores = rng.standard_normal((3, 5, 7))
         bias = np.where(rng.random((5, 7)) < 0.3, -np.inf, rng.random((5, 7)))
         bias[:, 0] = 0.0
         scores_before, bias_before = scores.copy(), bias.copy()
-        probs = attention(scores, bias)
-        assert np.array_equal(scores, scores_before)
+        weights, sums = attention(scores, bias)
+        assert weights is scores
         assert np.array_equal(bias, bias_before)
         s = scores_before + bias_before
         e = np.exp(s - s.max(axis=-1, keepdims=True))
-        assert np.array_equal(probs, e / e.sum(axis=-1, keepdims=True))
+        assert np.array_equal(weights, e)
+        assert np.array_equal(sums, e.sum(axis=-1, keepdims=True))
+        assert np.array_equal(weights / sums, e / e.sum(axis=-1, keepdims=True))
+        unbiased = attention(scores_before.copy(), None)
+        zero_bias = attention(scores_before.copy(), np.zeros((5, 7)))
+        for got, want in zip(unbiased, zero_bias):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(1, 4), (3 * 7, 32), (2 * 64, 64), (757, 256)])
+    def test_norm_and_gelu_equal_their_expressions(self, shape):
+        # both run in place, step by step in the expression's order: the same floats
+        rng = np.random.default_rng(shape[0])
+        x = rng.standard_normal(shape) * 3.0
+        gain, bias = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
+        x_before = x.copy()
+        assert np.array_equal(_rms_norm(x, gain, bias), rms_norm_expr(x, gain, bias))
+        assert np.array_equal(x, x_before)
+        assert np.array_equal(_gelu(x.copy()), gelu_expr(x))
+
+    def test_stacked_guided_and_unguided_rows_equal_one_row_sessions(
+        self, steer_cfg, steer_weights, steer_image, rand_cfg, rand_weights, rand_image
+    ):
+        # a block skips the bias only where every row's bias is zero, so the
+        # unguided row of a (beta 5, no policy) stack adds zeros where its one-row
+        # session adds nothing: the same floats, in the prompt and in every step.
+        # The steer model's GEMMs are small enough to round alike at one row and
+        # at two; at larger sizes a two-row GEMM rounds like a two-row GEMM only,
+        # so there the rows are checked against stacks of one policy
+        def sessions(cfg, w, img, beta):
+            visual = encode_image(img, cfg, w)
+            mask = np.arange(len(visual)) % 3 == 0
+            return (DecoderSession(cfg, w, visual, attn_policy=(mask, beta)),
+                    DecoderSession(cfg, w, visual))
+
+        blocks = ([1, 2, 3], [2], [1], [3, 1], [2])
+        guided, unguided = sessions(steer_cfg, steer_weights, steer_image, 5.0)
+        stacked = DecoderSession.stack([guided, unguided])
+        for block in blocks:
+            got = stacked.extend_with_tokens(block)
+            for row, alone in enumerate((guided, unguided)):
+                assert np.array_equal(got[row], alone.extend_with_tokens(block)[0])
+        n = stacked.length
+        for row, alone in enumerate((guided, unguided)):
+            assert np.array_equal(stacked._kv[:, :, row, :, :n], alone._kv[:, :, 0, :, :n])
+
+        guided, unguided = sessions(rand_cfg, rand_weights, rand_image, 5.0)
+        mixed = DecoderSession.stack([guided, unguided])
+        only_guided = DecoderSession.stack([guided, guided])
+        only_unguided = DecoderSession.stack([unguided, unguided])
+        for block in blocks:
+            got = mixed.extend_with_tokens(block)
+            assert np.array_equal(got[0], only_guided.extend_with_tokens(block)[1])
+            assert np.array_equal(got[1], only_unguided.extend_with_tokens(block)[0])
 
 
 class TestFixtures:
@@ -657,6 +724,12 @@ class TestFixtures:
     def test_unknown_kind(self, rand_cfg):
         with pytest.raises(InputError):
             gen_fixture("mystery-v2", 0, rand_cfg)
+
+    @pytest.mark.parametrize("kind", ["random-v1", "steer-v1"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_stream_state_is_rejected(self, steer_cfg, kind, seed):
+        with pytest.raises(InputError):
+            gen_fixture(kind, seed, steer_cfg)
 
     def test_steer_requires_single_layer(self, rand_cfg):
         with pytest.raises(InputError):
