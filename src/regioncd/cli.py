@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from regioncd import verification, weights
-from regioncd.config import GuidanceParams, ModelConfig
+from regioncd.config import GuidanceParams
 from regioncd.decoding import DEFAULT_TOPK, baseline_decode, decode, sweep, sweep_to_csv
 from regioncd.errors import InputError, NumericError
 from regioncd.masks import (
@@ -86,14 +87,8 @@ def _given(args, *names: str) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
-def _guidance(args, cfg: ModelConfig, **strengths: float) -> GuidanceParams:
-    return GuidanceParams(
-        spec=cfg.grid(),
-        max_tokens=args.max_tokens,
-        eos_id=cfg.eos_id,
-        **_given(args, "alpha", "tau"),
-        **strengths,
-    )
+def _guidance(args, **strengths: float) -> GuidanceParams:
+    return GuidanceParams(max_tokens=args.max_tokens, **_given(args, "alpha", "tau"), **strengths)
 
 
 def _cmd_decode(args) -> int:
@@ -112,7 +107,7 @@ def _cmd_decode(args) -> int:
         if args.seg is None and args.bbox is None:
             raise InputError("decode needs --seg or --bbox unless --baseline is given")
         seg = _load_seg(args, (img.width, img.height))
-        params = _guidance(args, cfg, **_given(args, "beta", "gamma"))
+        params = _guidance(args, **_given(args, "beta", "gamma"))
         ids, trace = decode(img, seg, prompt, cfg, w, params, topk=args.topk,
                             **_given(args, "sample", "temperature", "seed"))
     if args.out is not None:
@@ -129,17 +124,18 @@ def _cmd_sweep(args) -> int:
     seg = _load_seg(args, (img.width, img.height))
     betas = _parse_floats(args.beta)
     gammas = _parse_floats(args.gamma)
-    rows = sweep(img, seg, prompt, cfg, w, betas, gammas, _guidance(args, cfg))
+    rows = sweep(img, seg, prompt, cfg, w, betas, gammas, _guidance(args))
     _write_text(args.out, sweep_to_csv(rows))
     print(f"rows={len(rows)}")
     return 0
 
 
-# fixture options that seed or shape a random-v1 fixture, with their defaults; they
-# default to None on the command line, so that steer-v1, one fixed model, can reject them
-_FIXTURE_OPTIONS = {"seed": 0, "vocab_size": 16, "embed_dim": 32, "n_heads": 4, "n_layers": 2,
-                    "L": 4, "G": (1, 1), "image_side": 16, "max_seq": 64, "eos_id": 0,
-                    "sep_embed_id": 0}
+# fixture options that seed or shape a random-v1 fixture; they default to None on the
+# command line, so that steer-v1, one fixed model, can reject them. random-v1 takes seed
+# 0 and the reduction config's value of each field not given; --L sets feature_side and
+# --G crop_rows x crop_cols.
+_FIXTURE_OPTIONS = ("seed", "vocab_size", "embed_dim", "n_heads", "n_layers", "L", "G",
+                    "image_side", "max_seq", "eos_id")
 
 
 def _cmd_fixture(args) -> int:
@@ -150,21 +146,13 @@ def _cmd_fixture(args) -> int:
             raise InputError(f"--kind steer-v1 is one fixed model and takes no {flags}")
         w = weights.gen_fixture(args.kind, 0, weights.STEER_CONFIG)
     else:
-        opts = {**_FIXTURE_OPTIONS, **given}
-        cfg = ModelConfig(
-            vocab_size=opts["vocab_size"],
-            embed_dim=opts["embed_dim"],
-            n_heads=opts["n_heads"],
-            n_layers=opts["n_layers"],
-            feature_side=opts["L"],
-            crop_rows=opts["G"][0],
-            crop_cols=opts["G"][1],
-            image_side=opts["image_side"],
-            max_seq=opts["max_seq"],
-            eos_id=opts["eos_id"],
-            sep_embed_id=opts["sep_embed_id"],
-        )
-        w = weights.gen_fixture(args.kind, opts["seed"], cfg)
+        seed = given.pop("seed", 0)
+        if "L" in given:
+            given["feature_side"] = given.pop("L")
+        if "G" in given:
+            given["crop_rows"], given["crop_cols"] = given.pop("G")
+        cfg = replace(verification.reduction_config(), **given)
+        w = weights.gen_fixture(args.kind, seed, cfg)
     weights.save_weights(w, args.out)
     print(f"digest: {w.digest()}")
     return 0
@@ -233,10 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixture", help="generate a weight fixture file")
     p.add_argument("--kind", required=True, choices=list(weights.FIXTURE_KINDS))
     p.add_argument("--out", required=True)
-    for name, default in _FIXTURE_OPTIONS.items():
-        shown = "x".join(map(str, default)) if name == "G" else default
+    base = verification.reduction_config()
+    defaults = {"seed": 0, **base.to_dict(), "L": base.feature_side,
+                "G": f"{base.crop_rows}x{base.crop_cols}"}
+    for name in _FIXTURE_OPTIONS:
         p.add_argument("--" + name.replace("_", "-"), type=_parse_grid if name == "G" else int,
-                       help=f"random-v1 only ({shown})")
+                       help=f"random-v1 only ({defaults[name]})")
     p.set_defaults(handler=_cmd_fixture)
 
     p = sub.add_parser("verify", help="run the built-in acceptance suite")

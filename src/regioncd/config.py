@@ -15,8 +15,7 @@ class ModelConfig:
 
     ``feature_side`` is the patch-grid side of one view and ``crop_rows`` x
     ``crop_cols`` the tiling of the image into local crops; together they fix
-    the visual token layout. ``sep_embed_id`` selects the row of the learned
-    separator-embedding table used at newline positions.
+    the visual token layout, :meth:`grid`. A decode stops at ``eos_id``.
     """
 
     vocab_size: int
@@ -29,7 +28,6 @@ class ModelConfig:
     image_side: int = 336
     max_seq: int = 512
     eos_id: int = 0
-    sep_embed_id: int = 0
 
     def __post_init__(self) -> None:
         if self.vocab_size < 4:
@@ -40,6 +38,8 @@ class ModelConfig:
             )
         if self.n_layers < 1:
             raise InputError("n_layers must be >= 1")
+        if self.image_side < 1:
+            raise InputError(f"image_side must be >= 1, got {self.image_side}")
         spec = self.grid()
         for side in (self.feature_side, spec.local_rows, spec.local_cols):
             if self.image_side % side:
@@ -53,8 +53,6 @@ class ModelConfig:
             )
         if not 0 <= self.eos_id < self.vocab_size:
             raise InputError(f"eos_id {self.eos_id} outside vocab")
-        if self.sep_embed_id < 0:
-            raise InputError("sep_embed_id must be >= 0")
 
     def grid(self) -> GridSpec:
         return GridSpec(side=self.feature_side, crop_rows=self.crop_rows, crop_cols=self.crop_cols)
@@ -100,15 +98,20 @@ class GuidanceParams:
     the scores of masked key positions (their pre-normalized weight times
     beta), and ``gamma`` sets the mixing intensity of the two branches'
     log-probabilities at each step.
+
+    The token grid and the stop token are the model's: a decode reads them
+    from its :class:`ModelConfig`. ``spec`` and ``eos_id``, when given, must
+    equal ``cfg.grid()`` and ``cfg.eos_id`` or the decode raises
+    :class:`InputError`.
     """
 
-    spec: GridSpec
+    spec: GridSpec | None = None
     alpha: float = 0.01
     beta: float = 5.0
     gamma: float = 1.5
     tau: float = 0.0
     max_tokens: int = 16
-    eos_id: int = 0
+    eos_id: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "tau"):
@@ -124,10 +127,8 @@ class GuidanceParams:
             raise InputError(f"tau must lie in [0, 1), got {self.tau}")
         if self.max_tokens < 1:
             raise InputError("max_tokens must be >= 1")
-        if self.eos_id < 0:
-            raise InputError("eos_id must be >= 0")
 
     def to_dict(self) -> dict:
-        """The fields, with ``spec`` written as ``L`` and ``G`` (rows, cols)."""
-        obj = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "spec"}
-        return {**obj, "L": self.spec.side, "G": [self.spec.crop_rows, self.spec.crop_cols]}
+        """The guidance fields: every field but ``spec`` and ``eos_id``."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("spec", "eos_id")}

@@ -127,9 +127,10 @@ def _check_request(
         raise InputError("prompt must be non-empty")
     if topk < 1:
         raise InputError(f"topk must be >= 1, got {topk}")
-    if params.spec != cfg.grid():
+    if params.spec not in (None, cfg.grid()) or params.eos_id not in (None, cfg.eos_id):
         raise InputError(
-            f"guidance grid {params.spec} does not match the model grid {cfg.grid()}"
+            f"guidance grid {params.spec} and stop token {params.eos_id} must be left out "
+            f"or equal the model's, {cfg.grid()} and {cfg.eos_id}"
         )
     if cfg.n_visual + len(prompt) + params.max_tokens > cfg.max_seq:
         raise InputError(
@@ -194,10 +195,12 @@ def _run_steps(
     row's fused scores are its own log-probs. ``pick`` chooses the next token
     from the fused scores; every chosen token except the last is read through
     ``shared``, which stores the log-probs for later cells if ``keep``. The
+    loop stops after the model's ``eos_id`` or ``params.max_tokens`` tokens. The
     branch top-k lists of a record are ``shared``'s, so the records of cells
     that read one prefix hold the same lists.
     """
     steps: list[StepRecord] = []
+    eos_id = shared.session.cfg.eos_id
     lps, tops = shared.after_prefix[0]
     for t in range(params.max_tokens):
         with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
@@ -214,7 +217,7 @@ def _run_steps(
                 chosen=chosen,
             )
         )
-        if chosen == params.eos_id or t + 1 == params.max_tokens:
+        if chosen == eos_id or t + 1 == params.max_tokens:
             break
         lps, tops = shared.after(t, chosen, keep)
     return steps
@@ -243,7 +246,7 @@ def _run_cells(
     """
     base = cells[0]
     _check_request(prompt, cfg, base, topk)
-    mask = generate_token_mask(seg, base.spec, base.tau)
+    mask = generate_token_mask(seg, cfg.grid(), base.tau)
     visual = encode_image(img, cfg, w)
     unguided = DecoderSession(cfg, w, suppress_tokens(visual, mask, base.alpha))
     logits_u = unguided.extend_with_tokens(prompt)
@@ -320,13 +323,13 @@ def baseline_decode(
     The one-branch case of the guided decode: every trace record's three
     top-k lists are the branch's own log-probs. It stops at ``cfg.eos_id``.
     """
-    params = GuidanceParams(spec=cfg.grid(), max_tokens=max_tokens, eos_id=cfg.eos_id)
+    params = GuidanceParams(max_tokens=max_tokens)
     _check_request(prompt, cfg, params, topk)
     session = DecoderSession(cfg, w, encode_image(img, cfg, w))
     shared = _SharedSession(session, session.extend_with_tokens(prompt), topk)
     steps = _run_steps(shared, params, _greedy_pick)
     trace = DecodeTrace(
-        params={"max_tokens": max_tokens, "eos_id": cfg.eos_id},
+        params={"max_tokens": max_tokens},
         config=cfg.to_dict(),
         fixture_digest=w.digest(),
         mask_digest=None,

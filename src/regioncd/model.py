@@ -117,7 +117,7 @@ def encode_image(img: GrayImage, cfg: ModelConfig, w: WeightSet) -> VisualSequen
     proj, bias = t["patch_proj.weight"][:, 0], t["patch_proj.bias"]
     local = _pool_means(img.intensities, spec.local_rows, spec.local_cols)[..., None] * proj + bias
     global_ = _pool_means(img.intensities, spec.side, spec.side)[..., None] * proj + bias
-    emb = assemble(local, global_, spec, sep=t["sep_embed"][cfg.sep_embed_id])
+    emb = assemble(local, global_, spec, sep=t["sep_embed"])
     emb += t["pos_embed"][: len(emb)]
     return VisualSequence(embeddings=emb)
 

@@ -42,7 +42,6 @@ def reduction_config() -> ModelConfig:
         image_side=16,
         max_seq=64,
         eos_id=0,
-        sep_embed_id=0,
     )
 
 
@@ -69,8 +68,7 @@ def steer_image() -> GrayImage:
 
 
 def _steer_params(**overrides) -> GuidanceParams:
-    base = dict(spec=weights.STEER_CONFIG.grid(), alpha=0.01, beta=9.0, gamma=1.5,
-                tau=0.0, max_tokens=1, eos_id=weights.STEER_CONFIG.eos_id)
+    base = dict(alpha=0.01, beta=9.0, gamma=1.5, tau=0.0, max_tokens=1)
     base.update(overrides)
     return GuidanceParams(**base)
 
@@ -204,10 +202,8 @@ def check_reduction_to_baseline() -> tuple[bool, str]:
     if len(base_ids) != REDUCTION_STEPS:
         return False, f"baseline stopped after {len(base_ids)} steps, wanted {REDUCTION_STEPS}"
     for gamma in (0.0, 0.5, 1.0, 1.5):
-        params = GuidanceParams(
-            spec=cfg.grid(), alpha=1.0, beta=1.0, gamma=gamma, tau=0.0,
-            max_tokens=REDUCTION_STEPS, eos_id=cfg.eos_id,
-        )
+        params = GuidanceParams(alpha=1.0, beta=1.0, gamma=gamma, tau=0.0,
+                                max_tokens=REDUCTION_STEPS)
         ids, trace = decoding.decode(
             img, seg, REDUCTION_PROMPT, cfg, w, params, topk=cfg.vocab_size
         )
@@ -232,10 +228,8 @@ def check_neutral_mask() -> tuple[bool, str]:
     img = reduction_image()
     seg = SegMask(np.zeros((cfg.image_side, cfg.image_side), dtype=np.uint8))
     base_ids, _ = decoding.baseline_decode(img, REDUCTION_PROMPT, cfg, w, REDUCTION_STEPS)
-    params = GuidanceParams(
-        spec=cfg.grid(), alpha=0.01, beta=5.0, gamma=1.5, tau=0.0,
-        max_tokens=REDUCTION_STEPS, eos_id=cfg.eos_id,
-    )
+    params = GuidanceParams(alpha=0.01, beta=5.0, gamma=1.5, tau=0.0,
+                            max_tokens=REDUCTION_STEPS)
     ids, _ = decoding.decode(img, seg, REDUCTION_PROMPT, cfg, w, params)
     if ids != base_ids:
         return False, f"neutral-mask ids {ids} != baseline {base_ids}"

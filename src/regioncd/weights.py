@@ -46,7 +46,6 @@ STEER_CONFIG = ModelConfig(
     image_side=8,
     max_seq=32,
     eos_id=1,
-    sep_embed_id=0,
 )
 
 
@@ -80,7 +79,7 @@ def tensor_spec(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
         ("patch_proj.weight", (d, 1)),
         ("patch_proj.bias", (d,)),
         ("pos_embed", (cfg.max_seq, d)),
-        ("sep_embed", (cfg.sep_embed_id + 1, d)),
+        ("sep_embed", (d,)),
         ("token_embed", (cfg.vocab_size, d)),
     ]
     for i in range(cfg.n_layers):

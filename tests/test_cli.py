@@ -101,6 +101,12 @@ class TestCmdMask:
         assert stderr.startswith("error: ") and not CATCH_ALL.search(stderr)
         assert not out.exists()
 
+    def test_malformed_grid_exits_validation(self, steer_files, tmp_path):
+        out = tmp_path / "m.json"
+        assert main(["mask", "--seg", steer_files["seg_left"], "--L", "2", "--G", "2by2",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         assert main(["mask", "--seg", str(tmp_path / "no.pgm"),
                      "--out", str(tmp_path / "m.json")]) == 2
@@ -221,7 +227,8 @@ class TestCmdDecode:
                                        ["--sample", "--seed=-1"],
                                        ["--baseline", "--max-tokens=0"],
                                        ["--baseline", "--max-tokens=-3"],
-                                       ["--baseline", "--topk=-3"]], ids=" ".join)
+                                       ["--baseline", "--topk=-3"],
+                                       ["--prompt=1,a"]], ids=" ".join)
     def test_bad_decode_options_are_input_errors(self, steer_files, tmp_path, flags):
         out = tmp_path / "t.jsonl"
         region = [] if "--baseline" in flags else ["--seg", steer_files["seg_left"]]
@@ -250,16 +257,18 @@ class TestCmdDecode:
         assert not out.exists()
 
     def test_fused_overflow_is_numeric_error(self, steer_files, tmp_path):
+        # fused scores, or sampling scores divided by a tiny temperature, that overflow
         out = tmp_path / "t.jsonl"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code, _, stderr = run_cli([
-                "decode", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
-                "--weights", steer_files["weights"], "--prompt", "0", "--gamma", "1e308",
-                "--out", str(out)])
-        assert code == 3
-        assert stderr.startswith("numeric error: ")
-        assert not out.exists()
+        for flags in (["--gamma", "1e308"], ["--sample", "--temperature", "1e-308"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, _, stderr = run_cli([
+                    "decode", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
+                    "--weights", steer_files["weights"], "--prompt", "0", "--out", str(out)]
+                    + flags)
+            assert code == 3, flags
+            assert stderr.startswith("numeric error: ")
+            assert not out.exists()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -442,7 +451,7 @@ class TestCmdFixture:
     @pytest.mark.parametrize("flag, value", [
         ("--seed", "1"), ("--seed", "0"), ("--vocab-size", "16"), ("--embed-dim", "8"),
         ("--n-heads", "1"), ("--n-layers", "1"), ("--L", "2"), ("--G", "1x1"),
-        ("--image-side", "8"), ("--max-seq", "64"), ("--eos-id", "0"), ("--sep-embed-id", "0"),
+        ("--image-side", "8"), ("--max-seq", "64"), ("--eos-id", "0"),
     ])
     def test_steer_fixture_rejects_seed_and_shape_options(self, tmp_path, capsys, flag, value):
         # steer-v1 is one fixed model: a seed or a shape it would ignore is an error,
@@ -474,8 +483,13 @@ class TestCmdFixture:
         assert main(["fixture", "--kind", "nope", "--out", str(tmp_path / "x.json")]) == 2
 
     def test_invalid_config(self, tmp_path):
-        assert main(["fixture", "--kind", "random-v1", "--vocab-size", "2",
-                     "--out", str(tmp_path / "x.json")]) == 2
+        # an image side of 0 or -16 passes the divisibility check but fits no image
+        out = tmp_path / "x.json"
+        for flag, value in (("--vocab-size", "2"), ("--image-side", "0"),
+                            ("--image-side", "-16")):
+            assert main(["fixture", "--kind", "random-v1", f"{flag}={value}",
+                         "--out", str(out)]) == 2
+            assert not out.exists()
 
 
 class TestCmdVerify:
@@ -523,7 +537,52 @@ class TestCmdVerify:
         assert len(CRITERIA) >= 8
 
 
+def bad_number(kind) -> st.SearchStrategy[str]:
+    """NaN, an infinity or a negative value of ``kind`` (int, float or the HxW grid)."""
+    negative = st.integers(max_value=-1).map(str)
+    if kind is float:  # -0.0 is not negative
+        negative = st.floats(max_value=-5e-324, allow_infinity=False).map(repr)
+    if kind == "grid":
+        return st.tuples(bad_number(int), st.booleans()).map(
+            lambda p: f"{p[0]}x1" if p[1] else f"1x{p[0]}")
+    return st.one_of(st.sampled_from(["nan", "inf", "-inf"]), negative)
+
+
+# the numeric options of the commands besides decode (whose fuzz test is above), by type
+NUMERIC_OPTIONS = {
+    "mask": {"L": int, "G": "grid", "tau": float},
+    "sweep": {"tau": float, "alpha": float, "max-tokens": int, "beta": float, "gamma": float},
+    "fixture": {"seed": int, "vocab-size": int, "embed-dim": int, "n-heads": int,
+                "n-layers": int, "L": int, "G": "grid", "image-side": int, "max-seq": int,
+                "eos-id": int},
+}
+
+
 class TestExitCodeContract:
+    @pytest.mark.parametrize("command", list(NUMERIC_OPTIONS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fuzz_bad_numeric_options(self, steer_files, command, data):
+        # each base command exits 0; one numeric option set to NaN, an infinity or a
+        # negative value makes it exit 2 and write nothing. No large positive value is
+        # drawn: a fixture allocates in proportion to its shape options.
+        out = steer_files["fuzz_out"]
+        base = {"mask": ["--seg", steer_files["seg_left"], "--L", "2"],
+                "sweep": ["--image", steer_files["image"], "--seg", steer_files["seg_left"],
+                          "--weights", steer_files["weights"], "--prompt", "0",
+                          "--max-tokens", "1"],
+                "fixture": ["--kind", "random-v1"]}[command]
+        argv = [command, "--out", str(out)] + base
+        out.unlink(missing_ok=True)
+        assert run_cli(argv)[0] == 0 and out.exists()
+        name, kind = data.draw(st.sampled_from(sorted(NUMERIC_OPTIONS[command].items())))
+        value = data.draw(bad_number(kind))
+        out.unlink()
+        code, _, stderr = run_cli(argv + [f"--{name}={value}"])
+        assert code == 2, stderr
+        assert not CATCH_ALL.search(stderr), stderr
+        assert not out.exists()
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
         assert main(["decode", "--help"]) == 0

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from regioncd import (
     decode,
     encode_image,
     fuse_logits,
+    gen_fixture,
     generate_token_mask,
     log_softmax,
     suppress_tokens,
@@ -234,11 +236,29 @@ class TestDecode:
         for token, want in enumerate(expected):
             assert fused[token] == pytest.approx(want, abs=1e-9)
 
-    def test_eos_terminates_and_is_kept(self, steer_cfg, steer_weights, steer_image, left_seg):
-        p = params_for(steer_cfg, alpha=0.01, beta=9.0, gamma=1.5, max_tokens=5, eos_id=2)
-        ids, trace = decode(steer_image, left_seg, [0], steer_cfg, steer_weights, p)
+    def test_eos_terminates_and_is_kept(self, steer_cfg, steer_image, left_seg):
+        cfg = replace(steer_cfg, eos_id=2)
+        p = params_for(cfg, alpha=0.01, beta=9.0, gamma=1.5, max_tokens=5)
+        ids, trace = decode(steer_image, left_seg, [0], cfg, gen_fixture("steer-v1", 0, cfg), p)
         assert ids == [2]
         assert len(trace.steps) == 1
+
+    @pytest.mark.parametrize("eos_id, want", [(1, [2] * 5), (2, [2])])
+    def test_grid_and_stop_token_come_from_the_config(self, steer_cfg, steer_image, left_seg,
+                                                      eos_id, want):
+        # the steering fixture emits 2 under a left mask, so only a model that stops at 2 stops
+        cfg = replace(steer_cfg, eos_id=eos_id)
+        w = gen_fixture("steer-v1", 0, cfg)
+        p = GuidanceParams(beta=9.0, max_tokens=5)
+        ids, trace = decode(steer_image, left_seg, [0], cfg, w, p)
+        assert ids == want
+        assert trace.mask_digest == generate_token_mask(left_seg, cfg.grid()).digest()
+        assert baseline_decode(steer_image, [0], cfg, w, 5)[0] == want
+        assert decode(steer_image, left_seg, [0], cfg, w,
+                      replace(p, spec=cfg.grid(), eos_id=eos_id))[0] == want
+        for given in ({"eos_id": 3 - eos_id}, {"spec": GridSpec(side=1)}):
+            with pytest.raises(InputError, match="model's"):
+                decode(steer_image, left_seg, [0], cfg, w, replace(p, **given))
 
     def test_trace_structure(self, rand_cfg, rand_weights, rand_image):
         seg = half_seg(16, 16, "left")

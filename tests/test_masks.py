@@ -391,6 +391,12 @@ class TestPgmAndJson:
         big_maxval.write_text("P2\n1 1\n65535\n12\n")
         with pytest.raises(FormatError):
             read_pgm(big_maxval)
+        # a header without maxval, an empty image and a P5 sample above maxval
+        for data in (b"P2\n2 2\n", b"P2\n0 2\n255\n", b"P5\n2 1\n9\n\x01\x0a"):
+            bad = tmp_path / "d.pgm"
+            bad.write_bytes(data)
+            with pytest.raises(FormatError):
+                read_pgm(bad)
 
     @pytest.mark.parametrize("token", ["-1", "+5", "1_0", "99999999999999999999"])
     def test_p2_rejects_non_decimal_tokens(self, tmp_path, token):
@@ -514,6 +520,10 @@ class TestPgmAndJson:
             BBox.from_json("[1,2,3]")
         with pytest.raises(FormatError):
             BBox.from_json('{"x_min": 0}')
+        with pytest.raises(FormatError, match="not valid JSON"):
+            BBox.from_json('{"x_min": 0,')
+        with pytest.raises(FormatError, match="overflows"):
+            BBox.from_json('{"x_min": 0, "y_min": 0, "x_max": 1' + "0" * 400 + ', "y_max": 1}')
 
     @pytest.mark.parametrize("value", ['"3"', "true", "null", "[1]"])
     def test_bbox_json_takes_only_numbers(self, value):

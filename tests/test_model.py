@@ -209,8 +209,7 @@ class TestEncoder:
     def test_matches_label_walk_reference(self, rand_image, crops):
         # the encoder's earlier position-by-position walk over the segment labels
         cfg = ModelConfig(vocab_size=4, embed_dim=8, n_heads=2, n_layers=1, feature_side=2,
-                          crop_rows=crops[0], crop_cols=crops[1], image_side=16, max_seq=96,
-                          sep_embed_id=1)
+                          crop_rows=crops[0], crop_cols=crops[1], image_side=16, max_seq=96)
         w = gen_fixture("random-v1", 5, cfg)
         t, spec, px = w.tensors64, cfg.grid(), rand_image.intensities
         local = iter(px.reshape(spec.local_rows, -1, spec.local_cols, px.shape[1] // spec.local_cols)
@@ -224,7 +223,7 @@ class TestEncoder:
                 mean = next(local if label == "local" else global_)
                 want.append(mean * proj + bias + t["pos_embed"][i])
             else:
-                want.append(t["sep_embed"][1] + t["pos_embed"][i])
+                want.append(t["sep_embed"] + t["pos_embed"][i])
         assert (encode_image(rand_image, cfg, w).embeddings == np.array(want)).all()
 
     @pytest.mark.parametrize("side, crops", [(3, (2, 2)), (2, (2, 3))])
@@ -363,6 +362,17 @@ class TestForwardPass:
         visual = encode_image(rand_image, rand_cfg, rand_weights)
         with pytest.raises(InputError):
             DecoderSession(steer_cfg, rand_weights, visual)
+
+    def test_rejects_misshapen_inputs(self, rand_cfg, rand_weights, rand_image):
+        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        with pytest.raises(ShapeError):
+            DecoderSession(rand_cfg, rand_weights, VisualSequence(visual.embeddings[:-1]))
+        short_mask = np.ones(len(visual) - 1, dtype=np.uint8)
+        with pytest.raises(ShapeError):
+            DecoderSession(rand_cfg, rand_weights, visual, attn_policy=(short_mask, 2.0))
+        session = DecoderSession(rand_cfg, rand_weights, visual)
+        with pytest.raises(InputError):
+            session.extend_with_tokens([])
 
     @pytest.mark.parametrize("beta", [0.5, math.nan, math.inf])
     def test_policy_rejects_bad_beta(self, rand_cfg, rand_weights, rand_image, beta):
@@ -795,18 +805,31 @@ class TestWeightFile:
 
 class TestConfigValidation:
     def test_rejects_bad_configs(self):
-        with pytest.raises(InputError):
-            ModelConfig(vocab_size=3, embed_dim=8, n_heads=2, n_layers=1, feature_side=2,
-                        image_side=8, max_seq=32)
-        with pytest.raises(InputError):
-            ModelConfig(vocab_size=8, embed_dim=7, n_heads=2, n_layers=1, feature_side=2,
-                        image_side=8, max_seq=32)
-        with pytest.raises(InputError):
-            ModelConfig(vocab_size=8, embed_dim=8, n_heads=2, n_layers=1, feature_side=3,
-                        image_side=8, max_seq=64)
-        with pytest.raises(InputError):
-            ModelConfig(vocab_size=8, embed_dim=8, n_heads=2, n_layers=1, feature_side=2,
-                        image_side=8, max_seq=14)
+        base = dict(vocab_size=8, embed_dim=8, n_heads=2, n_layers=1, feature_side=2,
+                    image_side=8, max_seq=32)
+        ModelConfig(**base)
+        # an image side of 0 or -16 passes the divisibility check but fits no image
+        for bad in ({"vocab_size": 3}, {"embed_dim": 7}, {"feature_side": 3, "max_seq": 64},
+                    {"max_seq": 14}, {"n_layers": 0}, {"eos_id": 8}, {"image_side": 0},
+                    {"image_side": -16}):
+            with pytest.raises(InputError):
+                ModelConfig(**{**base, **bad})
+
+    def test_from_dict_rejects_a_missing_field(self, rand_cfg):
+        obj = rand_cfg.to_dict()
+        assert ModelConfig.from_dict(obj) == rand_cfg
+        del obj["eos_id"]
+        with pytest.raises(FormatError, match="eos_id"):
+            ModelConfig.from_dict(obj)
+
+    def test_weight_set_checks_names_shapes_and_dtypes(self, rand_cfg, rand_weights):
+        t = rand_weights.tensors
+        head = t["head.weight"]
+        renamed = {("embed" if name == "token_embed" else name): v for name, v in t.items()}
+        for bad in (renamed, {**t, "head.weight": head.T},
+                    {**t, "head.weight": head.astype(np.float64)}):
+            with pytest.raises(InputError):
+                WeightSet(config=rand_cfg, tensors=bad)
 
     def test_nonfinite_weights_rejected(self, rand_cfg):
         w = gen_fixture("random-v1", 5, rand_cfg)
