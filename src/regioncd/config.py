@@ -77,12 +77,15 @@ class ModelConfig:
         """The config in ``obj``, whose every field must be a JSON integer.
 
         A float, boolean or string field (``1.9``, ``true``, ``"1"``) is a
-        :class:`FormatError`, not truncated or parsed.
+        :class:`FormatError`, not truncated or parsed, and so is a key that
+        is not a field, which would otherwise be dropped unread.
         """
         try:
             kwargs = {f.name: obj[f.name] for f in fields(cls)}
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad model config: {exc}") from None
+        if unknown := [key for key in obj if key not in kwargs]:
+            raise FormatError(f"model config has unknown fields {unknown}")
         for name, value in kwargs.items():
             if type(value) is not int:
                 raise FormatError(f"model config field {name} must be an integer, got {value!r}")

@@ -145,48 +145,35 @@ _Read = tuple[list[np.ndarray], list[list[tuple[int, float]]]]
 class _SharedSession:
     """A session and what its rows read after each prefix it has read.
 
-    ``ids`` are the generated ids the session holds past the prompt, and
-    ``after_prefix[k]`` the rows' log-probabilities and their top-``topk``
-    lists after the first ``k`` of them (``after_prefix[0]`` after the
-    prompt). Cells that emit the same ids read one another's forwards and
-    top-k lists from it; a cell that emits a different id rewinds the session
-    to that position and extends it from there.
+    ``reads[k]`` holds the rows' log-probabilities and top-``topk`` lists
+    after the prompt and the session's first ``k`` generated ids. Cells that
+    emit the same ids share these reads; a cell that emits a different id
+    rewinds the session to that position and extends it from there.
     """
 
     def __init__(self, session: DecoderSession, logits: np.ndarray, topk: int):
         self.session = session
-        self.prompt_end = session.length
         self.topk = topk
-        self.ids: list[int] = []
-        self.after_prefix = [self._read(logits)]
+        self.reads = [self._read(logits)]
 
     def _read(self, logits: np.ndarray) -> _Read:
         lps = [log_softmax(x) for x in logits]
         return lps, [_topk(lp, self.topk) for lp in lps]
 
-    def after(self, t: int, token: int, keep: bool) -> _Read:
-        """The rows' log-probs and top-k lists after ``ids[:t]`` and ``token``.
-
-        The caller's first ``t`` ids must be ``ids[:t]``. ``keep`` stores them
-        for a later cell; without it only the ids are recorded.
-        """
-        if t + 1 < len(self.after_prefix) and self.ids[t] == token:
-            return self.after_prefix[t + 1]
-        if t < len(self.ids):
-            self.session.rewind(self.prompt_end + t)
-            del self.ids[t:], self.after_prefix[t + 1 :]
-        read = self._read(self.session.extend_with_tokens([token]))
-        self.ids.append(token)
-        if keep:
-            self.after_prefix.append(read)
-        return read
+    def after(self, t: int, token: int) -> _Read:
+        """The reads after the session's first ``t`` generated ids and ``token``."""
+        held = len(self.reads) - 1 - t  # the session's generated ids from index t on
+        if held:
+            if self.session.text_ids[-held] == token:
+                return self.reads[t + 1]
+            self.session.rewind(self.session.length - held)
+            del self.reads[t + 1 :]
+        self.reads.append(self._read(self.session.extend_with_tokens([token])))
+        return self.reads[-1]
 
 
 def _run_steps(
-    shared: _SharedSession,
-    params: GuidanceParams,
-    pick: Callable[[np.ndarray], int],
-    keep: bool = False,
+    shared: _SharedSession, params: GuidanceParams, pick: Callable[[np.ndarray], int]
 ) -> list[StepRecord]:
     """The step loop of one cell over ``shared``, from its prompt log-probs.
 
@@ -194,14 +181,14 @@ def _run_steps(
     :func:`fuse_logits` of the two log-probabilities at ``params.gamma``; one
     row's fused scores are its own log-probs. ``pick`` chooses the next token
     from the fused scores; every chosen token except the last is read through
-    ``shared``, which stores the log-probs for later cells if ``keep``. The
-    loop stops after the model's ``eos_id`` or ``params.max_tokens`` tokens. The
-    branch top-k lists of a record are ``shared``'s, so the records of cells
-    that read one prefix hold the same lists.
+    ``shared``. The loop stops after the model's ``eos_id`` or
+    ``params.max_tokens`` tokens. The branch top-k lists of a record are
+    ``shared``'s, so the records of cells that read one prefix hold the same
+    lists.
     """
     steps: list[StepRecord] = []
     eos_id = shared.session.cfg.eos_id
-    lps, tops = shared.after_prefix[0]
+    lps, tops = shared.reads[0]
     for t in range(params.max_tokens):
         with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
             fused = fuse_logits(lps[0], lps[1], params.gamma) if len(lps) == 2 else lps[0]
@@ -219,7 +206,7 @@ def _run_steps(
         )
         if chosen == eos_id or t + 1 == params.max_tokens:
             break
-        lps, tops = shared.after(t, chosen, keep)
+        lps, tops = shared.after(t, chosen)
     return steps
 
 
@@ -239,8 +226,7 @@ def _run_cells(
     pass, so all cells of a beta run over one two-row session stacked from
     the two prompt-extended sessions. A cell reads the forwards of earlier
     cells while its ids match theirs and rewinds the session where they
-    differ, so each row equals a standalone decode of its cell. Log-probs are
-    stored only while another cell of the beta is still to run. The stacked
+    differ, so each row equals a standalone decode of its cell. The stacked
     session is freed before the next guided prefill, so no more than two
     prefilled sessions and one stack are alive at once.
     """
@@ -256,9 +242,9 @@ def _run_cells(
         logits = np.concatenate([guided.extend_with_tokens(prompt), logits_u])
         shared = _SharedSession(DecoderSession.stack([guided, unguided]), logits, topk)
         del guided
-        of_beta = [i for i, cell in enumerate(cells) if cell.beta == beta]
-        for n, i in enumerate(of_beta, 1):
-            steps[i] = _run_steps(shared, cells[i], pick, keep=n < len(of_beta))
+        for i, cell in enumerate(cells):
+            if cell.beta == beta:
+                steps[i] = _run_steps(shared, cell, pick)
         del shared
     return mask, [steps[i] for i in range(len(cells))]
 
@@ -284,8 +270,8 @@ def decode(
     if not math.isfinite(temperature) or (sample and temperature <= 0.0):
         raise InputError(f"temperature must be finite, and positive when sampling, "
                          f"got {temperature}")
-    if sample and seed < 0:
-        raise InputError(f"sampling seed must be >= 0, got {seed}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     pick = _greedy_pick
     if sample:
         rng = np.random.default_rng(seed)

@@ -33,6 +33,8 @@ RANDOM_INIT_HI = 0.05
 
 FIXTURE_KINDS = ("random-v1", "steer-v1")
 
+MAX_MODEL_VALUES = 2**26  # ~225x the 297,536 weight values of the 757-token paper layout
+
 # canonical config for the handcrafted steering fixture: one layer, one head,
 # a 2x2 feature grid over an 8x8 image, and a 4-token vocabulary
 STEER_CONFIG = ModelConfig(
@@ -73,37 +75,44 @@ def _uniform_fill(seed: int, first: int, shape: tuple[int, ...], lo: float,
 
 
 def tensor_spec(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Names and shapes of every tensor, in canonical (= fill) order."""
+    """Names and shapes of every tensor, in canonical (= fill) order.
+
+    A config past :data:`MAX_MODEL_VALUES` values is an :class:`InputError`
+    before any list is built, so it allocates nothing.
+    """
     d, f = cfg.embed_dim, cfg.ffn_dim
-    spec: list[tuple[str, tuple[int, ...]]] = [
+    head: list[tuple[str, tuple[int, ...]]] = [
         ("patch_proj.weight", (d, 1)),
         ("patch_proj.bias", (d,)),
         ("pos_embed", (cfg.max_seq, d)),
         ("sep_embed", (d,)),
         ("token_embed", (cfg.vocab_size, d)),
     ]
-    for i in range(cfg.n_layers):
-        p = f"layers.{i}."
-        spec += [
-            (p + "attn_norm.gain", (d,)),
-            (p + "attn_norm.bias", (d,)),
-            (p + "attn.wq", (d, d)),
-            (p + "attn.wk", (d, d)),
-            (p + "attn.wv", (d, d)),
-            (p + "attn.wo", (d, d)),
-            (p + "ffn_norm.gain", (d,)),
-            (p + "ffn_norm.bias", (d,)),
-            (p + "ffn.w1", (d, f)),
-            (p + "ffn.b1", (f,)),
-            (p + "ffn.w2", (f, d)),
-            (p + "ffn.b2", (d,)),
-        ]
-    spec += [
+    layer = [
+        ("attn_norm.gain", (d,)),
+        ("attn_norm.bias", (d,)),
+        ("attn.wq", (d, d)),
+        ("attn.wk", (d, d)),
+        ("attn.wv", (d, d)),
+        ("attn.wo", (d, d)),
+        ("ffn_norm.gain", (d,)),
+        ("ffn_norm.bias", (d,)),
+        ("ffn.w1", (d, f)),
+        ("ffn.b1", (f,)),
+        ("ffn.w2", (f, d)),
+        ("ffn.b2", (d,)),
+    ]
+    tail = [
         ("final_norm.gain", (d,)),
         ("final_norm.bias", (d,)),
         ("head.weight", (d, cfg.vocab_size)),
     ]
-    return spec
+    n_values = sum(math.prod(shape) for _, shape in head + tail) + cfg.n_layers * sum(
+        math.prod(shape) for _, shape in layer)
+    if n_values > MAX_MODEL_VALUES:
+        raise InputError(f"a model of {n_values} weight values exceeds {MAX_MODEL_VALUES}")
+    layers = [(f"layers.{i}.{name}", shape) for i in range(cfg.n_layers) for name, shape in layer]
+    return head + layers + tail
 
 
 @dataclass(frozen=True, eq=False)

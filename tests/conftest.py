@@ -19,32 +19,20 @@ def forward_logits(visual, text: Sequence[int], cfg, w, attn_policy=None) -> np.
 def recorded_attention():
     """Record the probabilities ``weights / sums`` of every attention kernel call.
 
-    Yields a list that fills with ``(layer, start, probs)`` per layer of every
-    block a session processes, where ``probs`` is ``(rows, block, heads,
-    total)`` and ``start`` the block's first position. The kernel runs once
-    per query tile of a layer; the tiles are joined back into one array per
-    layer, in call order within the block.
+    Yields a list that fills with one ``(rows, heads, tile, total)`` array per
+    call, in call order: one query tile of one layer over the ``total`` keys
+    the block sees. A text block is a single tile, so its row ``i`` is the
+    query at position ``total - b + i`` for a block of ``b`` tokens.
     """
     records = []
-    kernel, process = model.attention, DecoderSession._process_block
-    block = {}
-
-    def processing(session, emb):
-        n_tiles = -(-emb.shape[1] // model.QUERY_TILE)
-        block.update(start=session.length, n_tiles=n_tiles, layer=0, tiles=[])
-        return process(session, emb)
+    kernel = model.attention
 
     def recording(scores, bias):
         weights, sums = kernel(scores, bias)
-        block["tiles"].append(weights / sums)
-        if len(block["tiles"]) == block["n_tiles"]:
-            joined = np.concatenate(block["tiles"], axis=2).transpose(0, 2, 1, 3)
-            records.append((block["layer"], block["start"], joined))
-            block.update(layer=block["layer"] + 1, tiles=[])
+        records.append(weights / sums)
         return weights, sums
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(DecoderSession, "_process_block", processing)
         mp.setattr(model, "attention", recording)
         yield records
 

@@ -225,6 +225,7 @@ class TestCmdDecode:
                                        ["--sample", "--temperature=0"],
                                        ["--temperature=nan"],
                                        ["--sample", "--seed=-1"],
+                                       ["--seed=-1"],
                                        ["--baseline", "--max-tokens=0"],
                                        ["--baseline", "--max-tokens=-3"],
                                        ["--baseline", "--topk=-3"],
@@ -336,6 +337,19 @@ class TestCmdDecode:
                                    "--prompt", "0"])
         assert code == 2
         assert field in stderr and not CATCH_ALL.search(stderr), stderr
+
+    def test_unknown_config_keys_exit_validation(self, steer_files, tmp_path):
+        # the digest covers the parsed config, so a dropped key would never reach it
+        path = tmp_path / "cfg.json"
+        obj = json.loads(Path(steer_files["weights"]).read_text())
+        obj["config"].update(foo="bar", sep_embed_id=5)
+        path.write_text(json.dumps(obj))
+        code, _, stderr = run_cli(["decode", "--image", steer_files["image"],
+                                   "--seg", steer_files["seg_left"], "--weights", str(path),
+                                   "--prompt", "0"])
+        assert code == 2
+        assert "foo" in stderr and "sep_embed_id" in stderr, stderr
+        assert not CATCH_ALL.search(stderr), stderr
 
     @pytest.mark.parametrize("field, raw", [("shape", "[4.7,1]"), ("shape", "[1e400,1]"),
                                             ("shape", "[4,true]"), ("shape", '"41"'),
@@ -491,6 +505,21 @@ class TestCmdFixture:
                          "--out", str(out)]) == 2
             assert not out.exists()
 
+    def test_oversized_model_exits_validation(self, steer_files, tmp_path):
+        # both used to build a list entry per layer until memory ran out
+        out = tmp_path / "x.json"
+        code, _, stderr = run_cli(["fixture", "--kind", "random-v1",
+                                   "--n-layers", "9223372036854775808", "--out", str(out)])
+        assert code == 2 and not CATCH_ALL.search(stderr), stderr
+        assert not out.exists()
+        obj = json.loads(Path(steer_files["weights"]).read_text())
+        obj["config"]["n_layers"] = 10**9
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(obj))
+        code, _, stderr = run_cli(["decode", "--baseline", "--image", steer_files["image"],
+                                   "--weights", str(path), "--prompt", "0"])
+        assert code == 2 and not CATCH_ALL.search(stderr), stderr
+
 
 class TestCmdVerify:
     def test_exit_codes_follow_report(self, tmp_path, capsys, monkeypatch):
@@ -538,7 +567,12 @@ class TestCmdVerify:
 
 
 def bad_number(kind) -> st.SearchStrategy[str]:
-    """NaN, an infinity or a negative value of ``kind`` (int, float or the HxW grid)."""
+    """NaN, an infinity or a negative value of ``kind`` (int, float or the HxW grid).
+
+    A model ``"size"`` is an int that may also be far too large: 2^31 to past 2^63.
+    """
+    if kind == "size":
+        return st.one_of(bad_number(int), st.integers(2**31, 2**65).map(str))
     negative = st.integers(max_value=-1).map(str)
     if kind is float:  # -0.0 is not negative
         negative = st.floats(max_value=-5e-324, allow_infinity=False).map(repr)
@@ -552,9 +586,9 @@ def bad_number(kind) -> st.SearchStrategy[str]:
 NUMERIC_OPTIONS = {
     "mask": {"L": int, "G": "grid", "tau": float},
     "sweep": {"tau": float, "alpha": float, "max-tokens": int, "beta": float, "gamma": float},
-    "fixture": {"seed": int, "vocab-size": int, "embed-dim": int, "n-heads": int,
-                "n-layers": int, "L": int, "G": "grid", "image-side": int, "max-seq": int,
-                "eos-id": int},
+    "fixture": {"seed": int, "vocab-size": "size", "embed-dim": "size", "n-heads": int,
+                "n-layers": "size", "L": int, "G": "grid", "image-side": int,
+                "max-seq": "size", "eos-id": int},
 }
 
 
@@ -563,9 +597,9 @@ class TestExitCodeContract:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_fuzz_bad_numeric_options(self, steer_files, command, data):
-        # each base command exits 0; one numeric option set to NaN, an infinity or a
-        # negative value makes it exit 2 and write nothing. No large positive value is
-        # drawn: a fixture allocates in proportion to its shape options.
+        # each base command exits 0; one numeric option set to NaN, an infinity, a
+        # negative value or, for a fixture's size, a far too large one makes it exit 2
+        # and write nothing
         out = steer_files["fuzz_out"]
         base = {"mask": ["--seg", steer_files["seg_left"], "--L", "2"],
                 "sweep": ["--image", steer_files["image"], "--seg", steer_files["seg_left"],

@@ -39,7 +39,7 @@ finite_scores = st.lists(
 
 
 def params_for(cfg, **kw) -> GuidanceParams:
-    base = dict(spec=cfg.grid(), max_tokens=8, eos_id=cfg.eos_id)
+    base = dict(max_tokens=8)
     base.update(kw)
     return GuidanceParams(**base)
 
@@ -320,7 +320,7 @@ def reference_greedy(img, seg, prompt, cfg, w, params) -> tuple[list[int], list[
     and fuses their log-probabilities by the paper's formula, so it shares no
     session, stacking or cell handling with the decode engine.
     """
-    mask = generate_token_mask(seg, params.spec, params.tau)
+    mask = generate_token_mask(seg, cfg.grid(), params.tau)
     visual = encode_image(img, cfg, w)
     suppressed = suppress_tokens(visual, mask, params.alpha)
     ids, scores = [], []
@@ -331,7 +331,7 @@ def reference_greedy(img, seg, prompt, cfg, w, params) -> tuple[list[int], list[
         u = scipy.special.log_softmax(forward_logits(suppressed, text, cfg, w))
         scores.append((1.0 - params.gamma) * u + params.gamma * g)
         ids.append(int(np.argmax(scores[-1])))
-        if ids[-1] == params.eos_id:
+        if ids[-1] == cfg.eos_id:
             break
     return ids, scores
 

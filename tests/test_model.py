@@ -131,9 +131,9 @@ class TestSteerClosedForm:
                 steer_cfg, steer_weights, visual, attn_policy=(mask.values, beta),
             )
             session.extend_with_tokens([0])
-        rows = [r for r in recorded if r[1] == len(visual)]
-        assert len(rows) == 1
-        probs = rows[0][2][0, 0, 0]
+        assert len(recorded) == 2  # the prefill's one tile, then the answer row's
+        assert recorded[1].shape == (1, 1, 1, len(visual) + 1)
+        probs = recorded[1][0, 0, 0]
         k = int(mask.values.sum())
         u = len(visual) + 1 - k
         expect = np.where(np.append(mask.values, 0) != 0, beta, 1.0) / (beta * k + u)
@@ -150,11 +150,10 @@ class TestSteerClosedForm:
             session = DecoderSession(steer_cfg, steer_weights, visual,
                                      attn_policy=(mask.values, 1e308))
             session.extend_with_tokens([0])
-        for _, _, probs in recorded:
+        for probs in recorded:
             assert np.isfinite(probs).all()
             assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-12
-        params = GuidanceParams(spec=steer_cfg.grid(), beta=1e308, max_tokens=1,
-                                eos_id=steer_cfg.eos_id)
+        params = GuidanceParams(beta=1e308, max_tokens=1)
         ids, _ = decode(steer_image, left_seg, [0], steer_cfg, steer_weights, params)
         assert ids == [2]
 
@@ -310,14 +309,15 @@ class TestForwardPass:
             session = DecoderSession(steer_cfg, steer_weights, visual, attn_policy=(mask, beta))
             session.extend_with_tokens([0, 2])
         factors = np.append(np.where(mask != 0, beta, 1.0), [1.0, 1.0])
-        for layer, start, probs in recorded:
-            _, b, heads, total = probs.shape
+        for probs in recorded:
+            _, heads, b, total = probs.shape
             for i in range(b):
-                visible = total if start == 0 else start + i + 1
+                # the prefill's keys are the visual prefix, which every visual query sees
+                visible = total if total == n else total - b + i + 1
                 expect = factors[:visible] / factors[:visible].sum()
                 for h in range(heads):
-                    assert np.abs(probs[0, i, h, :visible] - expect).max() < 1e-12
-                    assert probs[0, i, h, visible:].sum() == 0.0
+                    assert np.abs(probs[0, h, i, :visible] - expect).max() < 1e-12
+                    assert probs[0, h, i, visible:].sum() == 0.0
 
     def test_rows_sum_to_one(self, rand_cfg, rand_weights, rand_image):
         visual = encode_image(rand_image, rand_cfg, rand_weights)
@@ -326,7 +326,7 @@ class TestForwardPass:
         with recorded_attention() as recorded:
             session = DecoderSession(rand_cfg, rand_weights, visual, attn_policy=(mask, 5.0))
             session.extend_with_tokens([1, 2, 3])
-        for _, start, probs in recorded:
+        for probs in recorded:
             sums = probs.sum(axis=-1)
             assert np.abs(sums - 1.0).max() < 1e-6
 
@@ -341,11 +341,12 @@ class TestForwardPass:
         rows_a = attention_rows([1, 2, 3, 4])
         rows_b = attention_rows([1, 2, 3, 9])
         changed_at = len(visual) + 3
-        for (la, sa, pa), (lb, sb, pb) in zip(rows_a, rows_b):
-            assert (la, sa) == (lb, sb)
-            for i in range(pa.shape[1]):
-                if sa + i < changed_at:
-                    assert (pa[:, i] == pb[:, i]).all()
+        for pa, pb in zip(rows_a, rows_b):
+            assert pa.shape == pb.shape
+            _, _, b, total = pa.shape
+            for i in range(b):
+                if total - b + i < changed_at:
+                    assert (pa[:, :, i] == pb[:, :, i]).all()
 
     def test_length_overflow(self, rand_cfg, rand_weights, rand_image):
         visual = encode_image(rand_image, rand_cfg, rand_weights)
@@ -494,11 +495,14 @@ class TestHeadMajorCache:
             for ids in blocks:
                 got, want = session.extend_with_tokens(ids), ref.extend_with_tokens(ids)
                 assert np.abs(got - want).max() < 1e-12
-        assert len(recorded) == len(ref.attention_rows) == 12 * cfg.n_layers
-        for (lg, sg, pg), (lr, sr, pr) in zip(recorded, ref.attention_rows):
-            assert (lg, sg) == (lr, sr)
-            assert pg[0].shape == pr.shape == (pr.shape[0], cfg.n_heads, sr + pr.shape[0])
-            assert np.abs(pg[0] - pr).max() < 1e-12
+        assert len(ref.attention_rows) == 12 * cfg.n_layers
+        tiles = []
+        for _, start, pr in ref.attention_rows:
+            assert pr.shape == (len(pr), cfg.n_heads, start + len(pr))
+            tiles += [pr[q0 : q0 + model.QUERY_TILE] for q0 in range(0, len(pr), model.QUERY_TILE)]
+        for pg, pr in zip(recorded, tiles, strict=True):
+            assert pg.shape == (1, cfg.n_heads, len(pr), pr.shape[-1])
+            assert np.abs(pg[0].transpose(1, 0, 2) - pr).max() < 1e-12
 
     @staticmethod
     def prompted(cfg, w, visual, beta):
@@ -820,6 +824,11 @@ class TestConfigValidation:
         assert ModelConfig.from_dict(obj) == rand_cfg
         del obj["eos_id"]
         with pytest.raises(FormatError, match="eos_id"):
+            ModelConfig.from_dict(obj)
+
+    def test_from_dict_rejects_unknown_keys(self, rand_cfg):
+        obj = {**rand_cfg.to_dict(), "foo": "bar", "sep_embed_id": 5}
+        with pytest.raises(FormatError, match="'foo', 'sep_embed_id'"):
             ModelConfig.from_dict(obj)
 
     def test_weight_set_checks_names_shapes_and_dtypes(self, rand_cfg, rand_weights):
