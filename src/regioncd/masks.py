@@ -136,8 +136,11 @@ class BBox:
             raise FormatError(f"bbox is not valid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise FormatError("bbox JSON must be an object")
+        fields = ("x_min", "y_min", "x_max", "y_max")
+        if unknown := sorted(obj.keys() - set(fields)):
+            raise FormatError(f"bbox JSON has unknown fields {unknown}")
         try:
-            return cls(*(_json_number(obj[k]) for k in ("x_min", "y_min", "x_max", "y_max")))
+            return cls(*(_json_number(obj[k]) for k in fields))
         except KeyError as exc:
             raise FormatError(f"bbox JSON is missing field {exc}") from None
 
@@ -263,8 +266,8 @@ def token_mask_from_json(text: str) -> tuple[TokenMask, float]:
 
     ``L`` and ``G`` must be integers, ``length`` and the number of values the
     layout length, every value the integer 0 or 1 (0 at every separator),
-    ``segments`` equal to :func:`segment_labels` of the grid, and ``tau`` a
-    number in [0, 1).
+    ``segments`` equal to :func:`segment_labels` of the grid, ``tau`` a
+    number in [0, 1), and no other key.
     """
     try:
         obj = json.loads(text)
@@ -276,6 +279,8 @@ def token_mask_from_json(text: str) -> tuple[TokenMask, float]:
         tau = _json_number(obj["tau"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed token mask JSON: {exc}") from None
+    if unknown := sorted(obj.keys() - {"L", "G", "tau", "length", "values", "segments"}):
+        raise FormatError(f"token mask JSON has unknown fields {unknown}")
     if not isinstance(raw, list) or not set(map(type, raw)) <= {int} or not set(raw) <= {0, 1}:
         raise FormatError("token mask values must be a list of the integers 0 and 1")
     if not 0.0 <= tau < 1.0:

@@ -320,17 +320,15 @@ class DecoderSession:
         rows, b, d = emb.shape
         start = self._len
         total = start + b
-        # query position p sees the whole visual prefix and every key at a position
-        # <= p, so when the block's last key is one of those for its first query
-        # (a one-token block, the visual prefill) the bias is the policy row as is,
-        # and none at all where every row's policy is zero
-        if total <= max(self._n_visual, start + 1):
+        # a visual query sees the whole prefix and a text query at position p every
+        # key at a position <= p, so the prefill and a one-token block need no causal
+        # mask: the bias is the policy row as is, and none where every row's is zero
+        if start == 0 or b == 1:
             bias = None
             if self._bias[:, :total].any():
                 bias = np.broadcast_to(self._bias[:, None, None, :total], (rows, 1, b, total))
         else:
-            keys = np.arange(total)
-            visible = (keys < self._n_visual) | (keys <= np.arange(start, total)[:, None])
+            visible = np.arange(total) <= np.arange(start, total)[:, None]
             bias = np.where(visible, self._bias[:, None, None, :total], -np.inf)
         # bias is (rows, 1, b, total) and broadcasts over the heads
         h = emb.reshape(rows * b, d)  # the caller's array: read, never written

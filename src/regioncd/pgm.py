@@ -1,5 +1,5 @@
 """Minimal 8-bit PGM (maxval <= 255) support: P2 (ASCII) and P5 (binary) are
-read, and P5 is written.
+read, and P5 with maxval 255 is written.
 
 Comments starting with ``#`` are allowed anywhere in the header and, for
 P2 files, between samples as well. Once comments are removed, a P2 body
@@ -68,18 +68,16 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
     return values.reshape(height, width), maxval
 
 
-def write_pgm(path: str | Path, samples: np.ndarray, maxval: int = 255) -> None:
-    """Write a (height, width) integer array as P5 (binary); other samples raise FormatError."""
+def write_pgm(path: str | Path, samples: np.ndarray) -> None:
+    """Write (height, width) integers in [0, 255] as P5, maxval 255; others raise FormatError."""
     arr = np.asarray(samples)
     if arr.ndim != 2:
         raise FormatError("samples must be a 2-D array")
-    if not 1 <= maxval <= 255:
-        raise FormatError(f"maxval {maxval} outside [1, 255]")
-    if not ((arr >= 0) & (arr <= maxval)).all():
-        raise FormatError("sample values outside [0, maxval]")
+    if not ((arr >= 0) & (arr <= 255)).all():
+        raise FormatError("sample values outside [0, 255]")
     raster = arr.astype(np.uint8)
     if (raster != arr).any():
         raise FormatError("samples must be integers")
     height, width = arr.shape
-    header = f"P5\n{width} {height}\n{maxval}\n"
+    header = f"P5\n{width} {height}\n255\n"
     Path(path).write_bytes(header.encode("ascii") + raster.tobytes())

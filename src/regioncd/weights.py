@@ -69,7 +69,7 @@ def _splitmix64_outputs(seed: int, first: int, n: int) -> np.ndarray:
 def _uniform_fill(seed: int, first: int, shape: tuple[int, ...], lo: float,
                   hi: float) -> np.ndarray:
     # top 53 bits -> [0, 1) with full double mantissa, identical on any platform
-    n = int(np.prod(shape)) if shape else 1
+    n = int(np.prod(shape))
     u = (_splitmix64_outputs(seed, first, n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
     return (lo + u * (hi - lo)).astype(np.float32).reshape(shape)
 
@@ -264,8 +264,6 @@ def load_weights(path: str | Path) -> WeightSet:
         raise FormatError(f"malformed weight file {path}: {exc}") from None
     try:
         w = WeightSet(config=cfg, tensors=tensors)
-    except NumericError:
-        raise
     except InputError as exc:
         raise FormatError(f"weight file {path} inconsistent with its config: {exc}") from None
     if w.digest() != stored_digest:

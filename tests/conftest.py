@@ -58,11 +58,6 @@ def left_seg(steer_cfg) -> SegMask:
 
 
 @pytest.fixture(scope="session")
-def right_seg(steer_cfg) -> SegMask:
-    return half_seg(steer_cfg.image_side, steer_cfg.image_side, "right")
-
-
-@pytest.fixture(scope="session")
 def rand_cfg() -> ModelConfig:
     return verification.reduction_config()
 

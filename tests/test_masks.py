@@ -487,6 +487,7 @@ class TestPgmAndJson:
             ("G", ["1", 1]),
             ("G", [1, True]),
             ("G", [1]),
+            ("extra", 1),
         ],
     )
     def test_token_mask_json_rejects(self, field, value):
@@ -524,6 +525,9 @@ class TestPgmAndJson:
             BBox.from_json('{"x_min": 0,')
         with pytest.raises(FormatError, match="overflows"):
             BBox.from_json('{"x_min": 0, "y_min": 0, "x_max": 1' + "0" * 400 + ', "y_max": 1}')
+        with pytest.raises(FormatError, match=r"unknown fields \['units', 'y_maxx'\]"):
+            BBox.from_json('{"x_min": 0, "y_min": 0, "x_max": 24, "y_max": 24, "y_maxx": 4, '
+                           '"units": "mm"}')
 
     @pytest.mark.parametrize("value", ['"3"', "true", "null", "[1]"])
     def test_bbox_json_takes_only_numbers(self, value):
