@@ -79,7 +79,7 @@ def _cmd_mask(args) -> int:
 
 # decode options that only the guided decode reads; they default to None, so that
 # --baseline can reject them and the guided path falls back to the library defaults
-_GUIDED_ONLY = ("seg", "bbox", "alpha", "beta", "gamma", "tau", "sample", "temperature", "seed")
+_GUIDED_ONLY = ("seg", "bbox", "alpha", "beta", "gamma", "tau", "temperature", "seed")
 
 
 def _given(args, *names: str) -> dict:
@@ -109,7 +109,7 @@ def _cmd_decode(args) -> int:
         seg = _load_seg(args, (img.width, img.height))
         params = _guidance(args, **_given(args, "beta", "gamma"))
         ids, trace = decode(img, seg, prompt, cfg, w, params, topk=args.topk,
-                            **_given(args, "sample", "temperature", "seed"))
+                            **_given(args, "temperature", "seed"))
     if args.out is not None:
         _write_text(args.out, trace.to_jsonl())
     print("tokens: " + " ".join(str(i) for i in ids))
@@ -179,6 +179,7 @@ def _add_region_source(p: argparse.ArgumentParser, required: bool) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="regioncd")
+    guidance = GuidanceParams()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mask", help="convert a region annotation to a token-mask JSON file")
@@ -196,21 +197,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--image", required=True, help="input image (PGM)")
         p.add_argument("--weights", required=True, help="weight fixture file")
         p.add_argument("--prompt", required=True, help="prompt token ids, e.g. 5,9,9")
-        p.add_argument("--tau", type=float, help="downsample coverage threshold (0)")
-        p.add_argument("--alpha", type=float, help="token suppression weight (0.01)")
-        p.add_argument("--max-tokens", type=int, default=16)
+        p.add_argument("--tau", type=float,
+                       help=f"downsample coverage threshold ({guidance.tau:g})")
+        p.add_argument("--alpha", type=float,
+                       help=f"token suppression weight ({guidance.alpha:g})")
+        p.add_argument("--max-tokens", type=int, default=guidance.max_tokens)
         if name == "decode":
             p.add_argument("--topk", type=int, default=DEFAULT_TOPK,
                            help="entries per trace record")
-            p.add_argument("--beta", type=float, help="attention amplification (5)")
-            p.add_argument("--gamma", type=float, help="logits guidance intensity (1.5)")
+            p.add_argument("--beta", type=float,
+                           help=f"attention amplification ({guidance.beta:g})")
+            p.add_argument("--gamma", type=float,
+                           help=f"logits guidance intensity ({guidance.gamma:g})")
             p.add_argument("--out", help="trace output path (JSON lines)")
             p.add_argument("--baseline", action="store_true",
                            help="plain greedy decoding, guidance disabled")
-            p.add_argument("--sample", action="store_true", default=None,
-                           help="sample from renormalized fused scores instead of argmax")
-            p.add_argument("--temperature", type=float, help="sampling temperature (1)")
-            p.add_argument("--seed", type=int, help="sampling seed (0)")
+            p.add_argument("--temperature", type=float, help="sample at this temperature")
+            p.add_argument("--seed", type=int, help="sampling seed (0); needs --temperature")
         else:
             p.add_argument("--beta", default="1,3,5,10", help="comma-separated beta values")
             p.add_argument("--gamma", default="1.0,1.1,1.3,1.5",
@@ -257,3 +260,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

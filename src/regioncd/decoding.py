@@ -257,23 +257,26 @@ def decode(
     w: WeightSet,
     params: GuidanceParams,
     topk: int = DEFAULT_TOPK,
-    sample: bool = False,
-    temperature: float = 1.0,
-    seed: int = 0,
+    temperature: float | None = None,
+    seed: int | None = None,
 ) -> tuple[list[int], DecodeTrace]:
     """Run the dual-branch guided decode; returns (generated ids, trace).
 
-    Greedy by default; with ``sample=True`` the fused scores are
-    renormalized by log-softmax and the next token drawn at the given
-    temperature (seeded, reproducible).
+    Greedy when ``temperature`` is None. Otherwise the next token is drawn
+    from the log-softmax of the fused scores at that temperature, with
+    ``default_rng(seed)`` (seed 0 when not given), and the trace header's
+    ``params`` records both; a seed without a temperature is an InputError.
     """
-    if not math.isfinite(temperature) or (sample and temperature <= 0.0):
-        raise InputError(f"temperature must be finite, and positive when sampling, "
-                         f"got {temperature}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
-    pick = _greedy_pick
-    if sample:
+    pick, sampling = _greedy_pick, {}
+    if temperature is None:
+        if seed is not None:
+            raise InputError(f"seed {seed} needs a temperature; greedy decoding draws nothing")
+    else:
+        seed = 0 if seed is None else seed
+        if not (math.isfinite(temperature) and temperature > 0.0) or seed < 0:
+            raise InputError(f"sampling needs a finite temperature > 0 and a seed >= 0, "
+                             f"got {temperature} and {seed}")
+        sampling = {"temperature": temperature, "seed": seed}
         rng = np.random.default_rng(seed)
 
         def pick(fused: np.ndarray) -> int:
@@ -286,7 +289,7 @@ def decode(
 
     mask, (steps,) = _run_cells(img, seg, prompt, cfg, w, [params], topk, pick)
     trace = DecodeTrace(
-        params=params.to_dict(),
+        params=params.to_dict() | sampling,
         config=cfg.to_dict(),
         fixture_digest=w.digest(),
         mask_digest=mask.digest(),

@@ -5,6 +5,8 @@ import json
 import math
 import re
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,11 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regioncd import STEER_CONFIG, gen_fixture
 from regioncd.cli import main
 from regioncd.pgm import write_pgm
-from regioncd.verification import _write_steer_artifacts
+from regioncd.verification import _write_steer_artifacts, half_seg, reduction_image
+from regioncd.weights import STEER_CONFIG, gen_fixture
 
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # what the CLI's catch-all handler prints for an exception it was not written for
 CATCH_ALL = re.compile(r"^error: [A-Z]\w*(Error|Exception): ", re.MULTILINE)
@@ -44,6 +48,17 @@ def steer_files(tmp_path_factory):
     files = {k: str(v) for k, v in _write_steer_artifacts(root).items()}
     files["fuzz_out"] = root / "fuzz.jsonl"
     return files
+
+
+@pytest.fixture(scope="module")
+def rand_files(tmp_path_factory):
+    """The default random-v1 fixture, the reduction image and its left half as files."""
+    root = tmp_path_factory.mktemp("rand")
+    files = {name: root / name for name in ("weights.json", "image.pgm", "left.pgm")}
+    assert main(["fixture", "--kind", "random-v1", "--out", str(files["weights.json"])]) == 0
+    write_pgm(files["image.pgm"], np.rint(reduction_image().intensities * 255).astype(np.uint8))
+    write_pgm(files["left.pgm"], half_seg(16, 16, "left").pixels * 255)
+    return {name: str(path) for name, path in files.items()}
 
 
 class TestCmdMask:
@@ -221,13 +236,30 @@ class TestCmdDecode:
         assert stdout.strip() == "tokens: 2 2 2"
         strict_jsonl(out.read_text())
 
+    @pytest.mark.parametrize("flags, ids, sampling", [
+        ([], "0", {}),
+        (["--temperature=1"], "10 4 0", {"temperature": 1.0, "seed": 0}),
+        (["--temperature=1", "--seed=3"], "1 3 12 9 1 6 7 2", {"temperature": 1.0, "seed": 3}),
+        (["--temperature=1", "--seed=4"], "15 8 15 1 9 6 12 2", {"temperature": 1.0, "seed": 4}),
+    ], ids=["greedy", "--temperature=1", "--temperature=1 --seed=3", "--temperature=1 --seed=4"])
+    def test_sampled_ids_and_header(self, rand_files, tmp_path, capsys, flags, ids, sampling):
+        # golden ids of default_rng(seed) draws; the header records the sampling settings
+        out = tmp_path / "t.jsonl"
+        assert main(["decode", "--image", rand_files["image.pgm"], "--seg", rand_files["left.pgm"],
+                     "--weights", rand_files["weights.json"], "--prompt", "1,2,3",
+                     "--max-tokens", "8", "--out", str(out)] + flags) == 0
+        assert capsys.readouterr().out.strip() == f"tokens: {ids}"
+        params = strict_jsonl(out.read_text())[0]["params"]
+        assert params == {"alpha": 0.01, "beta": 5.0, "gamma": 1.5, "tau": 0.0,
+                          "max_tokens": 8, **sampling}
+
     @pytest.mark.parametrize("flags", [["--topk=-3"], ["--topk=0"],
-                                       ["--sample", "--temperature=nan"],
-                                       ["--sample", "--temperature=inf"],
-                                       ["--sample", "--temperature=0"],
                                        ["--temperature=nan"],
-                                       ["--sample", "--seed=-1"],
+                                       ["--temperature=inf"],
+                                       ["--temperature=0"],
+                                       ["--temperature=1", "--seed=-1"],
                                        ["--seed=-1"],
+                                       ["--seed=3"],
                                        ["--baseline", "--max-tokens=0"],
                                        ["--baseline", "--max-tokens=-3"],
                                        ["--baseline", "--topk=-3"],
@@ -243,13 +275,13 @@ class TestCmdDecode:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--seg", "--bbox", "--alpha", "--beta", "--gamma",
-                                      "--tau", "--sample", "--temperature", "--seed"])
+                                      "--tau", "--temperature", "--seed"])
     def test_baseline_rejects_guided_options(self, steer_files, tmp_path, flag):
         # each value is valid, or the library default, or the nan that used to exit 0
         value = {"--seg": [steer_files["seg_left"]],
                  "--bbox": ['{"x_min": 0, "y_min": 0, "x_max": 4, "y_max": 8}'],
                  "--alpha": ["1"], "--beta": ["5"], "--gamma": ["nan"], "--tau": ["0"],
-                 "--sample": [], "--temperature": ["0.0001"], "--seed": ["0"]}[flag]
+                 "--temperature": ["0.0001"], "--seed": ["0"]}[flag]
         out = tmp_path / "t.jsonl"
         code, _, stderr = run_cli([
             "decode", "--image", steer_files["image"], "--weights", steer_files["weights"],
@@ -262,7 +294,7 @@ class TestCmdDecode:
     def test_fused_overflow_is_numeric_error(self, steer_files, tmp_path):
         # fused scores, or sampling scores divided by a tiny temperature, that overflow
         out = tmp_path / "t.jsonl"
-        for flags in (["--gamma", "1e308"], ["--sample", "--temperature", "1e-308"]):
+        for flags in (["--gamma", "1e308"], ["--temperature", "1e-308"]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 code, _, stderr = run_cli([
@@ -286,7 +318,7 @@ class TestCmdDecode:
         }),
         topk=st.integers(-1, 6),
         max_tokens=st.integers(-1, 20),
-        seed=st.integers(-2, 3),
+        seed=st.none() | st.integers(-2, 3),
         sample=st.booleans(),
         baseline=st.booleans(),
     )
@@ -300,9 +332,9 @@ class TestCmdDecode:
         if baseline:  # --baseline rejects every guided-only option
             argv += ["--baseline"]
         else:
-            argv += ["--seg", steer_files["seg_left"], f"--seed={seed}"]
-            argv += [f"--{name}={value!r}" for name, value in guidance.items()]
-            argv += ["--sample"] * sample
+            argv += ["--seg", steer_files["seg_left"]] + [f"--seed={seed}"] * (seed is not None)
+            argv += [f"--{name}={value!r}" for name, value in guidance.items()
+                     if sample or name != "temperature"]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             code, _, stderr = run_cli(argv)
@@ -614,3 +646,13 @@ class TestExitCodeContract:
 
     def test_missing_required_flag(self):
         assert main(["decode"]) == 2
+
+    def test_module_entry_point_runs_the_command(self, tmp_path):
+        # python -m regioncd.cli runs main, so a weight file that is missing exits 2
+        run = subprocess.run(
+            [sys.executable, "-m", "regioncd.cli", "decode", "--image", str(tmp_path / "x"),
+             "--weights", str(tmp_path / "y"), "--prompt", "0"],
+            cwd=SRC, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 2, run.stdout + run.stderr
+        assert run.stderr.startswith("error: ")

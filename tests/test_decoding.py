@@ -7,31 +7,18 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from regioncd import (
-    DecoderSession,
-    GridSpec,
-    GuidanceParams,
-    InputError,
-    SegMask,
-    ShapeError,
-    baseline_decode,
-    decode,
-    encode_image,
-    fuse_logits,
-    gen_fixture,
-    generate_token_mask,
-    log_softmax,
-    suppress_tokens,
-    sweep,
+from regioncd.config import GuidanceParams
+from regioncd.decoding import (
+    DEFAULT_TOPK, baseline_decode, decode, fuse_logits, log_softmax, suppress_tokens, sweep,
     sweep_to_csv,
 )
+from regioncd.errors import InputError, ShapeError
+from regioncd.masks import GridSpec, SegMask, generate_token_mask
+from regioncd.model import DecoderSession, encode_image, region_bias
+from regioncd.verification import REDUCTION_PROMPT, _reweighted as reweight_attention, half_seg
+from regioncd.weights import gen_fixture
 
-from regioncd.decoding import DEFAULT_TOPK
-from regioncd.model import region_bias
-from regioncd.verification import REDUCTION_PROMPT, _reweighted as reweight_attention
-
-from conftest import forward_logits, half_seg
-from test_model import steer_logits_by_hand
+from conftest import forward_logits, steer_logits_by_hand
 
 
 def params_for(**kw) -> GuidanceParams:
@@ -211,10 +198,8 @@ class TestDecode:
     def test_sampling_is_seed_reproducible(self, rand_cfg, rand_weights, rand_image):
         seg = half_seg(16, 16, "left")
         p = params_for(max_tokens=6)
-        a, _ = decode(rand_image, seg, [1], rand_cfg, rand_weights, p, sample=True,
-                      temperature=2.0, seed=123)
-        b, _ = decode(rand_image, seg, [1], rand_cfg, rand_weights, p, sample=True,
-                      temperature=2.0, seed=123)
+        a, _ = decode(rand_image, seg, [1], rand_cfg, rand_weights, p, temperature=2.0, seed=123)
+        b, _ = decode(rand_image, seg, [1], rand_cfg, rand_weights, p, temperature=2.0, seed=123)
         assert a == b
 
     def test_validation_errors(self, rand_cfg, rand_weights, rand_image, steer_cfg):

@@ -6,25 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from regioncd import (
-    BBox,
-    GridSpec,
-    InputError,
-    SegMask,
-    ShapeError,
-    TokenMask,
-    assemble,
-    downsample,
-    expected_length,
-    generate_token_mask,
-    mask_from_bbox,
+from regioncd.errors import FormatError, InputError, ShapeError
+from regioncd.masks import (
+    BBox, GridSpec, SegMask, TokenMask, assemble, downsample, expected_length,
+    generate_token_mask, mask_from_bbox, segment_labels, token_mask_from_json,
     token_mask_to_json,
 )
-from regioncd.masks import segment_labels, token_mask_from_json
 from regioncd.pgm import read_pgm, write_pgm
-from regioncd.errors import FormatError
-
-from conftest import half_seg
+from regioncd.verification import half_seg
 
 
 def brute_downsample(pixels: np.ndarray, out_rows: int, out_cols: int, tau: float) -> np.ndarray:

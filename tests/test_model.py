@@ -4,35 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from regioncd import (
-    DecoderSession,
-    GrayImage,
-    GuidanceParams,
-    InputError,
-    ModelConfig,
-    NumericError,
-    STEER_CONFIG,
-    SegMask,
-    ShapeError,
-    VisualSequence,
-    WeightSet,
-    decode,
-    encode_image,
-    expected_length,
-    gen_fixture,
-    generate_token_mask,
-    load_weights,
-    save_weights,
-)
-from regioncd.errors import FormatError
 from regioncd import model
-from regioncd.masks import segment_labels
-from regioncd.model import NORM_EPS, _gelu, _rms_norm, attention
+from regioncd.config import GuidanceParams, ModelConfig
+from regioncd.decoding import decode, suppress_tokens
+from regioncd.errors import FormatError, InputError, NumericError, ShapeError
+from regioncd.masks import SegMask, expected_length, generate_token_mask, segment_labels
+from regioncd.model import (
+    NORM_EPS, DecoderSession, GrayImage, VisualSequence, _gelu, _rms_norm, attention,
+    encode_image,
+)
+from regioncd.verification import half_seg
 from regioncd.weights import (
-    _GAMMA64, _MASK64, _MIX1, _MIX2, RANDOM_INIT_HI, RANDOM_INIT_LO, tensor_spec,
+    _GAMMA64, _MASK64, _MIX1, _MIX2, RANDOM_INIT_HI, RANDOM_INIT_LO, WeightSet, gen_fixture,
+    load_weights, save_weights, tensor_spec,
 )
 
-from conftest import forward_logits, half_seg, recorded_attention
+from conftest import forward_logits, recorded_attention, steer_logits_by_hand
 
 
 def splitmix64(seed: int):
@@ -57,44 +44,6 @@ def with_tensors(w: WeightSet, **replacements) -> WeightSet:
     return WeightSet(config=w.config, tensors=tensors)
 
 
-# ---------------------------------------------------------------------------
-# hand evaluation of the steering fixture (independent of the model code)
-
-
-def steer_logits_by_hand(beta: float, masked_half: str, alpha: float = 1.0) -> list[float]:
-    """Forward pass of the one-layer steering fixture, done with scalar math.
-
-    The 8x8 test image is dark on the left, light on the right; the token
-    mask marks one half. Channel codes are (1,0,..) for dark and (0,1,..)
-    for light patches, optionally alpha-scaled on the masked side before
-    normalization. Attention is uniform up to the beta factor on masked
-    positions; the head reads channels 0/1 into logits of tokens 2/3.
-    """
-    d = STEER_CONFIG.embed_dim
-    n_masked, n_other_patches, n_rest = 4, 4, 6  # 5 separators + 1 prompt token
-
-    def normed_magnitude(scale: float) -> float:
-        # first component of rms-norm applied to (scale, 0, ..., 0)
-        return scale / math.sqrt(scale * scale / d + NORM_EPS)
-
-    masked_value = normed_magnitude(alpha)
-    other_value = normed_magnitude(1.0)
-    total = beta * n_masked + n_other_patches + n_rest
-    p_masked = beta * n_masked / total
-    p_other = n_other_patches / total
-
-    masked_channel = p_masked * masked_value
-    other_channel = p_other * other_value
-    dark_channel, light_channel = (
-        (masked_channel, other_channel) if masked_half == "left"
-        else (other_channel, masked_channel)
-    )
-    denom = math.sqrt((dark_channel**2 + light_channel**2) / d + NORM_EPS)
-    logit_2 = dark_channel / denom
-    logit_3 = light_channel / denom
-    return [0.0, 0.0, logit_2, logit_3]
-
-
 class TestSteerClosedForm:
     @pytest.mark.parametrize("beta", [1.0, 3.0, 9.0])
     @pytest.mark.parametrize("side", ["left", "right"])
@@ -113,8 +62,6 @@ class TestSteerClosedForm:
     def test_suppressed_unguided_logits_match_hand_evaluation(
         self, steer_cfg, steer_weights, steer_image, left_seg
     ):
-        from regioncd import suppress_tokens
-
         mask = generate_token_mask(left_seg, steer_cfg.grid())
         visual = suppress_tokens(encode_image(steer_image, steer_cfg, steer_weights), mask, 0.01)
         logits = forward_logits(visual, [0], steer_cfg, steer_weights)
