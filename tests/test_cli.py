@@ -255,6 +255,7 @@ class TestCmdDecode:
 
     @pytest.mark.parametrize("flags", [["--topk=-3"], ["--topk=0"],
                                        ["--temperature=nan"],
+                                       ["--temperature=nan", "--seed=0"],
                                        ["--temperature=inf"],
                                        ["--temperature=0"],
                                        ["--temperature=1", "--seed=-1"],
