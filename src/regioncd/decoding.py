@@ -10,9 +10,9 @@ and the argmax token (lowest id on ties) is emitted, so gamma > 1 actively
 pushes away from the unguided distribution.
 
 The two branches are the two rows of one :class:`DecoderSession`, stacked
-after each has been prefilled and has read the prompt, so every step is one
-forward pass for both. A session holds one ``text_ids`` list for all its
-rows: both branches always consume the same generated prefix.
+after each has been prefilled and before the prompt, so the prompt and every
+step are one forward pass for both. A session holds one ``text_ids`` list for
+all its rows: both branches always consume the same generated prefix.
 
 :func:`decode` and :func:`sweep` run one engine over a list of (beta, gamma)
 cells: one unguided prefill serves every cell, and one guided prefill and
@@ -68,15 +68,17 @@ def fuse_logits(
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, so each row of a 2-D array is normalized on its own."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _topk(scores: np.ndarray, k: int) -> list[tuple[int, float]]:
-    # stable sort on negated scores: ties keep ascending token id
-    order = np.argsort(-scores, kind="stable")[:k]
-    return [(int(i), float(scores[i])) for i in order]
+def _topk(scores: np.ndarray, k: int) -> list[list[tuple[int, float]]]:
+    """Each row's ``k`` best ``(id, score)`` pairs, best first; a stable sort puts ties by id."""
+    order = np.argsort(-scores, axis=-1, kind="stable")[:, :k]
+    top = np.take_along_axis(scores, order, axis=-1)
+    return [list(zip(ids, vals)) for ids, vals in zip(order.tolist(), top.tolist())]
 
 
 @dataclass
@@ -138,27 +140,28 @@ def _check_request(
         )
 
 
-# the rows' log-probs after one prefix, and each row's top-k list of them
-_Read = tuple[list[np.ndarray], list[list[tuple[int, float]]]]
+# the rows' log-probs (rows, vocab) after one prefix, and each row's top-k list of them
+_Read = tuple[np.ndarray, list[list[tuple[int, float]]]]
 
 
 class _SharedSession:
-    """A session and what its rows read after each prefix it has read.
+    """A prefilled session, which reads the prompt itself, and every read of its rows.
 
-    ``reads[k]`` holds the rows' log-probabilities and top-``topk`` lists
-    after the prompt and the session's first ``k`` generated ids. Cells that
-    emit the same ids share these reads; a cell that emits a different id
-    rewinds the session to that position and extends it from there.
+    ``reads[k]`` holds all rows' log-probabilities and top-``topk`` lists,
+    each from one pass, after the prompt and the session's first ``k``
+    generated ids. Cells that emit the same ids share these reads; a cell that
+    emits a different id rewinds the session to that position and extends it
+    from there.
     """
 
-    def __init__(self, session: DecoderSession, logits: np.ndarray, topk: int):
+    def __init__(self, session: DecoderSession, prompt: list[int], topk: int):
         self.session = session
         self.topk = topk
-        self.reads = [self._read(logits)]
+        self.reads = [self._read(session.extend_with_tokens(prompt))]
 
     def _read(self, logits: np.ndarray) -> _Read:
-        lps = [log_softmax(x) for x in logits]
-        return lps, [_topk(lp, self.topk) for lp in lps]
+        lps = log_softmax(logits)
+        return lps, _topk(lps, self.topk)
 
     def after(self, t: int, token: int) -> _Read:
         """The reads after the session's first ``t`` generated ids and ``token``."""
@@ -200,7 +203,7 @@ def _run_steps(
                 t=t,
                 guided_topk=tops[0],
                 unguided_topk=tops[-1],
-                fused_topk=_topk(fused, shared.topk),
+                fused_topk=_topk(fused[None], shared.topk)[0],
                 chosen=chosen,
             )
         )
@@ -222,11 +225,10 @@ def _run_cells(
 ) -> tuple[TokenMask, list[list[StepRecord]]]:
     """The guided decode of every cell; returns (token mask, each cell's steps).
 
-    The cells differ in beta and gamma only, and gamma changes no forward
-    pass, so all cells of a beta run over one two-row session stacked from
-    the two prompt-extended sessions. A cell reads the forwards of earlier
-    cells while its ids match theirs and rewinds the session where they
-    differ, so each row equals a standalone decode of its cell. The stacked
+    The cells differ in beta and gamma only, so all cells of a beta share one
+    :class:`_SharedSession` over the guided and the unguided prefill, stacked
+    before the prompt so that the unguided prefill stacks again for the next
+    beta. Each row equals a standalone decode of its cell. The stacked
     session is freed before the next guided prefill, so no more than two
     prefilled sessions and one stack are alive at once.
     """
@@ -235,12 +237,10 @@ def _run_cells(
     mask = generate_token_mask(seg, cfg.grid(), base.tau)
     visual = encode_image(img, cfg, w)
     unguided = DecoderSession(cfg, w, suppress_tokens(visual, mask, base.alpha))
-    logits_u = unguided.extend_with_tokens(prompt)
     steps: dict[int, list[StepRecord]] = {}
     for beta in dict.fromkeys(cell.beta for cell in cells):
         guided = DecoderSession(cfg, w, visual, attn_policy=(mask.values, beta))
-        logits = np.concatenate([guided.extend_with_tokens(prompt), logits_u])
-        shared = _SharedSession(DecoderSession.stack([guided, unguided]), logits, topk)
+        shared = _SharedSession(DecoderSession.stack([guided, unguided]), prompt, topk)
         del guided
         for i, cell in enumerate(cells):
             if cell.beta == beta:
@@ -315,7 +315,7 @@ def baseline_decode(
     params = GuidanceParams(max_tokens=max_tokens)
     _check_request(prompt, cfg, params, topk)
     session = DecoderSession(cfg, w, encode_image(img, cfg, w))
-    shared = _SharedSession(session, session.extend_with_tokens(prompt), topk)
+    shared = _SharedSession(session, prompt, topk)
     steps = _run_steps(shared, params, _greedy_pick)
     trace = DecodeTrace(
         params={"max_tokens": max_tokens},

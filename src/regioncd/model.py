@@ -9,15 +9,13 @@ attention, GELU feed-forward) in which the visual prefix is fully mutually
 visible and text positions attend causally.
 
 A :class:`DecoderSession` holds one or more rows (decode branches) that
-read the same tokens. Attention is head-major: each layer caches its keys
-and values in preallocated ``(rows, n_heads, max_seq, head_dim)`` buffers
-that a block writes in place, and the scores and the context are batched
-matrix products over the rows and heads, one tile of query rows at a time.
-The one kernel, :func:`attention`, turns a tile's scores into unnormalized
-weights in place; the context is normalized after the product with the
-values, so no pass divides the key-wide weights. Every step that is not a
-matrix product runs in place, so a block allocates few arrays the size of
-its activations and none the size of its scores beyond one buffer.
+read the same tokens; its docstring gives the layout of its weights and of
+its head-major KV cache. The one kernel, :func:`attention`, turns a tile's
+scores into unnormalized weights in place; the context is normalized after
+the product with the values, so no pass divides the key-wide weights. Every
+step that is not a matrix product runs in place, so a block allocates few
+arrays the size of its activations and none the size of its scores beyond
+one buffer.
 
 Weights are stored as float32; all forward-pass arithmetic runs in float64,
 which keeps results reproducible to well below 1e-6 across platforms.
@@ -199,19 +197,21 @@ class DecoderSession:
     :func:`region_bias` to the scores of every attention softmax of that row;
     text positions always carry mask value 0. :meth:`stack` gathers
     prefilled sessions into one session with a row per source row, so the
-    guided and the unguided branch of a decode run one forward per step.
-    Every row consumes the same ``text_ids``; :meth:`rewind` drops a tail of
-    them.
+    guided and the unguided branch of a decode read the prompt and each step
+    in one forward. Every row consumes the same ``text_ids``; :meth:`rewind`
+    drops a tail of them.
 
-    Keys and values are cached in one preallocated array of shape
-    ``(n_layers, 2, rows, n_heads, max_seq, head_dim)``; a block writes its
-    keys and values into positions ``[start, total)``, so each appended token
-    costs a single attention row per head and no reallocation. The scores,
-    the softmax and the context then run over tiles of at most
-    :data:`QUERY_TILE` query rows, each written into the front of one
-    buffer, so a prefill's score tile stays in cache; a prompt or a step is
-    a single tile. A block whose bias is zero in every row (an unguided or
-    beta = 1 prefill, any step of such rows) skips the bias pass.
+    A session binds its layers' tensors once, with ``wq | wk | wv`` as one
+    ``(d, 3d)`` matrix, so a layer runs one q/k/v product. Keys and values
+    are cached in one preallocated array of shape
+    ``(n_layers, 2, rows, n_heads, max_seq, head_dim)``; a block stores the
+    product's k and v parts into positions ``[start, total)`` in one write,
+    so each appended token costs a single attention row per head and no
+    reallocation. The scores, the softmax and the context then run over
+    tiles of at most :data:`QUERY_TILE` query rows, each written into the
+    front of one buffer, so a prefill's score tile stays in cache; a prompt
+    or a step is a single tile. A block whose bias is zero in every row (an
+    unguided or beta = 1 prefill, any step of such rows) skips the bias pass.
     """
 
     def __init__(
@@ -228,15 +228,29 @@ class DecoderSession:
                 f"visual sequence length {len(visual)} != {cfg.n_visual} for this config"
             )
         self.cfg = cfg
-        self._t = weights.tensors64
+        self._t = t = weights.tensors64
+        self._layers = []  # each layer's tensors, in the order _process_block unpacks them
+        for li in range(cfg.n_layers):
+            p = f"layers.{li}."
+            self._layers.append((
+                t[p + "attn_norm.gain"],
+                t[p + "attn_norm.bias"],
+                np.concatenate([t[p + "attn.wq"], t[p + "attn.wk"], t[p + "attn.wv"]], axis=1),
+                t[p + "attn.wo"],
+                t[p + "ffn_norm.gain"],
+                t[p + "ffn_norm.bias"],
+                t[p + "ffn.w1"],
+                t[p + "ffn.b1"],
+                t[p + "ffn.w2"],
+                t[p + "ffn.b2"],
+            ))
         self._n_visual = len(visual)
         bias = np.zeros((1, cfg.max_seq), dtype=np.float64)
         if attn_policy is not None:
             mask, beta = attn_policy
-            mask = np.asarray(mask)
-            if mask.shape != (self._n_visual,):
+            if np.shape(mask) != (self._n_visual,):
                 raise ShapeError(
-                    f"policy mask length {mask.shape} != visual length {self._n_visual}"
+                    f"policy mask length {np.shape(mask)} != visual length {self._n_visual}"
                 )
             bias[0, : self._n_visual] = region_bias(mask, beta)
         self._bias = bias  # (rows, max_seq)
@@ -333,21 +347,18 @@ class DecoderSession:
         # bias is (rows, 1, b, total) and broadcasts over the heads
         h = emb.reshape(rows * b, d)  # the caller's array: read, never written
         scale = 1.0 / math.sqrt(cfg.head_dim)
-        split = (rows, b, cfg.n_heads, cfg.head_dim)
-        to_heads = (0, 2, 1, 3)  # (rows, b, heads, channel) <-> (rows, heads, b, channel)
-        ctx = np.empty(split)
+        ctx = np.empty((rows, b, cfg.n_heads, cfg.head_dim))  # written through a heads-first view
         # every tile's scores are written into the front of one buffer
         scores_buf = np.empty(rows * cfg.n_heads * min(b, QUERY_TILE) * total)
-        for li in range(cfg.n_layers):
-            p = f"layers.{li}."
-            k, v = self._kv[li]
-            xn = _rms_norm(h, self._t[p + "attn_norm.gain"], self._t[p + "attn_norm.bias"])
-            q = xn @ self._t[p + "attn.wq"]
+        for (attn_gain, attn_bias, wqkv, wo, ffn_gain, ffn_bias, w1, b1, w2, b2), kv in zip(
+                self._layers, self._kv):
+            xn = _rms_norm(h, attn_gain, attn_bias)
+            # q, k and v as (3, rows, heads, b, channel)
+            qkv = (xn @ wqkv).reshape(rows, b, 3, cfg.n_heads, -1).transpose(2, 0, 3, 1, 4)
+            q = qkv[0]
             q *= scale  # scaling q, not the scores: the same floats when scale is a power of 2
-            q = q.reshape(split).transpose(to_heads)
-            k[:, :, start:total] = (xn @ self._t[p + "attn.wk"]).reshape(split).transpose(to_heads)
-            v[:, :, start:total] = (xn @ self._t[p + "attn.wv"]).reshape(split).transpose(to_heads)
-            keys_t, values = k[:, :, :total].transpose(0, 1, 3, 2), v[:, :, :total]
+            kv[:, :, :, start:total] = qkv[1:]
+            keys_t, values = kv[0, :, :, :total].transpose(0, 1, 3, 2), kv[1, :, :, :total]
             for q0 in range(0, b, QUERY_TILE):
                 n = min(QUERY_TILE, b - q0)
                 tile = slice(q0, q0 + n)
@@ -355,15 +366,15 @@ class DecoderSession:
                     rows, cfg.n_heads, n, total)
                 np.matmul(q[:, :, tile], keys_t, out=scores)
                 weights, sums = attention(scores, None if bias is None else bias[:, :, tile])
-                np.divide(weights @ values, sums, out=ctx[:, tile].transpose(to_heads))
-            a = ctx.reshape(rows * b, d) @ self._t[p + "attn.wo"]
+                np.divide(weights @ values, sums, out=ctx[:, tile].transpose(0, 2, 1, 3))
+            a = ctx.reshape(rows * b, d) @ wo
             a += h  # h + a, bit for bit, into a fresh array
             h = a
-            xn = _rms_norm(h, self._t[p + "ffn_norm.gain"], self._t[p + "ffn_norm.bias"])
-            f = xn @ self._t[p + "ffn.w1"]
-            f += self._t[p + "ffn.b1"]
-            h += _gelu(f) @ self._t[p + "ffn.w2"]
-            h += self._t[p + "ffn.b2"]
+            xn = _rms_norm(h, ffn_gain, ffn_bias)
+            f = xn @ w1
+            f += b1
+            h += _gelu(f) @ w2
+            h += b2
         self._len = total
         last = h.reshape(rows, b, d)[:, -1]
         z = _rms_norm(last, self._t["final_norm.gain"], self._t["final_norm.bias"])

@@ -5,6 +5,8 @@ part of the normal pytest run and prints one PASS/FAIL line each. It is the
 one place the tests run a criterion: no unit test repeats a criterion's check.
 """
 
+import re
+
 import pytest
 
 from regioncd import verification
@@ -18,6 +20,9 @@ def test_criterion(criterion):
     status = "PASS" if passed else "FAIL"
     print(f"[{status}] criterion {criterion.cid} {criterion.name}: {detail}")
     assert passed, f"criterion {criterion.cid} ({criterion.name}): {detail}"
+    # a passing detail goes into `regioncd verify --out`, which reruns write byte for
+    # byte, so it holds no elapsed time; only a blown budget reports one
+    assert not re.search(r"\d\s?s\b", detail), detail
 
 
 def test_report_shape(monkeypatch):

@@ -108,6 +108,9 @@ class TestLogSoftmax:
             lp = log_softmax(x)
             assert abs(float(np.exp(lp).sum()) - 1.0) < 1e-12
             assert np.abs(lp - scipy.special.log_softmax(x)).max() < 1e-12
+        # a 2-D input is normalized row by row, each row bit for bit the 1-D result
+        rows = rng.uniform(-30, 30, size=(3, 257))
+        assert all(np.array_equal(lp, log_softmax(x)) for lp, x in zip(log_softmax(rows), rows))
 
 
 class TestDecode:
@@ -283,7 +286,7 @@ class TestSweep:
             fused = trace.steps[0].fused_topk
             assert row.output_ids == ids
             assert row.step1_margin == fused[0][1] - fused[1][1]
-        # stacks of one prompt-extended pair must diverge for the check above to bite
+        # stacks of one prefilled pair must diverge for the check above to bite
         assert len({tuple(r.output_ids) for r in rows}) >= 2
 
     @staticmethod
@@ -347,11 +350,14 @@ class TestSweep:
         betas, gammas, max_tokens = [1.0, 3.0], [0.0, 0.5, 1.0], 8
         seg = half_seg(rand_cfg.image_side, rand_cfg.image_side, "left")
         calls = {"step": 0, "stack": 0, "rewind": 0}
+        prompt_rows = []  # the row count of each session that reads the prompt
         extend, stack, rewind = (DecoderSession.extend_with_tokens, DecoderSession.stack,
                                  DecoderSession.rewind)
 
         def counting_extend(session, ids):
             calls["step"] += len(ids) == 1
+            if len(ids) > 1:
+                prompt_rows.append(session.rows)
             return extend(session, ids)
 
         def counting_stack(sessions):
@@ -371,6 +377,8 @@ class TestSweep:
         assert len(rows[0].output_ids) == max_tokens
         assert calls == {"step": (max_tokens - 1) * len(betas), "stack": len(betas),
                          "rewind": 0}
+        # both branches of a beta read the prompt in one two-row forward
+        assert prompt_rows == [2] * len(betas)
 
     @staticmethod
     def count_prefills(monkeypatch) -> list:
