@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from regioncd.errors import FormatError, InputError
+from regioncd.errors import FormatError, InputError, require_ints
 from regioncd.masks import GridSpec, expected_length
 
 
@@ -30,6 +30,7 @@ class ModelConfig:
     eos_id: int = 0
 
     def __post_init__(self) -> None:
+        require_ints(self, tuple(f.name for f in fields(self)))
         if self.vocab_size < 4:
             raise InputError(f"vocab_size must be >= 4, got {self.vocab_size}")
         if self.embed_dim < 1 or self.n_heads < 1 or self.embed_dim % self.n_heads:
@@ -76,9 +77,10 @@ class ModelConfig:
     def from_dict(cls, obj: dict) -> "ModelConfig":
         """The config in ``obj``, whose every field must be a JSON integer.
 
-        A float, boolean or string field (``1.9``, ``true``, ``"1"``) is a
-        :class:`FormatError`, not truncated or parsed, and so is a key that
-        is not a field, which would otherwise be dropped unread.
+        A float, boolean or string field (``1.9``, ``true``, ``"1"``) is an
+        :class:`InputError` of the constructor, not truncated or parsed; a
+        key that is not a field, which would otherwise be dropped unread, is
+        a :class:`FormatError`.
         """
         try:
             kwargs = {f.name: obj[f.name] for f in fields(cls)}
@@ -86,9 +88,6 @@ class ModelConfig:
             raise FormatError(f"bad model config: {exc}") from None
         if unknown := [key for key in obj if key not in kwargs]:
             raise FormatError(f"model config has unknown fields {unknown}")
-        for name, value in kwargs.items():
-            if type(value) is not int:
-                raise FormatError(f"model config field {name} must be an integer, got {value!r}")
         return cls(**kwargs)
 
 
@@ -117,6 +116,7 @@ class GuidanceParams:
     eos_id: int | None = None
 
     def __post_init__(self) -> None:
+        require_ints(self, ("max_tokens",))
         for name in ("alpha", "beta", "gamma", "tau"):
             if not math.isfinite(getattr(self, name)):
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")

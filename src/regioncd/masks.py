@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from regioncd import pgm
-from regioncd.errors import FormatError, InputError, ShapeError
+from regioncd.errors import FormatError, InputError, ShapeError, require_ints
 
 # segment labels, in the order the segments appear
 SEG_LOCAL = "local"
@@ -44,6 +44,7 @@ class GridSpec:
     crop_cols: int = 1
 
     def __post_init__(self) -> None:
+        require_ints(self, ("side", "crop_rows", "crop_cols"))
         if self.side < 1 or self.crop_rows < 1 or self.crop_cols < 1:
             raise InputError(f"grid spec fields must be >= 1, got {self}")
 
@@ -272,8 +273,6 @@ def token_mask_from_json(text: str) -> tuple[TokenMask, float]:
     try:
         obj = json.loads(text)
         side, (rows, cols) = obj["L"], obj["G"]
-        if {type(side), type(rows), type(cols)} != {int}:
-            raise FormatError(f"L and G must be JSON integers, got {side!r} and {obj['G']!r}")
         spec = GridSpec(side=side, crop_rows=rows, crop_cols=cols)
         raw, length, segments = obj["values"], obj["length"], obj["segments"]
         tau = _json_number(obj["tau"])

@@ -198,20 +198,21 @@ class DecoderSession:
     text positions always carry mask value 0. :meth:`stack` gathers
     prefilled sessions into one session with a row per source row, so the
     guided and the unguided branch of a decode read the prompt and each step
-    in one forward. Every row consumes the same ``text_ids``; :meth:`rewind`
-    drops a tail of them.
+    in one forward. Every row consumes the same ``text_ids``, the one record
+    of :attr:`length` (the visual prefix plus the ids); :meth:`rewind` drops
+    a tail of them.
 
-    A session binds its layers' tensors once, with ``wq | wk | wv`` as one
-    ``(d, 3d)`` matrix, so a layer runs one q/k/v product. Keys and values
-    are cached in one preallocated array of shape
+    A session binds each layer's tensors once, by name, with ``wq | wk | wv``
+    joined into one ``(d, 3d)`` ``attn.wqkv``, so a layer runs one q/k/v
+    product. Keys and values are cached in one preallocated array of shape
     ``(n_layers, 2, rows, n_heads, max_seq, head_dim)``; a block stores the
     product's k and v parts into positions ``[start, total)`` in one write,
     so each appended token costs a single attention row per head and no
     reallocation. The scores, the softmax and the context then run over
     tiles of at most :data:`QUERY_TILE` query rows, each written into the
-    front of one buffer, so a prefill's score tile stays in cache; a prompt
-    or a step is a single tile. A block whose bias is zero in every row (an
-    unguided or beta = 1 prefill, any step of such rows) skips the bias pass.
+    front of one buffer, so a prefill's score tile stays in cache; a step
+    is a single tile. A block whose bias is zero in every row (an unguided
+    or beta = 1 prefill, any step of such rows) skips the bias pass.
     """
 
     def __init__(
@@ -229,41 +230,31 @@ class DecoderSession:
             )
         self.cfg = cfg
         self._t = t = weights.tensors64
-        self._layers = []  # each layer's tensors, in the order _process_block unpacks them
+        self._layers = []  # per layer, its tensors keyed by their names after "layers.{i}."
         for li in range(cfg.n_layers):
             p = f"layers.{li}."
-            self._layers.append((
-                t[p + "attn_norm.gain"],
-                t[p + "attn_norm.bias"],
-                np.concatenate([t[p + "attn.wq"], t[p + "attn.wk"], t[p + "attn.wv"]], axis=1),
-                t[p + "attn.wo"],
-                t[p + "ffn_norm.gain"],
-                t[p + "ffn_norm.bias"],
-                t[p + "ffn.w1"],
-                t[p + "ffn.b1"],
-                t[p + "ffn.w2"],
-                t[p + "ffn.b2"],
-            ))
-        self._n_visual = len(visual)
+            layer = {name.removeprefix(p): t[name] for name in t if name.startswith(p)}
+            layer["attn.wqkv"] = np.concatenate(
+                [layer["attn.wq"], layer["attn.wk"], layer["attn.wv"]], axis=1)
+            self._layers.append(layer)
         bias = np.zeros((1, cfg.max_seq), dtype=np.float64)
         if attn_policy is not None:
             mask, beta = attn_policy
-            if np.shape(mask) != (self._n_visual,):
+            if np.shape(mask) != (cfg.n_visual,):
                 raise ShapeError(
-                    f"policy mask length {np.shape(mask)} != visual length {self._n_visual}"
+                    f"policy mask length {np.shape(mask)} != visual length {cfg.n_visual}"
                 )
-            bias[0, : self._n_visual] = region_bias(mask, beta)
+            bias[0, : cfg.n_visual] = region_bias(mask, beta)
         self._bias = bias  # (rows, max_seq)
         # [layer, 0 = keys / 1 = values, row, head, position, channel]; only the
-        # first self._len positions are ever written or read
+        # first self.length positions are ever written or read
         self._kv = np.empty((cfg.n_layers, 2, 1, cfg.n_heads, cfg.max_seq, cfg.head_dim))
-        self._len = 0
         self.text_ids: list[int] = []
-        self._process_block(visual.embeddings[None])
+        self._process_block(visual.embeddings[None], start=0)
 
     @property
     def length(self) -> int:
-        return self._len
+        return self.cfg.n_visual + len(self.text_ids)
 
     @property
     def rows(self) -> int:
@@ -273,8 +264,8 @@ class DecoderSession:
     def stack(cls, sessions: Sequence["DecoderSession"]) -> "DecoderSession":
         """One session whose rows are the rows of ``sessions``, in order.
 
-        Runs no prefill. The sessions must share a weight set, a length and
-        their text ids; a session may be listed more than once.
+        Runs no prefill. The sessions must share a weight set and their text
+        ids, and so their length; a session may be listed more than once.
         The filled part of their key and value caches is gathered into fresh
         buffers in one copy, so the new session and its sources never write
         each other's buffers.
@@ -285,9 +276,9 @@ class DecoderSession:
         for s in sessions[1:]:
             if s._t is not first._t:  # one weight set, so one config
                 raise InputError("stacked sessions must share a weight set")
-            if s._len != first._len or s.text_ids != first.text_ids:
+            if s.text_ids != first.text_ids:
                 raise InputError("stacked sessions must hold the same tokens")
-        n = first._len
+        n = first.length
         out = copy.copy(first)  # copy.copy skips __init__, so no prefill runs
         out.text_ids = list(first.text_ids)
         out._bias = np.concatenate([s._bias for s in sessions])
@@ -305,12 +296,11 @@ class DecoderSession:
         writes its positions before it reads them. So a rewound session then
         extended is, bit for bit, a fresh session fed the same ids.
         """
-        if not self._n_visual <= length <= self._len:
+        if not self.cfg.n_visual <= length <= self.length:
             raise InputError(
-                f"rewind length {length} outside [{self._n_visual}, {self._len}]"
+                f"rewind length {length} outside [{self.cfg.n_visual}, {self.length}]"
             )
-        del self.text_ids[length - self._n_visual :]
-        self._len = length
+        del self.text_ids[length - self.cfg.n_visual :]
 
     def extend_with_tokens(self, ids: Sequence[int]) -> np.ndarray:
         """Append token ids causally to every row; returns next-token logits ``(rows, vocab)``."""
@@ -319,20 +309,19 @@ class DecoderSession:
             raise InputError("token block must be non-empty")
         if any(i < 0 or i >= self.cfg.vocab_size for i in ids):
             raise InputError(f"token id outside vocab of size {self.cfg.vocab_size}")
-        start = self._len
+        start = self.length
         if start + len(ids) > self.cfg.max_seq:
             raise InputError(
                 f"sequence length {start + len(ids)} overflows max_seq {self.cfg.max_seq}"
             )
         emb = self._t["token_embed"][ids] + self._t["pos_embed"][start : start + len(ids)]
-        logits = self._process_block(np.broadcast_to(emb, (self.rows, *emb.shape)))
+        logits = self._process_block(np.broadcast_to(emb, (self.rows, *emb.shape)), start)
         self.text_ids.extend(ids)
         return logits
 
-    def _process_block(self, emb: np.ndarray) -> np.ndarray:
+    def _process_block(self, emb: np.ndarray, start: int) -> np.ndarray:
         cfg = self.cfg
         rows, b, d = emb.shape
-        start = self._len
         total = start + b
         # a visual query sees the whole prefix and a text query at position p every
         # key at a position <= p, so the prefill and a one-token block need no causal
@@ -350,11 +339,11 @@ class DecoderSession:
         ctx = np.empty((rows, b, cfg.n_heads, cfg.head_dim))  # written through a heads-first view
         # every tile's scores are written into the front of one buffer
         scores_buf = np.empty(rows * cfg.n_heads * min(b, QUERY_TILE) * total)
-        for (attn_gain, attn_bias, wqkv, wo, ffn_gain, ffn_bias, w1, b1, w2, b2), kv in zip(
-                self._layers, self._kv):
-            xn = _rms_norm(h, attn_gain, attn_bias)
+        for layer, kv in zip(self._layers, self._kv):
+            xn = _rms_norm(h, layer["attn_norm.gain"], layer["attn_norm.bias"])
             # q, k and v as (3, rows, heads, b, channel)
-            qkv = (xn @ wqkv).reshape(rows, b, 3, cfg.n_heads, -1).transpose(2, 0, 3, 1, 4)
+            qkv = xn @ layer["attn.wqkv"]
+            qkv = qkv.reshape(rows, b, 3, cfg.n_heads, -1).transpose(2, 0, 3, 1, 4)
             q = qkv[0]
             q *= scale  # scaling q, not the scores: the same floats when scale is a power of 2
             kv[:, :, :, start:total] = qkv[1:]
@@ -367,15 +356,14 @@ class DecoderSession:
                 np.matmul(q[:, :, tile], keys_t, out=scores)
                 weights, sums = attention(scores, None if bias is None else bias[:, :, tile])
                 np.divide(weights @ values, sums, out=ctx[:, tile].transpose(0, 2, 1, 3))
-            a = ctx.reshape(rows * b, d) @ wo
+            a = ctx.reshape(rows * b, d) @ layer["attn.wo"]
             a += h  # h + a, bit for bit, into a fresh array
             h = a
-            xn = _rms_norm(h, ffn_gain, ffn_bias)
-            f = xn @ w1
-            f += b1
-            h += _gelu(f) @ w2
-            h += b2
-        self._len = total
+            xn = _rms_norm(h, layer["ffn_norm.gain"], layer["ffn_norm.bias"])
+            f = xn @ layer["ffn.w1"]
+            f += layer["ffn.b1"]
+            h += _gelu(f) @ layer["ffn.w2"]
+            h += layer["ffn.b2"]
         last = h.reshape(rows, b, d)[:, -1]
         z = _rms_norm(last, self._t["final_norm.gain"], self._t["final_norm.bias"])
         logits = z @ self._t["head.weight"]

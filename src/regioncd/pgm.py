@@ -18,9 +18,12 @@ import numpy as np
 from regioncd.errors import FormatError
 
 # a comment runs to the end of its line; header fields are separated by
-# whitespace or comments, and a P2 body is its samples once comments are removed
+# whitespace or comments, and a P2 body is its samples once comments are removed.
+# A comment right after maxval ends the header; its line end is then the one
+# whitespace byte before a P5 raster.
 _COMMENT = rb"#[^\r\n]*"
-_HEADER = re.compile(rb"P[25]" + (rb"(?:\s|" + _COMMENT + rb"[\r\n])+([^\s#]+)") * 3)
+_HEADER = re.compile(rb"P[25]" + (rb"(?:\s|" + _COMMENT + rb"[\r\n])+([^\s#]+)") * 3
+                     + rb"(?:" + _COMMENT + rb")?")
 
 
 def _unsigned(path: str | Path, what: str, tokens: list[bytes]) -> np.ndarray:

@@ -58,8 +58,9 @@ def recorded_attention():
 
     Yields a list that fills with one ``(rows, heads, tile, total)`` array per
     call, in call order: one query tile of one layer over the ``total`` keys
-    the block sees. A text block is a single tile, so its row ``i`` is the
-    query at position ``total - b + i`` for a block of ``b`` tokens.
+    the block sees. A text block of at most ``model.QUERY_TILE`` tokens is a
+    single tile, so its row ``i`` is the query at position ``total - b + i``
+    for a block of ``b`` tokens.
     """
     records = []
     kernel = model.attention

@@ -213,6 +213,9 @@ class TestDecode:
             decode(rand_image, seg, [1], rand_cfg, rand_weights, params_for(spec=steer_cfg.grid()))
         with pytest.raises(InputError):
             decode(rand_image, seg, [1], rand_cfg, rand_weights, params_for(max_tokens=100))
+        for max_tokens in (2.5, 8.0, True):
+            with pytest.raises(InputError, match="max_tokens"):
+                params_for(max_tokens=max_tokens)
 
 
 def reference_greedy(img, seg, prompt, cfg, w, params) -> tuple[list[int], list[np.ndarray]]:

@@ -66,6 +66,10 @@ class TestExpectedLength:
             GridSpec(side=0)
         with pytest.raises(InputError):
             GridSpec(side=2, crop_rows=0)
+        # a float or a boolean is not read as an int
+        for name, bad in [("side", 2.5), ("crop_rows", True), ("crop_cols", 2.0)]:
+            with pytest.raises(InputError, match=name):
+                GridSpec(**{"side": 2, name: bad})
 
 
 class TestDownsample:
@@ -366,6 +370,9 @@ class TestPgmAndJson:
         write_pgm(path, data)
         samples, _ = read_pgm(path)
         assert (samples == data).all()
+        # a comment right after maxval ends at its line end, the byte before the raster
+        path.write_bytes(b"P5\n2 2\n255# c\n\x01\x02\x03\x04")
+        assert read_pgm(path)[0].tolist() == [[1, 2], [3, 4]]
 
     def test_malformed_pgm(self, tmp_path):
         bad_magic = tmp_path / "a.pgm"

@@ -418,19 +418,36 @@ def tiled_inputs():
     return cfg, gen_fixture("random-v1", 11, cfg), img
 
 
+def long_prompt_inputs():
+    """Config, weights and image of a 13-token visual prefix with room for a 100-token prompt."""
+    cfg = ModelConfig(vocab_size=16, embed_dim=32, n_heads=4, n_layers=2, feature_side=2,
+                      image_side=8, max_seq=128)
+    img = GrayImage(np.random.default_rng(5).random((8, 8)))
+    return cfg, gen_fixture("random-v1", 13, cfg), img
+
+
 class TestHeadMajorCache:
-    @pytest.mark.parametrize("beta, tiled", [
-        pytest.param(None, False, id="None"),
-        pytest.param(5.0, False, id="5.0"),
-        pytest.param(None, True, id="tiled-None"),
-        pytest.param(5.0, True, id="tiled-5.0"),
+    @pytest.mark.parametrize("beta, layout", [
+        pytest.param(None, None, id="None"),
+        pytest.param(5.0, None, id="5.0"),
+        pytest.param(None, "tiled", id="tiled-None"),
+        pytest.param(5.0, "tiled", id="tiled-5.0"),
+        pytest.param(None, "long-prompt", id="long-prompt-None"),
+        pytest.param(5.0, "long-prompt", id="long-prompt-5.0"),
     ])
     def test_matches_token_major_reference(self, rand_cfg, rand_weights, rand_image, beta,
-                                           tiled):
+                                           layout):
         # BLAS GEMMs sum in another order than einsum: agreement to ulps, not bits
-        cfg, w, img = tiled_inputs() if tiled else (rand_cfg, rand_weights, rand_image)
+        cfg, w, img = (rand_cfg, rand_weights, rand_image)
+        prompt = [1, 2, 3]
+        if layout == "tiled":  # a visual prefix of several query tiles
+            cfg, w, img = tiled_inputs()
+        elif layout == "long-prompt":  # a text block of several query tiles, under a causal mask
+            cfg, w, img = long_prompt_inputs()
+            prompt = [t % cfg.vocab_size for t in range(100)]
+            assert len(prompt) > model.QUERY_TILE
         visual = encode_image(img, cfg, w)
-        if tiled:
+        if layout == "tiled":
             assert len(visual) == 199 and len(visual) % model.QUERY_TILE
         mask = np.zeros(len(visual), dtype=np.uint8)
         mask[::3] = 1
@@ -438,7 +455,7 @@ class TestHeadMajorCache:
         with recorded_attention() as recorded:
             session = DecoderSession(cfg, w, visual, attn_policy=policy)
             ref = TokenMajorReference(cfg, w, visual, attn_policy=policy)
-            blocks = [[1, 2, 3]] + [[t % cfg.vocab_size] for t in range(5, 15)]
+            blocks = [prompt] + [[t % cfg.vocab_size] for t in range(5, 15)]
             for ids in blocks:
                 got, want = session.extend_with_tokens(ids), ref.extend_with_tokens(ids)
                 assert np.abs(got - want).max() < 1e-12
@@ -765,6 +782,11 @@ class TestConfigValidation:
                     {"image_side": -16}):
             with pytest.raises(InputError):
                 ModelConfig(**{**base, **bad})
+        # every field is an int: a float or a boolean is not truncated or read as 1
+        for name, value in [*base.items(), ("crop_rows", 1), ("crop_cols", 1), ("eos_id", 0)]:
+            for bad in (float(value), value == 1):
+                with pytest.raises(InputError, match=name):
+                    ModelConfig(**{**base, name: bad})
 
     def test_from_dict_rejects_a_missing_field(self, rand_cfg):
         obj = rand_cfg.to_dict()
