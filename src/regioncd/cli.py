@@ -37,18 +37,12 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise InputError(f"--G expects HxW (e.g. 2x2), got {text!r}") from None
 
 
-def _parse_ids(text: str) -> list[int]:
+def _parse_list(text: str, kind: type) -> list:
+    """``text`` split at commas, each entry read by ``kind``; an empty entry is an error."""
     try:
-        return [int(p) for p in text.split(",") if p != ""]
+        return [kind(p) for p in text.split(",")]
     except ValueError:
-        raise InputError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p != ""]
-    except ValueError:
-        raise InputError(f"expected comma-separated numbers, got {text!r}") from None
+        raise InputError(f"expected comma-separated {kind.__name__}s, got {text!r}") from None
 
 
 def _load_seg(args, image_dims: tuple[int, int] | None) -> SegMask:
@@ -100,7 +94,7 @@ def _cmd_decode(args) -> int:
     w = weights.load_weights(args.weights)
     cfg = w.config
     img = GrayImage.from_pgm(args.image)
-    prompt = _parse_ids(args.prompt)
+    prompt = _parse_list(args.prompt, int)
     if args.baseline:
         ids, trace = baseline_decode(img, prompt, cfg, w, args.max_tokens, topk=args.topk)
     else:
@@ -120,10 +114,10 @@ def _cmd_sweep(args) -> int:
     w = weights.load_weights(args.weights)
     cfg = w.config
     img = GrayImage.from_pgm(args.image)
-    prompt = _parse_ids(args.prompt)
+    prompt = _parse_list(args.prompt, int)
     seg = _load_seg(args, (img.width, img.height))
-    betas = _parse_floats(args.beta)
-    gammas = _parse_floats(args.gamma)
+    betas = _parse_list(args.beta, float)
+    gammas = _parse_list(args.gamma, float)
     rows = sweep(img, seg, prompt, cfg, w, betas, gammas, _guidance(args))
     _write_text(args.out, sweep_to_csv(rows))
     print(f"rows={len(rows)}")

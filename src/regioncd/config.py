@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from regioncd.errors import FormatError, InputError, require_ints
+from regioncd.errors import FormatError, InputError, require_numbers
 from regioncd.masks import GridSpec, expected_length
 
 
@@ -30,7 +30,7 @@ class ModelConfig:
     eos_id: int = 0
 
     def __post_init__(self) -> None:
-        require_ints(self, tuple(f.name for f in fields(self)))
+        require_numbers(self, ints=tuple(f.name for f in fields(self)))
         if self.vocab_size < 4:
             raise InputError(f"vocab_size must be >= 4, got {self.vocab_size}")
         if self.embed_dim < 1 or self.n_heads < 1 or self.embed_dim % self.n_heads:
@@ -116,8 +116,9 @@ class GuidanceParams:
     eos_id: int | None = None
 
     def __post_init__(self) -> None:
-        require_ints(self, ("max_tokens",))
-        for name in ("alpha", "beta", "gamma", "tau"):
+        strengths = ("alpha", "beta", "gamma", "tau")
+        require_numbers(self, ints=("max_tokens",), reals=strengths)
+        for name in strengths:
             if not math.isfinite(getattr(self, name)):
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.alpha <= 1.0:

@@ -6,8 +6,8 @@ guided branch adds ``log(beta)`` to the attention scores of masked key
 positions inside every softmax, which multiplies their pre-normalized
 weight by ``beta``. Logits level: the two branches' per-step
 log-probabilities are combined as ``(1 - gamma) * unguided + gamma * guided``
-and the argmax token (lowest id on ties) is emitted, so gamma > 1 actively
-pushes away from the unguided distribution.
+and the argmax, the first id of a stable top-k sort (lowest id on ties), is
+emitted, so gamma > 1 actively pushes away from the unguided distribution.
 
 The two branches are the two rows of one :class:`DecoderSession`, stacked
 after each has been prefilled and before the prompt, so the prompt and every
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from regioncd.config import GuidanceParams, ModelConfig
-from regioncd.errors import InputError, NumericError, ShapeError
+from regioncd.errors import InputError, NumericError, ShapeError, is_int, is_real
 from regioncd.masks import SegMask, TokenMask, generate_token_mask
 from regioncd.model import DecoderSession, GrayImage, VisualSequence, encode_image
 from regioncd.weights import WeightSet
@@ -117,18 +117,13 @@ class DecodeTrace:
         return "\n".join(lines) + "\n"
 
 
-def _greedy_pick(scores: np.ndarray) -> int:
-    # np.argmax returns the first maximum, i.e. the lowest token id on ties
-    return int(np.argmax(scores))
-
-
 def _check_request(
     prompt: list[int], cfg: ModelConfig, params: GuidanceParams, topk: int
 ) -> None:
     if not prompt:
         raise InputError("prompt must be non-empty")
-    if topk < 1:
-        raise InputError(f"topk must be >= 1, got {topk}")
+    if not is_int(topk) or topk < 1:
+        raise InputError(f"topk must be an int >= 1, got {topk!r}")
     if params.spec not in (None, cfg.grid()) or params.eos_id not in (None, cfg.eos_id):
         raise InputError(
             f"guidance grid {params.spec} and stop token {params.eos_id} must be left out "
@@ -176,18 +171,17 @@ class _SharedSession:
 
 
 def _run_steps(
-    shared: _SharedSession, params: GuidanceParams, pick: Callable[[np.ndarray], int]
+    shared: _SharedSession, params: GuidanceParams, pick: Callable[[np.ndarray], int] | None = None
 ) -> list[StepRecord]:
     """The step loop of one cell over ``shared``, from its prompt log-probs.
 
     Two rows are (guided, unguided), whose fused scores are
     :func:`fuse_logits` of the two log-probabilities at ``params.gamma``; one
-    row's fused scores are its own log-probs. ``pick`` chooses the next token
-    from the fused scores; every chosen token except the last is read through
-    ``shared``. The loop stops after the model's ``eos_id`` or
-    ``params.max_tokens`` tokens. The branch top-k lists of a record are
-    ``shared``'s, so the records of cells that read one prefix hold the same
-    lists.
+    row's fused scores are its own log-probs. The next token is the first of
+    the fused top-k list unless ``pick`` draws it from the fused scores; each
+    but the last is read through ``shared``. The loop stops after the model's
+    ``eos_id`` or ``params.max_tokens`` tokens. A record's branch top-k lists
+    are ``shared``'s, so cells that read one prefix hold the same lists.
     """
     steps: list[StepRecord] = []
     eos_id = shared.session.cfg.eos_id
@@ -197,13 +191,14 @@ def _run_steps(
             fused = fuse_logits(lps[0], lps[1], params.gamma) if len(lps) == 2 else lps[0]
         if not np.isfinite(fused).all():
             raise NumericError(f"non-finite fused scores at step {t}")
-        chosen = pick(fused)
+        fused_topk = _topk(fused[None], shared.topk)[0]
+        chosen = fused_topk[0][0] if pick is None else pick(fused)
         steps.append(
             StepRecord(
                 t=t,
                 guided_topk=tops[0],
                 unguided_topk=tops[-1],
-                fused_topk=_topk(fused[None], shared.topk)[0],
+                fused_topk=fused_topk,
                 chosen=chosen,
             )
         )
@@ -221,7 +216,7 @@ def _run_cells(
     w: WeightSet,
     cells: list[GuidanceParams],
     topk: int,
-    pick: Callable[[np.ndarray], int],
+    pick: Callable[[np.ndarray], int] | None = None,
 ) -> tuple[TokenMask, list[list[StepRecord]]]:
     """The guided decode of every cell; returns (token mask, each cell's steps).
 
@@ -267,15 +262,16 @@ def decode(
     ``default_rng(seed)`` (seed 0 when not given), and the trace header's
     ``params`` records both; a seed without a temperature is an InputError.
     """
-    pick, sampling = _greedy_pick, {}
+    pick, sampling = None, {}
     if temperature is None:
         if seed is not None:
             raise InputError(f"seed {seed} needs a temperature; greedy decoding draws nothing")
     else:
         seed = 0 if seed is None else seed
-        if not (math.isfinite(temperature) and temperature > 0.0) or seed < 0:
-            raise InputError(f"sampling needs a finite temperature > 0 and a seed >= 0, "
-                             f"got {temperature} and {seed}")
+        if not (is_real(temperature) and math.isfinite(temperature) and temperature > 0.0
+                and is_int(seed) and seed >= 0):
+            raise InputError(f"sampling needs a finite real temperature > 0 and an int seed "
+                             f">= 0, got {temperature!r} and {seed!r}")
         sampling = {"temperature": temperature, "seed": seed}
         rng = np.random.default_rng(seed)
 
@@ -316,7 +312,7 @@ def baseline_decode(
     _check_request(prompt, cfg, params, topk)
     session = DecoderSession(cfg, w, encode_image(img, cfg, w))
     shared = _SharedSession(session, prompt, topk)
-    steps = _run_steps(shared, params, _greedy_pick)
+    steps = _run_steps(shared, params)
     trace = DecodeTrace(
         params={"max_tokens": max_tokens},
         config=cfg.to_dict(),
@@ -359,7 +355,7 @@ def sweep(
     if not beta_list or not gamma_list:
         raise InputError("beta and gamma lists must be non-empty")
     cells = [replace(params, beta=b, gamma=g) for b in beta_list for g in gamma_list]
-    _, records = _run_cells(img, seg, prompt, cfg, w, cells, DEFAULT_TOPK, _greedy_pick)
+    _, records = _run_cells(img, seg, prompt, cfg, w, cells, DEFAULT_TOPK)
     return [
         SweepRow(beta=float(cell.beta), gamma=float(cell.gamma),
                  output_ids=[s.chosen for s in steps],

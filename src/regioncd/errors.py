@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check of the dataclasses."""
+"""Exception types shared across the package, and the number checks of the input paths."""
 
 
 class InputError(ValueError):
@@ -17,13 +17,25 @@ class NumericError(ArithmeticError):
     """Non-finite values where finite arithmetic is required."""
 
 
-def require_ints(obj: object, names: tuple[str, ...]) -> None:
-    """Raise :class:`InputError` unless each named field of ``obj`` is a Python ``int``.
+def is_int(value: object) -> bool:
+    """Whether ``value`` is a Python ``int``: a float or a boolean (``2.5``, ``True``) is not."""
+    return type(value) is int
 
-    A float or a boolean (``2.5``, ``True``) is rejected, not truncated or
-    read as 1.
+
+def is_real(value: object) -> bool:
+    """Whether ``value`` is an ``int`` or a ``float``: a boolean or a string is not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def require_numbers(obj: object, ints: tuple[str, ...] = (), reals: tuple[str, ...] = ()) -> None:
+    """Raise :class:`InputError` unless each field of ``obj`` named in ``ints`` passes
+    :func:`is_int` and each named in ``reals`` passes :func:`is_real`.
+
+    So a range check that follows sees no boolean, which would pass as 1, and
+    no string, which would escape it as a ``TypeError``.
     """
-    for name in names:
-        value = getattr(obj, name)
-        if type(value) is not int:
-            raise InputError(f"{type(obj).__name__} field {name} must be an int, got {value!r}")
+    for names, test, kind in ((ints, is_int, "an int"), (reals, is_real, "a real number")):
+        for name in names:
+            value = getattr(obj, name)
+            if not test(value):
+                raise InputError(f"{type(obj).__name__}.{name} must be {kind}, got {value!r}")

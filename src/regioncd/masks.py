@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from regioncd import pgm
-from regioncd.errors import FormatError, InputError, ShapeError, require_ints
+from regioncd.errors import FormatError, InputError, ShapeError, is_int, is_real, require_numbers
 
 # segment labels, in the order the segments appear
 SEG_LOCAL = "local"
@@ -44,7 +44,7 @@ class GridSpec:
     crop_cols: int = 1
 
     def __post_init__(self) -> None:
-        require_ints(self, ("side", "crop_rows", "crop_cols"))
+        require_numbers(self, ints=("side", "crop_rows", "crop_cols"))
         if self.side < 1 or self.crop_rows < 1 or self.crop_cols < 1:
             raise InputError(f"grid spec fields must be >= 1, got {self}")
 
@@ -106,7 +106,7 @@ class SegMask:
 
 def _json_number(value) -> float:
     """A JSON number as a float; strings, booleans and other types are a FormatError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_real(value):
         raise FormatError(f"expected a JSON number, got {value!r}")
     try:
         return float(value)
@@ -124,6 +124,7 @@ class BBox:
     y_max: float
 
     def __post_init__(self) -> None:
+        require_numbers(self, reals=("x_min", "y_min", "x_max", "y_max"))
         if not all(map(math.isfinite, (self.x_min, self.y_min, self.x_max, self.y_max))):
             raise InputError(f"bbox coordinates must be finite, got {self}")
         if self.x_min > self.x_max or self.y_min > self.y_max:
@@ -280,7 +281,7 @@ def token_mask_from_json(text: str) -> tuple[TokenMask, float]:
         raise FormatError(f"malformed token mask JSON: {exc}") from None
     if unknown := sorted(obj.keys() - {"L", "G", "tau", "length", "values", "segments"}):
         raise FormatError(f"token mask JSON has unknown fields {unknown}")
-    if not isinstance(raw, list) or not set(map(type, raw)) <= {int} or not set(raw) <= {0, 1}:
+    if not isinstance(raw, list) or not all(map(is_int, raw)) or not set(raw) <= {0, 1}:
         raise FormatError("token mask values must be a list of the integers 0 and 1")
     if not 0.0 <= tau < 1.0:
         raise FormatError(f"token mask tau must lie in [0, 1), got {tau}")

@@ -33,7 +33,7 @@ import numpy as np
 
 from regioncd import pgm
 from regioncd.config import ModelConfig
-from regioncd.errors import InputError, NumericError, ShapeError
+from regioncd.errors import InputError, NumericError, ShapeError, is_int, is_real
 # segment_labels is unused here, but perfbench/spans.py wraps model.segment_labels
 from regioncd.masks import assemble, segment_labels  # noqa: F401
 from regioncd.weights import WeightSet
@@ -166,7 +166,7 @@ def region_bias(mask: np.ndarray, beta: float) -> np.ndarray:
     directly, which never builds a :class:`~regioncd.config.GuidanceParams`
     (that class checks beta as well).
     """
-    if not math.isfinite(beta) or beta < 1.0:
+    if not (is_real(beta) and math.isfinite(beta) and beta >= 1.0):
         raise InputError(f"beta must be finite and >= 1, got {beta}")
     return np.where(np.asarray(mask) != 0, math.log(beta), 0.0)
 
@@ -303,18 +303,21 @@ class DecoderSession:
         del self.text_ids[length - self.cfg.n_visual :]
 
     def extend_with_tokens(self, ids: Sequence[int]) -> np.ndarray:
-        """Append token ids causally to every row; returns next-token logits ``(rows, vocab)``."""
-        ids = [int(i) for i in ids]
+        """Append token ids causally to every row; returns next-token logits ``(rows, vocab)``.
+
+        Each id must be a Python ``int`` inside the vocab: ``1.7`` or ``True`` is not id 1.
+        """
         if not ids:
             raise InputError("token block must be non-empty")
-        if any(i < 0 or i >= self.cfg.vocab_size for i in ids):
-            raise InputError(f"token id outside vocab of size {self.cfg.vocab_size}")
+        if not all(is_int(i) and 0 <= i < self.cfg.vocab_size for i in ids):
+            raise InputError(f"token ids must be ints in [0, {self.cfg.vocab_size}), got {ids!r}")
         start = self.length
         if start + len(ids) > self.cfg.max_seq:
             raise InputError(
                 f"sequence length {start + len(ids)} overflows max_seq {self.cfg.max_seq}"
             )
-        emb = self._t["token_embed"][ids] + self._t["pos_embed"][start : start + len(ids)]
+        emb = np.take(self._t["token_embed"], ids, axis=0)
+        emb += self._t["pos_embed"][start : start + len(ids)]
         logits = self._process_block(np.broadcast_to(emb, (self.rows, *emb.shape)), start)
         self.text_ids.extend(ids)
         return logits

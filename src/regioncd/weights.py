@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from regioncd.config import ModelConfig
-from regioncd.errors import FormatError, InputError, NumericError
+from regioncd.errors import FormatError, InputError, NumericError, is_int
 
 _MASK64 = (1 << 64) - 1
 _GAMMA64 = 0x9E3779B97F4A7C15
@@ -204,8 +204,8 @@ def gen_fixture(kind: str, seed: int, cfg: ModelConfig) -> WeightSet:
     The seed is the 64-bit state of the random stream, so one outside
     [0, 2^64) is rejected rather than reduced onto the seed it wraps to.
     """
-    if not 0 <= seed < 2**64:
-        raise InputError(f"fixture seed must lie in [0, 2^64), got {seed}")
+    if not (is_int(seed) and 0 <= seed < 2**64):
+        raise InputError(f"fixture seed must be an int in [0, 2^64), got {seed!r}")
     if kind == "random-v1":
         # the tensors take consecutive runs of one stream, in canonical order
         tensors, first = {}, 0
@@ -242,7 +242,7 @@ def load_weights(path: str | Path) -> WeightSet:
         tensors: dict[str, np.ndarray] = {}
         for entry in obj["tensors"]:
             shape, data = entry["shape"], entry["data"]
-            if not isinstance(shape, list) or {type(s) for s in shape} - {int}:
+            if not isinstance(shape, list) or not all(map(is_int, shape)):
                 raise FormatError(f"tensor {entry['name']}: shape must be a list of JSON "
                                   f"integers, got {shape!r}")
             if not isinstance(data, str):

@@ -264,7 +264,9 @@ class TestCmdDecode:
                                        ["--baseline", "--max-tokens=0"],
                                        ["--baseline", "--max-tokens=-3"],
                                        ["--baseline", "--topk=-3"],
-                                       ["--prompt=1,a"]], ids=" ".join)
+                                       ["--prompt=1,a"],
+                                       ["--prompt=0,,0"],
+                                       ["--prompt=0,"]], ids=" ".join)
     def test_bad_decode_options_are_input_errors(self, steer_files, tmp_path, flags):
         out = tmp_path / "t.jsonl"
         region = [] if "--baseline" in flags else ["--seg", steer_files["seg_left"]]
@@ -451,9 +453,12 @@ class TestCmdSweep:
 
     def test_bad_lists(self, steer_files, tmp_path):
         out = tmp_path / "s.csv"
-        assert main(["sweep", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
-                     "--weights", steer_files["weights"], "--prompt", "0",
-                     "--beta", "abc", "--gamma", "1", "--out", str(out)]) == 2
+        # an empty entry, also a trailing comma, is an error, not skipped
+        for beta in ("abc", "1,,3", "1,3,"):
+            assert main(["sweep", "--image", steer_files["image"], "--seg",
+                         steer_files["seg_left"], "--weights", steer_files["weights"],
+                         "--prompt", "0", "--beta", beta, "--gamma", "1", "--out", str(out)]) == 2
+            assert not out.exists()
 
     def test_sweep_without_region_source(self, steer_files, tmp_path):
         out = tmp_path / "s.csv"

@@ -69,7 +69,7 @@ class TestReweightAttention:
         assert np.abs(p - np.array([0.75, 0.25])).max() < 1e-15
 
     def test_rejects_bad_beta(self):
-        for beta in (0.5, math.nan, math.inf, -math.inf):
+        for beta in (0.5, math.nan, math.inf, -math.inf, True, "5"):
             with pytest.raises(InputError):
                 region_bias(np.array([1, 0]), beta)
 
@@ -213,9 +213,20 @@ class TestDecode:
             decode(rand_image, seg, [1], rand_cfg, rand_weights, params_for(spec=steer_cfg.grid()))
         with pytest.raises(InputError):
             decode(rand_image, seg, [1], rand_cfg, rand_weights, params_for(max_tokens=100))
-        for max_tokens in (2.5, 8.0, True):
-            with pytest.raises(InputError, match="max_tokens"):
-                params_for(max_tokens=max_tokens)
+        # ids, topk and seed are ints and the temperature a real number: a float id or
+        # topk, or a boolean or a string, is not truncated, read as 1 or a TypeError
+        with pytest.raises(InputError):
+            decode(rand_image, seg, [1.9, 2.2], rand_cfg, rand_weights, params_for())
+        for bad in ({"topk": True}, {"topk": 2.5}, {"temperature": True}, {"temperature": "1"},
+                    {"temperature": 1.0, "seed": True}, {"temperature": 1.0, "seed": 1.5}):
+            with pytest.raises(InputError):
+                decode(rand_image, seg, [1], rand_cfg, rand_weights, params_for(), **bad)
+        bad_fields = [("max_tokens", value) for value in (2.5, 8.0, True)]
+        bad_fields += [(name, value) for name in ("alpha", "beta", "gamma", "tau")
+                       for value in (True, "5")]
+        for name, value in bad_fields:
+            with pytest.raises(InputError, match=name):
+                params_for(**{name: value})
 
 
 def reference_greedy(img, seg, prompt, cfg, w, params) -> tuple[list[int], list[np.ndarray]]:

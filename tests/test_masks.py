@@ -529,6 +529,9 @@ class TestPgmAndJson:
     def test_bbox_json_takes_only_numbers(self, value):
         with pytest.raises(FormatError):
             BBox.from_json(f'{{"x_min": {value}, "y_min": 0, "x_max": 24, "y_max": 24}}')
+        # the constructor rejects them too, neither reading true as 1 nor raising TypeError
+        with pytest.raises(InputError, match="x_min"):
+            BBox(json.loads(value), 0, 24, 24)
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_bbox_rejects_nonfinite(self, value):

@@ -303,8 +303,10 @@ class TestForwardPass:
 
     def test_bad_token_id(self, rand_cfg, rand_weights, rand_image):
         visual = encode_image(rand_image, rand_cfg, rand_weights)
-        with pytest.raises(InputError):
-            forward_logits(visual, [rand_cfg.vocab_size], rand_cfg, rand_weights)
+        # a float or a boolean id is rejected, not truncated or read as id 1
+        for bad in (rand_cfg.vocab_size, 1.7, True, np.float64(1.2)):
+            with pytest.raises(InputError):
+                forward_logits(visual, [bad], rand_cfg, rand_weights)
 
     def test_config_mismatch(self, rand_cfg, rand_weights, steer_cfg, rand_image):
         visual = encode_image(rand_image, rand_cfg, rand_weights)
@@ -704,7 +706,7 @@ class TestFixtures:
             gen_fixture("mystery-v2", 0, rand_cfg)
 
     @pytest.mark.parametrize("kind", ["random-v1", "steer-v1"])
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5])
     def test_seed_outside_the_stream_state_is_rejected(self, steer_cfg, kind, seed):
         with pytest.raises(InputError):
             gen_fixture(kind, seed, steer_cfg)
