@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,15 +31,40 @@ from regioncd.model import GrayImage
 from regioncd.pgm import read_pgm
 
 
+def _number_reader(kind: type, syntax: str):
+    """A reader of one ``kind`` from text that matches ``syntax`` in full.
+
+    ``int()`` and ``float()`` alone also take digit-group underscores (``1_0``),
+    surrounding spaces and non-ASCII digits, which the PGM and JSON readers
+    reject; every number on the command line goes through one of these
+    readers, so each of those is an :class:`InputError` here.
+    """
+    pattern = re.compile(syntax, re.IGNORECASE | re.ASCII)
+
+    def read(text: str):
+        if not pattern.fullmatch(text):
+            raise InputError(f"not a plain {kind.__name__}: {text!r}")
+        return kind(text)
+
+    read.__name__ = kind.__name__  # argparse names the type in its error message
+    return read
+
+
+_int = _number_reader(int, r"[+-]?[0-9]+")
+# nan and inf are read, for the range checks behind the CLI to reject with their own message
+_float = _number_reader(
+    float, r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|[+-]?(inf|infinity|nan)")
+
+
 def _parse_grid(text: str) -> tuple[int, int]:
     try:
         rows, cols = text.lower().split("x")
-        return int(rows), int(cols)
+        return _int(rows), _int(cols)
     except ValueError:
         raise InputError(f"--G expects HxW (e.g. 2x2), got {text!r}") from None
 
 
-def _parse_list(text: str, kind: type) -> list:
+def _parse_list(text: str, kind: Callable[[str], object]) -> list:
     """``text`` split at commas, each entry read by ``kind``; an empty entry is an error."""
     try:
         return [kind(p) for p in text.split(",")]
@@ -94,7 +121,7 @@ def _cmd_decode(args) -> int:
     w = weights.load_weights(args.weights)
     cfg = w.config
     img = GrayImage.from_pgm(args.image)
-    prompt = _parse_list(args.prompt, int)
+    prompt = _parse_list(args.prompt, _int)
     if args.baseline:
         ids, trace = baseline_decode(img, prompt, cfg, w, args.max_tokens, topk=args.topk)
     else:
@@ -114,10 +141,10 @@ def _cmd_sweep(args) -> int:
     w = weights.load_weights(args.weights)
     cfg = w.config
     img = GrayImage.from_pgm(args.image)
-    prompt = _parse_list(args.prompt, int)
+    prompt = _parse_list(args.prompt, _int)
     seg = _load_seg(args, (img.width, img.height))
-    betas = _parse_list(args.beta, float)
-    gammas = _parse_list(args.gamma, float)
+    betas = _parse_list(args.beta, _float)
+    gammas = _parse_list(args.gamma, _float)
     rows = sweep(img, seg, prompt, cfg, w, betas, gammas, _guidance(args))
     _write_text(args.out, sweep_to_csv(rows))
     print(f"rows={len(rows)}")
@@ -179,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mask", help="convert a region annotation to a token-mask JSON file")
     _add_region_source(p, required=True)
     p.add_argument("--image", help="PGM image, used for --bbox pixel dimensions")
-    p.add_argument("--L", type=int, default=12, help="feature-grid side length")
+    p.add_argument("--L", type=_int, default=12, help="feature-grid side length")
     p.add_argument("--G", type=_parse_grid, default=(1, 1), help="local crop grid HxW")
-    p.add_argument("--tau", type=float, default=0.0, help="downsample coverage threshold")
+    p.add_argument("--tau", type=_float, default=0.0, help="downsample coverage threshold")
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(handler=_cmd_mask)
 
@@ -191,23 +218,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--image", required=True, help="input image (PGM)")
         p.add_argument("--weights", required=True, help="weight fixture file")
         p.add_argument("--prompt", required=True, help="prompt token ids, e.g. 5,9,9")
-        p.add_argument("--tau", type=float,
+        p.add_argument("--tau", type=_float,
                        help=f"downsample coverage threshold ({guidance.tau:g})")
-        p.add_argument("--alpha", type=float,
+        p.add_argument("--alpha", type=_float,
                        help=f"token suppression weight ({guidance.alpha:g})")
-        p.add_argument("--max-tokens", type=int, default=guidance.max_tokens)
+        p.add_argument("--max-tokens", type=_int, default=guidance.max_tokens)
         if name == "decode":
-            p.add_argument("--topk", type=int, default=DEFAULT_TOPK,
+            p.add_argument("--topk", type=_int, default=DEFAULT_TOPK,
                            help="entries per trace record")
-            p.add_argument("--beta", type=float,
+            p.add_argument("--beta", type=_float,
                            help=f"attention amplification ({guidance.beta:g})")
-            p.add_argument("--gamma", type=float,
+            p.add_argument("--gamma", type=_float,
                            help=f"logits guidance intensity ({guidance.gamma:g})")
             p.add_argument("--out", help="trace output path (JSON lines)")
             p.add_argument("--baseline", action="store_true",
                            help="plain greedy decoding, guidance disabled")
-            p.add_argument("--temperature", type=float, help="sample at this temperature")
-            p.add_argument("--seed", type=int, help="sampling seed (0); needs --temperature")
+            p.add_argument("--temperature", type=_float, help="sample at this temperature")
+            p.add_argument("--seed", type=_int, help="sampling seed (0); needs --temperature")
         else:
             p.add_argument("--beta", default="1,3,5,10", help="comma-separated beta values")
             p.add_argument("--gamma", default="1.0,1.1,1.3,1.5",
@@ -222,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = {"seed": 0, **base.to_dict(), "L": base.feature_side,
                 "G": f"{base.crop_rows}x{base.crop_cols}"}
     for name in _FIXTURE_OPTIONS:
-        p.add_argument("--" + name.replace("_", "-"), type=_parse_grid if name == "G" else int,
+        p.add_argument("--" + name.replace("_", "-"), type=_parse_grid if name == "G" else _int,
                        help=f"random-v1 only ({defaults[name]})")
     p.set_defaults(handler=_cmd_fixture)
 

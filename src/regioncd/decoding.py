@@ -44,8 +44,8 @@ def suppress_tokens(visual: VisualSequence, mask: TokenMask, alpha: float) -> Vi
     """Scale the embeddings at masked positions by ``alpha`` (pure)."""
     if len(visual) != len(mask.values):
         raise ShapeError(f"visual length {len(visual)} != mask length {len(mask.values)}")
-    if not 0.0 <= alpha <= 1.0:
-        raise InputError(f"alpha must lie in [0, 1], got {alpha}")
+    if not (is_real(alpha) and 0.0 <= alpha <= 1.0):
+        raise InputError(f"alpha must lie in [0, 1], got {alpha!r}")
     emb = visual.embeddings.copy()
     rows = mask.values != 0
     emb[rows] *= alpha

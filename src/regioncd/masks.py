@@ -188,14 +188,14 @@ def downsample(seg: SegMask, out_rows: int, out_cols: int, tau: float) -> np.nda
     any overlap at all marks the cell, so small regions survive coarse
     grids. Upsampling is rejected.
     """
-    if out_rows < 1 or out_cols < 1:
-        raise InputError(f"output grid must be at least 1x1, got {out_rows}x{out_cols}")
+    if not (is_int(out_rows) and is_int(out_cols) and out_rows >= 1 and out_cols >= 1):
+        raise InputError(f"output grid must be ints, at least 1x1, got {out_rows!r}x{out_cols!r}")
     if out_rows > seg.height or out_cols > seg.width:
         raise InputError(
             f"cannot downsample {seg.height}x{seg.width} mask to larger grid {out_rows}x{out_cols}"
         )
-    if not 0.0 <= tau < 1.0:
-        raise InputError(f"tau must lie in [0, 1), got {tau}")
+    if not (is_real(tau) and 0.0 <= tau < 1.0):
+        raise InputError(f"tau must lie in [0, 1), got {tau!r}")
     # one-hot pixel -> cell maps per axis; the counts are integers, exact in float64
     rows = ((np.arange(seg.height) * out_rows) // seg.height)[:, None] == np.arange(out_rows)
     cols = ((np.arange(seg.width) * out_cols) // seg.width)[:, None] == np.arange(out_cols)
@@ -233,8 +233,8 @@ def mask_from_bbox(box: BBox, width: int, height: int) -> SegMask:
     clamping to the image bounds; a box with zero area therefore yields an
     all-zero mask.
     """
-    if width < 1 or height < 1:
-        raise InputError(f"image dimensions must be >= 1, got {width}x{height}")
+    if not (is_int(width) and is_int(height) and width >= 1 and height >= 1):
+        raise InputError(f"image dimensions must be ints >= 1, got {width!r}x{height!r}")
     x_lo, x_hi = max(box.x_min, 0.0), min(box.x_max, float(width))
     y_lo, y_hi = max(box.y_min, 0.0), min(box.y_max, float(height))
     cx = np.arange(width) + 0.5

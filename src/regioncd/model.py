@@ -15,7 +15,10 @@ scores into unnormalized weights in place; the context is normalized after
 the product with the values, so no pass divides the key-wide weights. Every
 step that is not a matrix product runs in place, so a block allocates few
 arrays the size of its activations and none the size of its scores beyond
-one buffer.
+one buffer. A prefill writes only the cache, which is all that later
+blocks read of the visual prefix: it stops at its last layer's key/value
+write and computes no logits. A non-finite value that reaches the cache
+still raises :class:`NumericError`, at the first text block.
 
 Weights are stored as float32; all forward-pass arithmetic runs in float64,
 which keeps results reproducible to well below 1e-6 across platforms.
@@ -213,6 +216,13 @@ class DecoderSession:
     front of one buffer, so a prefill's score tile stays in cache; a step
     is a single tile. A block whose bias is zero in every row (an unguided
     or beta = 1 prefill, any step of such rows) skips the bias pass.
+
+    The prefill writes only the cache. It returns after the last layer's
+    key/value write, so that layer's attention and feed-forward, the final
+    norm and the head never run over the visual rows: they would compute
+    only values that no output reads. A non-finite value in the cache
+    raises :class:`NumericError` (CLI exit 3) at the first
+    :meth:`extend_with_tokens`, whose logits read it.
     """
 
     def __init__(
@@ -322,7 +332,7 @@ class DecoderSession:
         self.text_ids.extend(ids)
         return logits
 
-    def _process_block(self, emb: np.ndarray, start: int) -> np.ndarray:
+    def _process_block(self, emb: np.ndarray, start: int) -> np.ndarray | None:
         cfg = self.cfg
         rows, b, d = emb.shape
         total = start + b
@@ -342,7 +352,7 @@ class DecoderSession:
         ctx = np.empty((rows, b, cfg.n_heads, cfg.head_dim))  # written through a heads-first view
         # every tile's scores are written into the front of one buffer
         scores_buf = np.empty(rows * cfg.n_heads * min(b, QUERY_TILE) * total)
-        for layer, kv in zip(self._layers, self._kv):
+        for li, (layer, kv) in enumerate(zip(self._layers, self._kv)):
             xn = _rms_norm(h, layer["attn_norm.gain"], layer["attn_norm.bias"])
             # q, k and v as (3, rows, heads, b, channel)
             qkv = xn @ layer["attn.wqkv"]
@@ -350,6 +360,8 @@ class DecoderSession:
             q = qkv[0]
             q *= scale  # scaling q, not the scores: the same floats when scale is a power of 2
             kv[:, :, :, start:total] = qkv[1:]
+            if start == 0 and li == cfg.n_layers - 1:
+                return None  # the prefill's last-layer output and logits: nothing reads them
             keys_t, values = kv[0, :, :, :total].transpose(0, 1, 3, 2), kv[1, :, :, :total]
             for q0 in range(0, b, QUERY_TILE):
                 n = min(QUERY_TILE, b - q0)

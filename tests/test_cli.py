@@ -266,7 +266,9 @@ class TestCmdDecode:
                                        ["--baseline", "--topk=-3"],
                                        ["--prompt=1,a"],
                                        ["--prompt=0,,0"],
-                                       ["--prompt=0,"]], ids=" ".join)
+                                       ["--prompt=0,"],
+                                       ["--prompt=0_0"],
+                                       ["--prompt= 1"]], ids=" ".join)
     def test_bad_decode_options_are_input_errors(self, steer_files, tmp_path, flags):
         out = tmp_path / "t.jsonl"
         region = [] if "--baseline" in flags else ["--seg", steer_files["seg_left"]]
@@ -453,8 +455,9 @@ class TestCmdSweep:
 
     def test_bad_lists(self, steer_files, tmp_path):
         out = tmp_path / "s.csv"
-        # an empty entry, also a trailing comma, is an error, not skipped
-        for beta in ("abc", "1,,3", "1,3,"):
+        # an empty entry, also a trailing comma, is an error, not skipped; so is a
+        # number that int() or float() would read past an underscore or a space
+        for beta in ("abc", "1,,3", "1,3,", "1_0", "1, 3", " 5"):
             assert main(["sweep", "--image", steer_files["image"], "--seg",
                          steer_files["seg_left"], "--weights", steer_files["weights"],
                          "--prompt", "0", "--beta", beta, "--gamma", "1", "--out", str(out)]) == 2
@@ -641,6 +644,30 @@ class TestExitCodeContract:
         code, _, stderr = run_cli(argv + [f"--{name}={value}"])
         assert code == 2, stderr
         assert not CATCH_ALL.search(stderr), stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, option, value, kind", [
+        ("decode", "--beta", "1_0", "float"),
+        ("decode", "--topk", " 1_0 ", "int"),
+        ("decode", "--temperature", "1_0", "float"),
+        ("sweep", "--max-tokens", "1_0", "int"),
+        ("mask", "--G", "1_0x2", "_parse_grid"),
+        ("mask", "--L", "\u0662", "int"),  # an Arabic-Indic 2, which int() reads as 2
+        ("fixture", "--n-layers", "1_0", "int"),
+    ])
+    def test_number_syntax_is_plain(self, steer_files, command, option, value, kind):
+        # argparse rejects the value before the command runs, after printing its usage
+        out = steer_files["fuzz_out"]
+        out.unlink(missing_ok=True)
+        base = {"mask": ["--seg", steer_files["seg_left"], "--L", "2"],
+                "decode": ["--image", steer_files["image"], "--seg", steer_files["seg_left"],
+                           "--weights", steer_files["weights"], "--prompt", "0"],
+                "fixture": ["--kind", "random-v1"]}
+        base["sweep"] = base["decode"]
+        code, _, stderr = run_cli([command, "--out", str(out)] + base[command]
+                                  + [f"{option}={value}"])
+        assert code == 2
+        assert f"error: argument {option}: invalid {kind} value: {value!r}" in stderr, stderr
         assert not out.exists()
 
     def test_help_exits_zero(self):

@@ -62,6 +62,13 @@ class TestSuppressTokens:
         with pytest.raises(ShapeError):
             suppress_tokens(visual, mask, 0.5)
 
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan, True, "0.5"])
+    def test_bad_alpha(self, steer_cfg, steer_weights, steer_image, left_seg, alpha):
+        visual = encode_image(steer_image, steer_cfg, steer_weights)
+        mask = generate_token_mask(left_seg, steer_cfg.grid())
+        with pytest.raises(InputError):
+            suppress_tokens(visual, mask, alpha)
+
 
 class TestReweightAttention:
     def test_two_element_example(self):

@@ -132,6 +132,10 @@ class TestDownsample:
             downsample(seg, 4, 0, 0.0)
         with pytest.raises(InputError):
             downsample(seg, 2, 2, 1.0)
+        # a boolean or a float is no grid size, and a string no tau
+        for args in ((True, 2, 0.0), (2, 2.0, 0.0), (2, 2, "0"), (2, 2, False)):
+            with pytest.raises(InputError):
+                downsample(seg, *args)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -285,6 +289,11 @@ class TestMaskFromBBox:
     def test_bad_ordering(self):
         with pytest.raises(InputError):
             BBox(3, 0, 1, 4)
+
+    @pytest.mark.parametrize("width, height", [(0, 4), (4, -1), (True, 1), (4, 4.0), ("4", 4)])
+    def test_bad_dimensions(self, width, height):
+        with pytest.raises(InputError):
+            mask_from_bbox(BBox(0, 0, 2, 2), width, height)
 
 
 class TestGenerateTokenMask:

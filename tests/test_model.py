@@ -78,9 +78,9 @@ class TestSteerClosedForm:
                 steer_cfg, steer_weights, visual, attn_policy=(mask.values, beta),
             )
             session.extend_with_tokens([0])
-        assert len(recorded) == 2  # the prefill's one tile, then the answer row's
-        assert recorded[1].shape == (1, 1, 1, len(visual) + 1)
-        probs = recorded[1][0, 0, 0]
+        assert len(recorded) == 1  # the answer row's: a 1-layer prefill runs no attention
+        assert recorded[0].shape == (1, 1, 1, len(visual) + 1)
+        probs = recorded[0][0, 0, 0]
         k = int(mask.values.sum())
         u = len(visual) + 1 - k
         expect = np.where(np.append(mask.values, 0) != 0, beta, 1.0) / (beta * k + u)
@@ -463,12 +463,26 @@ class TestHeadMajorCache:
                 assert np.abs(got - want).max() < 1e-12
         assert len(ref.attention_rows) == 12 * cfg.n_layers
         tiles = []
-        for _, start, pr in ref.attention_rows:
+        for li, start, pr in ref.attention_rows:
             assert pr.shape == (len(pr), cfg.n_heads, start + len(pr))
+            if start == 0 and li == cfg.n_layers - 1:
+                continue  # the prefill stops at its last layer's key/value write
             tiles += [pr[q0 : q0 + model.QUERY_TILE] for q0 in range(0, len(pr), model.QUERY_TILE)]
         for pg, pr in zip(recorded, tiles, strict=True):
             assert pg.shape == (1, cfg.n_heads, len(pr), pr.shape[-1])
             assert np.abs(pg[0].transpose(1, 0, 2) - pr).max() < 1e-12
+
+    @pytest.mark.parametrize("layout", ["tiled", "steer"])
+    def test_prefill_stops_at_its_last_key_value_write(self, steer_cfg, steer_weights,
+                                                       steer_image, layout):
+        # every layer but the last runs its query tiles; the last stops after its cache write
+        cfg, w, img = (tiled_inputs() if layout == "tiled"
+                       else (steer_cfg, steer_weights, steer_image))
+        visual = encode_image(img, cfg, w)
+        with recorded_attention() as recorded:
+            DecoderSession(cfg, w, visual)
+        assert len(recorded) == (cfg.n_layers - 1) * math.ceil(len(visual) / model.QUERY_TILE)
+        assert len(recorded) == {"tiled": 4, "steer": 0}[layout]
 
     @staticmethod
     def prompted(cfg, w, visual, beta):
