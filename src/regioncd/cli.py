@@ -1,8 +1,9 @@
 """Command-line surface: mask / decode / sweep / fixture / verify.
 
 Exit codes: 0 success, 1 verification failure, 2 input or validation error,
-3 numeric error. Output files are byte-identical across reruns with the
-same inputs.
+3 numeric error. Every exit 2, a bad command line included, prints one
+``error: ...`` line on stderr. Output files are byte-identical across reruns
+with the same inputs.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import json
 import re
 import sys
-from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
 
@@ -56,20 +56,21 @@ _float = _number_reader(
     float, r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|[+-]?(inf|infinity|nan)")
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
-    try:
-        rows, cols = text.lower().split("x")
-        return _int(rows), _int(cols)
-    except ValueError:
-        raise InputError(f"--G expects HxW (e.g. 2x2), got {text!r}") from None
+def _grid(text: str) -> tuple[int, int]:
+    rows, cols = text.lower().split("x")
+    return _int(rows), _int(cols)
 
 
-def _parse_list(text: str, kind: Callable[[str], object]) -> list:
-    """``text`` split at commas, each entry read by ``kind``; an empty entry is an error."""
-    try:
+_grid.__name__ = "HxW grid"
+
+
+def _list_reader(kind):
+    """A reader of a comma list, each entry read by ``kind``; an empty entry is an error."""
+    def read(text: str) -> list:
         return [kind(p) for p in text.split(",")]
-    except ValueError:
-        raise InputError(f"expected comma-separated {kind.__name__}s, got {text!r}") from None
+
+    read.__name__ = f"comma-separated {kind.__name__} list"
+    return read
 
 
 def _load_seg(args, image_dims: tuple[int, int] | None) -> SegMask:
@@ -100,7 +101,8 @@ def _cmd_mask(args) -> int:
 
 # decode options that only the guided decode reads; they default to None, so that
 # --baseline can reject them and the guided path falls back to the library defaults
-_GUIDED_ONLY = ("seg", "bbox", "alpha", "beta", "gamma", "tau", "temperature", "seed")
+# (argparse rejects --seg and --bbox with --baseline: the three form one region group)
+_GUIDED_ONLY = ("alpha", "beta", "gamma", "tau", "temperature", "seed")
 
 
 def _given(args, *names: str) -> dict:
@@ -121,15 +123,12 @@ def _cmd_decode(args) -> int:
     w = weights.load_weights(args.weights)
     cfg = w.config
     img = GrayImage.from_pgm(args.image)
-    prompt = _parse_list(args.prompt, _int)
     if args.baseline:
-        ids, trace = baseline_decode(img, prompt, cfg, w, args.max_tokens, topk=args.topk)
+        ids, trace = baseline_decode(img, args.prompt, cfg, w, args.max_tokens, topk=args.topk)
     else:
-        if args.seg is None and args.bbox is None:
-            raise InputError("decode needs --seg or --bbox unless --baseline is given")
         seg = _load_seg(args, (img.width, img.height))
         params = _guidance(args, **_given(args, "beta", "gamma"))
-        ids, trace = decode(img, seg, prompt, cfg, w, params, topk=args.topk,
+        ids, trace = decode(img, seg, args.prompt, cfg, w, params, topk=args.topk,
                             **_given(args, "temperature", "seed"))
     if args.out is not None:
         _write_text(args.out, trace.to_jsonl())
@@ -141,11 +140,8 @@ def _cmd_sweep(args) -> int:
     w = weights.load_weights(args.weights)
     cfg = w.config
     img = GrayImage.from_pgm(args.image)
-    prompt = _parse_list(args.prompt, _int)
     seg = _load_seg(args, (img.width, img.height))
-    betas = _parse_list(args.beta, _float)
-    gammas = _parse_list(args.gamma, _float)
-    rows = sweep(img, seg, prompt, cfg, w, betas, gammas, _guidance(args))
+    rows = sweep(img, seg, args.prompt, cfg, w, args.beta, args.gamma, _guidance(args))
     _write_text(args.out, sweep_to_csv(rows))
     print(f"rows={len(rows)}")
     return 0
@@ -192,32 +188,44 @@ def _cmd_verify(args) -> int:
     return 0 if report["all_passed"] else 1
 
 
-def _add_region_source(p: argparse.ArgumentParser, required: bool) -> None:
-    group = p.add_mutually_exclusive_group(required=required)
+def _add_region_source(p: argparse.ArgumentParser):
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--seg", help="segmentation mask as PGM (nonzero = region)")
     group.add_argument("--bbox", help='bounding box as JSON, e.g. \'{"x_min":0,...}\'')
+    return group
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`InputError` where argparse would print its usage and exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="regioncd")
+    parser = _Parser(prog="regioncd")
     guidance = GuidanceParams()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mask", help="convert a region annotation to a token-mask JSON file")
-    _add_region_source(p, required=True)
+    _add_region_source(p)
     p.add_argument("--image", help="PGM image, used for --bbox pixel dimensions")
     p.add_argument("--L", type=_int, default=12, help="feature-grid side length")
-    p.add_argument("--G", type=_parse_grid, default=(1, 1), help="local crop grid HxW")
+    p.add_argument("--G", type=_grid, default=(1, 1), help="local crop grid HxW")
     p.add_argument("--tau", type=_float, default=0.0, help="downsample coverage threshold")
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(handler=_cmd_mask)
 
     for name, handler in (("decode", _cmd_decode), ("sweep", _cmd_sweep)):
         p = sub.add_parser(name, help=f"run a guided {name}")
-        _add_region_source(p, required=name == "sweep")
+        region = _add_region_source(p)
+        if name == "decode":
+            region.add_argument("--baseline", action="store_true",
+                                help="plain greedy decoding, guidance disabled")
         p.add_argument("--image", required=True, help="input image (PGM)")
         p.add_argument("--weights", required=True, help="weight fixture file")
-        p.add_argument("--prompt", required=True, help="prompt token ids, e.g. 5,9,9")
+        p.add_argument("--prompt", type=_list_reader(_int), required=True,
+                       help="prompt token ids, e.g. 5,9,9")
         p.add_argument("--tau", type=_float,
                        help=f"downsample coverage threshold ({guidance.tau:g})")
         p.add_argument("--alpha", type=_float,
@@ -231,13 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--gamma", type=_float,
                            help=f"logits guidance intensity ({guidance.gamma:g})")
             p.add_argument("--out", help="trace output path (JSON lines)")
-            p.add_argument("--baseline", action="store_true",
-                           help="plain greedy decoding, guidance disabled")
             p.add_argument("--temperature", type=_float, help="sample at this temperature")
             p.add_argument("--seed", type=_int, help="sampling seed (0); needs --temperature")
         else:
-            p.add_argument("--beta", default="1,3,5,10", help="comma-separated beta values")
-            p.add_argument("--gamma", default="1.0,1.1,1.3,1.5",
+            p.add_argument("--beta", type=_list_reader(_float), default="1,3,5,10",
+                           help="comma-separated beta values")
+            p.add_argument("--gamma", type=_list_reader(_float), default="1.0,1.1,1.3,1.5",
                            help="comma-separated gamma values")
             p.add_argument("--out", required=True, help="CSV output path")
         p.set_defaults(handler=handler)
@@ -249,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = {"seed": 0, **base.to_dict(), "L": base.feature_side,
                 "G": f"{base.crop_rows}x{base.crop_cols}"}
     for name in _FIXTURE_OPTIONS:
-        p.add_argument("--" + name.replace("_", "-"), type=_parse_grid if name == "G" else _int,
+        p.add_argument("--" + name.replace("_", "-"), type=_grid if name == "G" else _int,
                        help=f"random-v1 only ({defaults[name]})")
     p.set_defaults(handler=_cmd_fixture)
 
@@ -261,13 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:  # --help
+        return 0 if exc.code in (0, None) else 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

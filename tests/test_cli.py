@@ -42,6 +42,24 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def assert_exit_2(argv: list[str], out=None, *fragments: str) -> None:
+    """``argv`` exits 2 with one ``error: `` line that holds each fragment and writes no ``out``."""
+    code, _, stderr = run_cli(argv)
+    assert code == 2, stderr
+    assert re.fullmatch(r"error: [^\n]*\n", stderr), stderr
+    assert "usage:" not in stderr and not CATCH_ALL.search(stderr), stderr
+    assert all(fragment in stderr for fragment in fragments), stderr
+    assert out is None or not Path(out).exists()
+
+
+def steer_argv(files: dict, command: str, *extra: str, seg: bool = True) -> list[str]:
+    """``command`` on ``files``' image and weights with prompt 0, by default over the left
+    half (``--seg``), then ``extra``."""
+    region = ["--seg", files["seg_left"]] if seg else []
+    return [command, "--image", files["image"], "--weights", files["weights"], "--prompt", "0",
+            *region, *extra]
+
+
 @pytest.fixture(scope="module")
 def steer_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("steer")
@@ -95,14 +113,16 @@ class TestCmdMask:
         seg = tmp_path / "zero.pgm"
         write_pgm(seg, np.zeros((24, 24), dtype=np.uint8))
         out = tmp_path / "m.json"
-        assert main(["mask", "--out", str(out)]) == 2
+        assert_exit_2(["mask", "--out", str(out)], out,
+                      "one of the arguments --seg --bbox is required")
         box = '{"x_min":0,"y_min":0,"x_max":1,"y_max":1}'
-        assert main(["mask", "--seg", str(seg), "--bbox", box, "--out", str(out)]) == 2
+        assert_exit_2(["mask", "--seg", str(seg), "--bbox", box, "--out", str(out)], out,
+                      "argument --bbox: not allowed with argument --seg")
 
     def test_bbox_without_image(self, tmp_path):
         out = tmp_path / "m.json"
         box = '{"x_min":0,"y_min":0,"x_max":1,"y_max":1}'
-        assert main(["mask", "--bbox", box, "--out", str(out)]) == 2
+        assert_exit_2(["mask", "--bbox", box, "--out", str(out)], out, "--bbox needs --image")
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400", '"3"', "true"])
     def test_bad_bbox_coordinates(self, tmp_path, value):
@@ -110,43 +130,31 @@ class TestCmdMask:
         write_pgm(img, np.zeros((24, 24), dtype=np.uint8))
         out = tmp_path / "mask.json"
         box = f'{{"x_min": 0, "y_min": 0, "x_max": {value}, "y_max": 24}}'
-        code, stdout, stderr = run_cli(["mask", "--bbox", box, "--image", str(img),
-                                        "--L", "12", "--out", str(out)])
-        assert code == 2
-        assert stderr.startswith("error: ") and not CATCH_ALL.search(stderr)
-        assert not out.exists()
+        assert_exit_2(["mask", "--bbox", box, "--image", str(img), "--L", "12",
+                       "--out", str(out)], out)
 
     def test_bbox_unknown_keys_exit_validation(self, tmp_path):
         img = tmp_path / "img.pgm"
         write_pgm(img, np.zeros((24, 24), dtype=np.uint8))
         out = tmp_path / "mask.json"
         box = '{"x_min":0,"y_min":0,"x_max":24,"y_max":24,"y_maxx":4,"units":"mm"}'
-        code, _, stderr = run_cli(["mask", "--bbox", box, "--image", str(img), "--L", "12",
-                                   "--out", str(out)])
-        assert code == 2
-        assert "y_maxx" in stderr and "units" in stderr, stderr
-        assert not CATCH_ALL.search(stderr), stderr
-        assert not out.exists()
+        assert_exit_2(["mask", "--bbox", box, "--image", str(img), "--L", "12",
+                       "--out", str(out)], out, "y_maxx", "units")
 
     def test_malformed_grid_exits_validation(self, steer_files, tmp_path):
         out = tmp_path / "m.json"
-        assert main(["mask", "--seg", steer_files["seg_left"], "--L", "2", "--G", "2by2",
-                     "--out", str(out)]) == 2
-        assert not out.exists()
+        assert_exit_2(["mask", "--seg", steer_files["seg_left"], "--L", "2", "--G", "2by2",
+                       "--out", str(out)], out, "argument --G: invalid HxW grid value: '2by2'")
 
     def test_missing_file(self, tmp_path):
-        assert main(["mask", "--seg", str(tmp_path / "no.pgm"),
-                     "--out", str(tmp_path / "m.json")]) == 2
+        out = tmp_path / "m.json"
+        assert_exit_2(["mask", "--seg", str(tmp_path / "no.pgm"), "--out", str(out)], out)
 
     def test_p2_with_extra_samples_exits_validation(self, tmp_path):
         seg = tmp_path / "extra.pgm"
         seg.write_text("P2\n2 2\n9\n1 2 3 4 5 junk\n")
         out = tmp_path / "m.json"
-        code, stdout, stderr = run_cli(["mask", "--seg", str(seg), "--L", "1",
-                                        "--out", str(out)])
-        assert code == 2
-        assert stderr.startswith("error: ") and not CATCH_ALL.search(stderr)
-        assert not out.exists()
+        assert_exit_2(["mask", "--seg", str(seg), "--L", "1", "--out", str(out)], out)
 
     def test_idempotent_bytes(self, tmp_path):
         seg = tmp_path / "seg.pgm"
@@ -164,10 +172,7 @@ class TestCmdMask:
 class TestCmdDecode:
     def test_defaults_echoed_in_header(self, steer_files, tmp_path, capsys):
         out = tmp_path / "trace.jsonl"
-        code = main(["decode", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
-                     "--weights", steer_files["weights"], "--prompt", "0",
-                     "--max-tokens", "1", "--out", str(out)])
-        assert code == 0
+        assert main(steer_argv(steer_files, "decode", "--max-tokens", "1", "--out", str(out))) == 0
         header = json.loads(out.read_text().splitlines()[0])
         assert header["params"]["alpha"] == 0.01
         assert header["params"]["beta"] == 5.0
@@ -177,61 +182,45 @@ class TestCmdDecode:
         assert len(header["mask_digest"]) == 64
 
     def test_steer_left_emits_token_two(self, steer_files, capsys):
-        code = main(["decode", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
-                     "--weights", steer_files["weights"], "--prompt", "0",
-                     "--beta", "9", "--max-tokens", "1"])
-        assert code == 0
+        assert main(steer_argv(steer_files, "decode", "--beta", "9", "--max-tokens", "1")) == 0
         assert capsys.readouterr().out.strip() == "tokens: 2"
 
     def test_neutral_params_match_baseline(self, steer_files, capsys):
-        args = ["decode", "--image", steer_files["image"], "--weights",
-                steer_files["weights"], "--prompt", "0", "--max-tokens", "3"]
-        assert main(args + ["--seg", steer_files["seg_left"], "--alpha", "1",
-                            "--beta", "1", "--gamma", "1"]) == 0
+        assert main(steer_argv(steer_files, "decode", "--max-tokens", "3", "--alpha", "1",
+                               "--beta", "1", "--gamma", "1")) == 0
         guided_out = capsys.readouterr().out
-        assert main(args + ["--baseline"]) == 0
+        assert main(steer_argv(steer_files, "decode", "--max-tokens", "3", "--baseline",
+                               seg=False)) == 0
         baseline_out = capsys.readouterr().out
         assert guided_out == baseline_out
 
     def test_decode_without_region_source(self, steer_files):
-        assert main(["decode", "--image", steer_files["image"],
-                     "--weights", steer_files["weights"], "--prompt", "0"]) == 2
+        assert_exit_2(steer_argv(steer_files, "decode", seg=False), None,
+                      "one of the arguments --seg --bbox --baseline is required")
 
     def test_invalid_guidance_values(self, steer_files):
-        base = ["decode", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
-                "--weights", steer_files["weights"], "--prompt", "0"]
-        assert main(base + ["--alpha", "1.5"]) == 2
-        assert main(base + ["--beta", "0.5"]) == 2
-        assert main(base + ["--gamma", "-1"]) == 2
+        for flag, value in (("--alpha", "1.5"), ("--beta", "0.5"), ("--gamma", "-1")):
+            assert_exit_2(steer_argv(steer_files, "decode", flag, value), None, flag[2:])
 
     @pytest.mark.parametrize("flag", ["--beta", "--gamma"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_guidance_values(self, steer_files, tmp_path, flag, value):
         out = tmp_path / "t.jsonl"
-        assert main(["decode", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
-                     "--weights", steer_files["weights"], "--prompt", "0", flag, value,
-                     "--out", str(out)]) == 2
-        assert not out.exists()
+        assert_exit_2(steer_argv(steer_files, "decode", flag, value, "--out", str(out)), out)
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400", '"8"', "true"])
     def test_bad_bbox_coordinates(self, steer_files, tmp_path, value):
         out = tmp_path / "t.jsonl"
         box = f'{{"x_min": 0, "y_min": 0, "x_max": 8, "y_max": {value}}}'
-        code, _, stderr = run_cli(["decode", "--image", steer_files["image"], "--bbox", box,
-                                   "--weights", steer_files["weights"], "--prompt", "0",
-                                   "--out", str(out)])
-        assert code == 2
-        assert stderr.startswith("error: ") and not CATCH_ALL.search(stderr)
-        assert not out.exists()
+        assert_exit_2(steer_argv(steer_files, "decode", "--bbox", box, "--out", str(out),
+                                 seg=False), out)
 
     def test_huge_beta_steers_without_overflow(self, steer_files, tmp_path):
         out = tmp_path / "t.jsonl"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code, stdout, _ = run_cli([
-                "decode", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
-                "--weights", steer_files["weights"], "--prompt", "0", "--beta", "1e308",
-                "--max-tokens", "3", "--out", str(out)])
+            code, stdout, _ = run_cli(steer_argv(steer_files, "decode", "--beta", "1e308",
+                                                 "--max-tokens", "3", "--out", str(out)))
         assert code == 0
         assert stdout.strip() == "tokens: 2 2 2"
         strict_jsonl(out.read_text())
@@ -271,13 +260,8 @@ class TestCmdDecode:
                                        ["--prompt= 1"]], ids=" ".join)
     def test_bad_decode_options_are_input_errors(self, steer_files, tmp_path, flags):
         out = tmp_path / "t.jsonl"
-        region = [] if "--baseline" in flags else ["--seg", steer_files["seg_left"]]
-        code, _, stderr = run_cli([
-            "decode", "--image", steer_files["image"], "--weights", steer_files["weights"],
-            "--prompt", "0", "--out", str(out)] + region + flags)
-        assert code == 2
-        assert stderr.startswith("error: ") and not CATCH_ALL.search(stderr)
-        assert not out.exists()
+        assert_exit_2(steer_argv(steer_files, "decode", "--out", str(out), *flags,
+                                 seg="--baseline" not in flags), out)
 
     @pytest.mark.parametrize("flag", ["--seg", "--bbox", "--alpha", "--beta", "--gamma",
                                       "--tau", "--temperature", "--seed"])
@@ -288,13 +272,8 @@ class TestCmdDecode:
                  "--alpha": ["1"], "--beta": ["5"], "--gamma": ["nan"], "--tau": ["0"],
                  "--temperature": ["0.0001"], "--seed": ["0"]}[flag]
         out = tmp_path / "t.jsonl"
-        code, _, stderr = run_cli([
-            "decode", "--image", steer_files["image"], "--weights", steer_files["weights"],
-            "--prompt", "0", "--baseline", "--out", str(out), flag] + value)
-        assert code == 2
-        assert stderr.startswith("error: --baseline ") and flag in stderr
-        assert not CATCH_ALL.search(stderr)
-        assert not out.exists()
+        assert_exit_2(steer_argv(steer_files, "decode", "--baseline", "--out", str(out), flag,
+                                 *value, seg=False), out, "--baseline", flag)
 
     def test_fused_overflow_is_numeric_error(self, steer_files, tmp_path):
         # fused scores, or sampling scores divided by a tiny temperature, that overflow
@@ -302,10 +281,8 @@ class TestCmdDecode:
         for flags in (["--gamma", "1e308"], ["--temperature", "1e-308"]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                code, _, stderr = run_cli([
-                    "decode", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
-                    "--weights", steer_files["weights"], "--prompt", "0", "--out", str(out)]
-                    + flags)
+                code, _, stderr = run_cli(steer_argv(steer_files, "decode", "--out", str(out),
+                                                     *flags))
             assert code == 3, flags
             assert stderr.startswith("numeric error: ")
             assert not out.exists()
@@ -331,13 +308,12 @@ class TestCmdDecode:
                              baseline):
         out = steer_files["fuzz_out"]
         out.unlink(missing_ok=True)
-        argv = ["decode", "--image", steer_files["image"], "--weights", steer_files["weights"],
-                "--prompt", "0", f"--topk={topk}", f"--max-tokens={max_tokens}",
-                "--out", str(out)]
+        argv = steer_argv(steer_files, "decode", f"--topk={topk}", f"--max-tokens={max_tokens}",
+                          "--out", str(out), seg=not baseline)
         if baseline:  # --baseline rejects every guided-only option
             argv += ["--baseline"]
         else:
-            argv += ["--seg", steer_files["seg_left"]] + [f"--seed={seed}"] * (seed is not None)
+            argv += [f"--seed={seed}"] * (seed is not None)
             argv += [f"--{name}={value!r}" for name, value in guidance.items()
                      if sample or name != "temperature"]
         with warnings.catch_warnings():
@@ -358,9 +334,7 @@ class TestCmdDecode:
         raw[0:4] = struct.pack("<f", float("nan"))
         obj["tensors"][0]["data"] = base64.b64encode(bytes(raw)).decode("ascii")
         path.write_text(json.dumps(obj))
-        code = main(["decode", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
-                     "--weights", str(path), "--prompt", "0"])
-        assert code == 3
+        assert main(steer_argv({**steer_files, "weights": str(path)}, "decode")) == 3
 
     @pytest.mark.parametrize("field, value", [("eos_id", 1.9), ("eos_id", True),
                                               ("eos_id", "1"), ("n_heads", 1.0)])
@@ -371,11 +345,7 @@ class TestCmdDecode:
         obj = json.loads(Path(steer_files["weights"]).read_text())
         obj["config"][field] = value
         path.write_text(json.dumps(obj))
-        code, _, stderr = run_cli(["decode", "--image", steer_files["image"],
-                                   "--seg", steer_files["seg_left"], "--weights", str(path),
-                                   "--prompt", "0"])
-        assert code == 2
-        assert field in stderr and not CATCH_ALL.search(stderr), stderr
+        assert_exit_2(steer_argv({**steer_files, "weights": str(path)}, "decode"), None, field)
 
     def test_unknown_config_keys_exit_validation(self, steer_files, tmp_path):
         # the digest covers the parsed config, so a dropped key would never reach it
@@ -383,12 +353,8 @@ class TestCmdDecode:
         obj = json.loads(Path(steer_files["weights"]).read_text())
         obj["config"].update(foo="bar", sep_embed_id=5)
         path.write_text(json.dumps(obj))
-        code, _, stderr = run_cli(["decode", "--image", steer_files["image"],
-                                   "--seg", steer_files["seg_left"], "--weights", str(path),
-                                   "--prompt", "0"])
-        assert code == 2
-        assert "foo" in stderr and "sep_embed_id" in stderr, stderr
-        assert not CATCH_ALL.search(stderr), stderr
+        assert_exit_2(steer_argv({**steer_files, "weights": str(path)}, "decode"), None,
+                      "foo", "sep_embed_id")
 
     @pytest.mark.parametrize("field, raw", [("shape", "[4.7,1]"), ("shape", "[1e400,1]"),
                                             ("shape", "[4,true]"), ("shape", '"41"'),
@@ -400,10 +366,8 @@ class TestCmdDecode:
         obj = json.loads(Path(steer_files["weights"]).read_text())
         obj["tensors"][0][field] = "@"
         path.write_text(json.dumps(obj).replace('"@"', raw))
-        code, _, stderr = run_cli(["decode", "--baseline", "--image", steer_files["image"],
-                                   "--weights", str(path), "--prompt", "0"])
-        assert code == 2
-        assert field in stderr and not CATCH_ALL.search(stderr), stderr
+        assert_exit_2(steer_argv({**steer_files, "weights": str(path)}, "decode", "--baseline",
+                                 seg=False), None, field)
 
     def test_edited_config_fails_digest_check(self, steer_files, tmp_path):
         # the digest covers the config, so an edit that keeps every tensor shape is caught
@@ -411,26 +375,20 @@ class TestCmdDecode:
         obj = json.loads(Path(steer_files["weights"]).read_text())
         obj["config"]["eos_id"] = 2
         path.write_text(json.dumps(obj))
-        code, _, stderr = run_cli(["decode", "--baseline", "--image", steer_files["image"],
-                                   "--weights", str(path), "--prompt", "0"])
-        assert code == 2
-        assert "digest" in stderr and not CATCH_ALL.search(stderr), stderr
+        assert_exit_2(steer_argv({**steer_files, "weights": str(path)}, "decode", "--baseline",
+                                 seg=False), None, "digest")
 
     def test_corrupt_weights_exit_validation(self, steer_files, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        code = main(["decode", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
-                     "--weights", str(path), "--prompt", "0"])
-        assert code == 2
+        assert_exit_2(steer_argv({**steer_files, "weights": str(path)}, "decode"))
 
 
 class TestCmdSweep:
     def test_grid_size_and_determinism(self, steer_files, tmp_path):
         out = tmp_path / "s.csv"
-        args = ["sweep", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
-                "--weights", steer_files["weights"], "--prompt", "0",
-                "--beta", "1,3,5,10", "--gamma", "1.0,1.1,1.3,1.5",
-                "--max-tokens", "1", "--out", str(out)]
+        args = steer_argv(steer_files, "sweep", "--beta", "1,3,5,10", "--gamma", "1.0,1.1,1.3,1.5",
+                          "--max-tokens", "1", "--out", str(out))
         assert main(args) == 0
         first = out.read_bytes()
         lines = first.decode().splitlines()
@@ -441,14 +399,11 @@ class TestCmdSweep:
 
     def test_single_neutral_row_matches_baseline(self, steer_files, tmp_path, capsys):
         out = tmp_path / "s.csv"
-        code = main(["sweep", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
-                     "--weights", steer_files["weights"], "--prompt", "0", "--alpha", "1",
-                     "--beta", "1", "--gamma", "1", "--max-tokens", "2", "--out", str(out)])
-        assert code == 0
+        assert main(steer_argv(steer_files, "sweep", "--alpha", "1", "--beta", "1", "--gamma", "1",
+                               "--max-tokens", "2", "--out", str(out))) == 0
         capsys.readouterr()
-        assert main(["decode", "--image", steer_files["image"], "--weights",
-                     steer_files["weights"], "--prompt", "0", "--max-tokens", "2",
-                     "--baseline"]) == 0
+        assert main(steer_argv(steer_files, "decode", "--max-tokens", "2", "--baseline",
+                               seg=False)) == 0
         baseline_ids = capsys.readouterr().out.strip().removeprefix("tokens: ")
         row = out.read_text().splitlines()[1].split(",")
         assert row[2] == baseline_ids
@@ -458,31 +413,27 @@ class TestCmdSweep:
         # an empty entry, also a trailing comma, is an error, not skipped; so is a
         # number that int() or float() would read past an underscore or a space
         for beta in ("abc", "1,,3", "1,3,", "1_0", "1, 3", " 5"):
-            assert main(["sweep", "--image", steer_files["image"], "--seg",
-                         steer_files["seg_left"], "--weights", steer_files["weights"],
-                         "--prompt", "0", "--beta", beta, "--gamma", "1", "--out", str(out)]) == 2
-            assert not out.exists()
+            assert_exit_2(steer_argv(steer_files, "sweep", "--beta", beta, "--gamma", "1",
+                                     "--out", str(out)), out,
+                          f"argument --beta: invalid comma-separated float list value: {beta!r}")
 
     def test_sweep_without_region_source(self, steer_files, tmp_path):
         out = tmp_path / "s.csv"
-        assert main(["sweep", "--image", steer_files["image"], "--weights",
-                     steer_files["weights"], "--prompt", "0", "--out", str(out)]) == 2
-        assert not out.exists()
+        assert_exit_2(steer_argv(steer_files, "sweep", "--out", str(out), seg=False), out,
+                      "one of the arguments --seg --bbox is required")
 
     @pytest.mark.parametrize("flags", [["--beta", "1", "--gamma", "nan,1.0"],
                                        ["--beta", "inf", "--gamma", "1"],
                                        ["--beta", "3,nan", "--gamma", "1,1.5"]])
     def test_nonfinite_cells_rejected(self, steer_files, tmp_path, flags):
         out = tmp_path / "s.csv"
-        assert main(["sweep", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
-                     "--weights", steer_files["weights"], "--prompt", "0", "--max-tokens", "1",
-                     "--out", str(out)] + flags) == 2
-        assert not out.exists()
+        assert_exit_2(steer_argv(steer_files, "sweep", "--max-tokens", "1", "--out", str(out),
+                                 *flags), out)
 
     def test_no_topk_option(self, steer_files, tmp_path):
-        assert main(["sweep", "--image", steer_files["image"], "--seg", steer_files["seg_left"],
-                     "--weights", steer_files["weights"], "--prompt", "0", "--topk", "3",
-                     "--out", str(tmp_path / "s.csv")]) == 2
+        out = tmp_path / "s.csv"
+        assert_exit_2(steer_argv(steer_files, "sweep", "--topk", "3", "--out", str(out)), out,
+                      "unrecognized arguments: --topk 3")
 
 
 class TestCmdFixture:
@@ -505,9 +456,7 @@ class TestCmdFixture:
         # steer-v1 is one fixed model: a seed or a shape it would ignore is an error,
         # even one equal to the default or to the steer config
         out = tmp_path / "s.json"
-        assert main(["fixture", "--kind", "steer-v1", flag, value, "--out", str(out)]) == 2
-        assert flag in capsys.readouterr().err
-        assert not out.exists()
+        assert_exit_2(["fixture", "--kind", "steer-v1", flag, value, "--out", str(out)], out, flag)
         assert main(["fixture", "--kind", "steer-v1", "--out", str(out)]) == 0
         steer = gen_fixture("steer-v1", 0, STEER_CONFIG)
         assert capsys.readouterr().out == f"digest: {steer.digest()}\n"
@@ -516,8 +465,7 @@ class TestCmdFixture:
     def test_seed_outside_64_bits_is_rejected(self, tmp_path, seed):
         # the stream would reduce it mod 2^64 onto another seed's fixture
         out = tmp_path / "x.json"
-        assert main(["fixture", "--kind", "random-v1", "--seed", seed, "--out", str(out)]) == 2
-        assert not out.exists()
+        assert_exit_2(["fixture", "--kind", "random-v1", "--seed", seed, "--out", str(out)], out)
 
     def test_seed_range_ends_are_accepted(self, tmp_path, capsys):
         digests = set()
@@ -528,31 +476,29 @@ class TestCmdFixture:
         assert len(digests) == 2
 
     def test_unknown_kind(self, tmp_path):
-        assert main(["fixture", "--kind", "nope", "--out", str(tmp_path / "x.json")]) == 2
+        out = tmp_path / "x.json"
+        assert_exit_2(["fixture", "--kind", "nope", "--out", str(out)], out,
+                      "argument --kind: invalid choice: 'nope'")
 
     def test_invalid_config(self, tmp_path):
         # an image side of 0 or -16 passes the divisibility check but fits no image
         out = tmp_path / "x.json"
         for flag, value in (("--vocab-size", "2"), ("--image-side", "0"),
                             ("--image-side", "-16")):
-            assert main(["fixture", "--kind", "random-v1", f"{flag}={value}",
-                         "--out", str(out)]) == 2
-            assert not out.exists()
+            assert_exit_2(["fixture", "--kind", "random-v1", f"{flag}={value}", "--out", str(out)],
+                          out)
 
     def test_oversized_model_exits_validation(self, steer_files, tmp_path):
         # both used to build a list entry per layer until memory ran out
         out = tmp_path / "x.json"
-        code, _, stderr = run_cli(["fixture", "--kind", "random-v1",
-                                   "--n-layers", "9223372036854775808", "--out", str(out)])
-        assert code == 2 and not CATCH_ALL.search(stderr), stderr
-        assert not out.exists()
+        assert_exit_2(["fixture", "--kind", "random-v1", "--n-layers", "9223372036854775808",
+                       "--out", str(out)], out)
         obj = json.loads(Path(steer_files["weights"]).read_text())
         obj["config"]["n_layers"] = 10**9
         path = tmp_path / "deep.json"
         path.write_text(json.dumps(obj))
-        code, _, stderr = run_cli(["decode", "--baseline", "--image", steer_files["image"],
-                                   "--weights", str(path), "--prompt", "0"])
-        assert code == 2 and not CATCH_ALL.search(stderr), stderr
+        assert_exit_2(steer_argv({**steer_files, "weights": str(path)}, "decode", "--baseline",
+                                 seg=False))
 
 
 class TestCmdVerify:
@@ -630,61 +576,74 @@ class TestExitCodeContract:
         # negative value or, for a fixture's size, a far too large one makes it exit 2
         # and write nothing
         out = steer_files["fuzz_out"]
-        base = {"mask": ["--seg", steer_files["seg_left"], "--L", "2"],
-                "sweep": ["--image", steer_files["image"], "--seg", steer_files["seg_left"],
-                          "--weights", steer_files["weights"], "--prompt", "0",
-                          "--max-tokens", "1"],
-                "fixture": ["--kind", "random-v1"]}[command]
-        argv = [command, "--out", str(out)] + base
+        argv = {"mask": ["mask", "--seg", steer_files["seg_left"], "--L", "2"],
+                "sweep": steer_argv(steer_files, "sweep", "--max-tokens", "1"),
+                "fixture": ["fixture", "--kind", "random-v1"]}[command] + ["--out", str(out)]
         out.unlink(missing_ok=True)
         assert run_cli(argv)[0] == 0 and out.exists()
         name, kind = data.draw(st.sampled_from(sorted(NUMERIC_OPTIONS[command].items())))
         value = data.draw(bad_number(kind))
         out.unlink()
-        code, _, stderr = run_cli(argv + [f"--{name}={value}"])
-        assert code == 2, stderr
-        assert not CATCH_ALL.search(stderr), stderr
-        assert not out.exists()
+        assert_exit_2(argv + [f"--{name}={value}"], out)
 
     @pytest.mark.parametrize("command, option, value, kind", [
         ("decode", "--beta", "1_0", "float"),
         ("decode", "--topk", " 1_0 ", "int"),
         ("decode", "--temperature", "1_0", "float"),
         ("sweep", "--max-tokens", "1_0", "int"),
-        ("mask", "--G", "1_0x2", "_parse_grid"),
+        ("mask", "--G", "1_0x2", "HxW grid"),
         ("mask", "--L", "\u0662", "int"),  # an Arabic-Indic 2, which int() reads as 2
         ("fixture", "--n-layers", "1_0", "int"),
     ])
     def test_number_syntax_is_plain(self, steer_files, command, option, value, kind):
-        # argparse rejects the value before the command runs, after printing its usage
+        # argparse rejects the value before the command runs
         out = steer_files["fuzz_out"]
         out.unlink(missing_ok=True)
-        base = {"mask": ["--seg", steer_files["seg_left"], "--L", "2"],
-                "decode": ["--image", steer_files["image"], "--seg", steer_files["seg_left"],
-                           "--weights", steer_files["weights"], "--prompt", "0"],
-                "fixture": ["--kind", "random-v1"]}
-        base["sweep"] = base["decode"]
-        code, _, stderr = run_cli([command, "--out", str(out)] + base[command]
-                                  + [f"{option}={value}"])
-        assert code == 2
-        assert f"error: argument {option}: invalid {kind} value: {value!r}" in stderr, stderr
-        assert not out.exists()
+        argv = {"mask": ["mask", "--seg", steer_files["seg_left"], "--L", "2"],
+                "fixture": ["fixture", "--kind", "random-v1"]}.get(
+                    command, steer_argv(steer_files, command))
+        assert_exit_2(argv + ["--out", str(out), f"{option}={value}"], out,
+                      f"error: argument {option}: invalid {kind} value: {value!r}")
+
+    @pytest.mark.parametrize("argv, fragment", [
+        ("mask --seg {seg_left} --G 1x --out {out}", "argument --G: invalid HxW grid value: '1x'"),
+        ("decode --baseline --image {image} --weights {tmp} --prompt 0 --out {out}",
+         "cannot read weight file"),
+        ("decode --baseline --image {image} --weights {latin1} --prompt 0 --out {out}",
+         "cannot read weight file"),
+        # a bad prompt is reported before the weight file is read
+        ("decode --baseline --image {image} --weights {out} --prompt 0,a",
+         "argument --prompt: invalid comma-separated int list value: '0,a'"),
+        ("sweep --seg {seg_left} --baseline --image {image} --weights {weights} --prompt 0 "
+         "--out {out}",
+         "unrecognized arguments: --baseline"),
+        ("fixture --out {out}", "the following arguments are required: --kind"),
+        ("", "the following arguments are required: command"),
+    ], ids=["grid", "weights-dir", "weights-non-utf8", "prompt-before-weights",
+            "sweep-baseline", "fixture-kind", "no-command"])
+    def test_bad_command_line_exits_2(self, steer_files, tmp_path, argv, fragment):
+        # one error: line, whichever of argparse or a command rejects the input
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"config": "\xe9"}')
+        files = {**steer_files, "tmp": tmp_path, "latin1": latin1, "out": tmp_path / "out"}
+        assert_exit_2([arg.format(**files) for arg in argv.split()], files["out"], fragment)
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
         assert main(["decode", "--help"]) == 0
 
     def test_unknown_command(self):
-        assert main(["frobnicate"]) == 2
+        assert_exit_2(["frobnicate"], None, "argument command: invalid choice: 'frobnicate'")
 
     def test_missing_required_flag(self):
-        assert main(["decode"]) == 2
+        assert_exit_2(["decode"], None,
+                      "the following arguments are required: --image, --weights, --prompt")
 
     def test_module_entry_point_runs_the_command(self, tmp_path):
         # python -m regioncd.cli runs main, so a weight file that is missing exits 2
         run = subprocess.run(
-            [sys.executable, "-m", "regioncd.cli", "decode", "--image", str(tmp_path / "x"),
-             "--weights", str(tmp_path / "y"), "--prompt", "0"],
+            [sys.executable, "-m", "regioncd.cli", "decode", "--baseline",
+             "--image", str(tmp_path / "x"), "--weights", str(tmp_path / "y"), "--prompt", "0"],
             cwd=SRC, capture_output=True, text=True, timeout=120,
         )
         assert run.returncode == 2, run.stdout + run.stderr

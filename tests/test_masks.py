@@ -443,6 +443,10 @@ class TestPgmAndJson:
         write_pgm(tmp_path / "ok.pgm", np.array([[1.0, 255.0]]))
         assert read_pgm(tmp_path / "ok.pgm")[0].tolist() == [[1, 255]]
 
+    def test_write_pgm_rejects_a_1d_array(self, tmp_path):
+        with pytest.raises(FormatError):
+            write_pgm(tmp_path / "m.pgm", np.zeros(4, dtype=np.uint8))
+
     def test_token_mask_json_roundtrip(self):
         spec = GridSpec(side=2)
         mask = generate_token_mask(half_seg(4, 4, "left"), spec, tau=0.0)
@@ -518,6 +522,10 @@ class TestPgmAndJson:
             TokenMask(values=values, spec=spec)
         with pytest.raises(InputError):
             TokenMask(values=np.array([1, 1, 0, 0, 0], dtype=np.uint8), spec=spec)
+
+    def test_token_mask_rejects_a_wrong_length(self):
+        with pytest.raises(ShapeError):
+            TokenMask(values=np.zeros(4, dtype=np.uint8), spec=GridSpec(side=1))
 
     def test_bbox_json(self):
         box = BBox.from_json('{"x_min": 1, "y_min": 2, "x_max": 3.5, "y_max": 4}')

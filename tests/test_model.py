@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -323,6 +324,14 @@ class TestForwardPass:
         session = DecoderSession(rand_cfg, rand_weights, visual)
         with pytest.raises(InputError):
             session.extend_with_tokens([])
+
+    def test_nonfinite_cache_is_numeric_error(self, rand_cfg, rand_weights, rand_image):
+        # the prefill computes no logits, so the first extend is where a NaN it wrote shows
+        session = DecoderSession(rand_cfg, rand_weights, encode_image(rand_image, rand_cfg,
+                                                                      rand_weights))
+        session._kv[0, 1, ..., 0, :] = np.nan
+        with pytest.raises(NumericError):
+            session.extend_with_tokens([1])
 
     @pytest.mark.parametrize("beta", [0.5, math.nan, math.inf])
     def test_policy_rejects_bad_beta(self, rand_cfg, rand_weights, rand_image, beta):
@@ -725,9 +734,11 @@ class TestFixtures:
         with pytest.raises(InputError):
             gen_fixture(kind, seed, steer_cfg)
 
-    def test_steer_requires_single_layer(self, rand_cfg):
+    def test_steer_requires_single_layer(self, rand_cfg, steer_cfg):
         with pytest.raises(InputError):
             gen_fixture("steer-v1", 0, rand_cfg)
+        with pytest.raises(InputError):  # and two channels for its one-hot intensity code
+            gen_fixture("steer-v1", 0, replace(steer_cfg, embed_dim=1))
 
     def test_tensor_spec_covers_config(self, rand_cfg):
         names = [name for name, _ in tensor_spec(rand_cfg)]
