@@ -7,6 +7,15 @@ lays the two grids out in token order, with a zero-valued newline separator
 after every row and one more separator between the grids. The encoder in
 :mod:`regioncd.model` lays out its patch embeddings with the same function, so
 mask positions line up one-to-one with the visual tokens.
+
+Pixel (i, j) of an ``h x w`` mask falls in cell ``(floor(i*rows/h),
+floor(j*cols/w))`` of a ``rows x cols`` grid, so cell k of an axis of ``n``
+pixels starts at pixel ``ceil(k*n/cells)``. The global grid nests in the
+local one: global cell k of a row axis starts where local cell
+``k*crop_rows`` does, since ``ceil(k*h/side) == ceil(k*crop_rows*h/local_rows)``
+(and likewise for columns), so each global cell is exactly a
+``crop_rows x crop_cols`` block of local cells and its pixel counts are the
+block's sums.
 """
 
 from __future__ import annotations
@@ -84,8 +93,10 @@ class SegMask:
             raise ShapeError(f"mask array must be 2-D, got shape {p.shape}")
         if p.size == 0:
             raise InputError(f"mask dimensions must be >= 1, got shape {p.shape}")
+        if p.dtype == bool:  # 0/1 by type: its uint8 view, neither tested nor copied
+            p = p.view(np.uint8)
         # checked before the cast, which would wrap 256 to 0 and truncate 1.9 to 1
-        if not ((p == 0) | (p == 1)).all():
+        elif not ((p == 0) | (p == 1)).all():
             raise InputError("mask pixels must be 0 or 1")
         object.__setattr__(self, "pixels", p.astype(np.uint8, copy=False))
 
@@ -151,20 +162,23 @@ class BBox:
 class TokenMask:
     """Flattened composite mask aligned with the visual token layout."""
 
-    values: np.ndarray  # (N,) uint8 in {0, 1}
+    values: np.ndarray  # (N,), stored as uint8 in {0, 1}
     spec: GridSpec
 
     def __post_init__(self) -> None:
         spec = self.spec
         n = expected_length(spec)
-        if self.values.shape != (n,):
-            raise ShapeError(f"mask length {self.values.shape} != ({n},)")
-        if not ((self.values == 0) | (self.values == 1)).all():
+        values = np.asarray(self.values)
+        if values.shape != (n,):
+            raise ShapeError(f"mask length {values.shape} != ({n},)")
+        # checked before the cast, which would wrap 256 to 0
+        if not ((values == 0) | (values == 1)).all():
             raise InputError("mask values must be 0 or 1")
         local = np.zeros((spec.local_rows, spec.local_cols), dtype=bool)
         global_ = np.zeros((spec.side, spec.side), dtype=bool)
-        if self.values[assemble(local, global_, spec, sep=True)].any():
+        if values[assemble(local, global_, spec, sep=True)].any():
             raise InputError("separator positions must carry mask value 0")
+        object.__setattr__(self, "values", values.astype(np.uint8, copy=False))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -175,8 +189,38 @@ class TokenMask:
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(f"{self.spec.side},{self.spec.crop_rows},{self.spec.crop_cols};".encode())
-        h.update(self.values.astype(np.uint8).tobytes())
+        h.update(self.values.tobytes())
         return h.hexdigest()
+
+
+def _cell_counts(seg: SegMask, out_rows: int, out_cols: int,
+                 tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positive pixels of each cell of an ``(out_rows, out_cols)`` grid, counted
+    once and exactly in int64, with the pixel rows and columns of each cell;
+    upsampling and a bad grid or tau are an :class:`InputError`."""
+    if not (is_int(out_rows) and is_int(out_cols) and out_rows >= 1 and out_cols >= 1):
+        raise InputError(f"output grid must be ints, at least 1x1, got {out_rows!r}x{out_cols!r}")
+    if out_rows > seg.height or out_cols > seg.width:
+        raise InputError(
+            f"cannot downsample {seg.height}x{seg.width} mask to larger grid {out_rows}x{out_cols}"
+        )
+    if not (is_real(tau) and 0.0 <= tau < 1.0):
+        raise InputError(f"tau must lie in [0, 1), got {tau!r}")
+    # pixel i of n lies in cell floor(i*cells/n), so cell k starts at pixel
+    # ceil(k*n/cells) and none is empty, since cells <= n
+    bounds = [-(-np.arange(cells + 1) * n // cells)
+              for cells, n in ((out_rows, seg.height), (out_cols, seg.width))]
+    # reduceat runs one inner loop per cell of each pixel line, so the first
+    # pass goes along the axis that makes fewer of them
+    first = 0 if out_rows * seg.width <= seg.height * out_cols else 1
+    partial = np.add.reduceat(seg.pixels, bounds[first][:-1], axis=first, dtype=np.int64)
+    positive = np.add.reduceat(partial, bounds[1 - first][:-1], axis=1 - first)
+    return positive, np.diff(bounds[0]), np.diff(bounds[1])
+
+
+def _threshold(positive: np.ndarray, rows: np.ndarray, cols: np.ndarray, tau: float) -> np.ndarray:
+    """1 where a cell's positive share strictly exceeds ``tau``, as a uint8 grid."""
+    return (positive / np.outer(rows, cols) > tau).view(np.uint8)
 
 
 def downsample(seg: SegMask, out_rows: int, out_cols: int, tau: float) -> np.ndarray:
@@ -188,20 +232,7 @@ def downsample(seg: SegMask, out_rows: int, out_cols: int, tau: float) -> np.nda
     any overlap at all marks the cell, so small regions survive coarse
     grids. Upsampling is rejected.
     """
-    if not (is_int(out_rows) and is_int(out_cols) and out_rows >= 1 and out_cols >= 1):
-        raise InputError(f"output grid must be ints, at least 1x1, got {out_rows!r}x{out_cols!r}")
-    if out_rows > seg.height or out_cols > seg.width:
-        raise InputError(
-            f"cannot downsample {seg.height}x{seg.width} mask to larger grid {out_rows}x{out_cols}"
-        )
-    if not (is_real(tau) and 0.0 <= tau < 1.0):
-        raise InputError(f"tau must lie in [0, 1), got {tau!r}")
-    # one-hot pixel -> cell maps per axis; the counts are integers, exact in float64
-    rows = ((np.arange(seg.height) * out_rows) // seg.height)[:, None] == np.arange(out_rows)
-    cols = ((np.arange(seg.width) * out_cols) // seg.width)[:, None] == np.arange(out_cols)
-    positive = rows.T @ seg.pixels.astype(np.float64) @ cols
-    total = np.outer(rows.sum(0), cols.sum(0))
-    return (positive / total > tau).astype(np.uint8)
+    return _threshold(*_cell_counts(seg, out_rows, out_cols, tau), tau)
 
 
 def assemble(local: np.ndarray, global_: np.ndarray, spec: GridSpec, sep=0) -> np.ndarray:
@@ -244,23 +275,35 @@ def mask_from_bbox(box: BBox, width: int, height: int) -> SegMask:
 
 
 def generate_token_mask(seg: SegMask, spec: GridSpec, tau: float = 0.0) -> TokenMask:
-    """Pixel mask -> composite token mask (local + separators + global)."""
-    local = downsample(seg, spec.local_rows, spec.local_cols, tau)
-    global_ = downsample(seg, spec.side, spec.side, tau)
+    """Pixel mask -> composite token mask (local + separators + global).
+
+    Both grids follow :func:`downsample`'s rule. The pixels are counted once,
+    on the local grid; each global cell's counts are the sums of its
+    ``crop_rows x crop_cols`` block of local cells (see the module docstring).
+    """
+    positive, rows, cols = _cell_counts(seg, spec.local_rows, spec.local_cols, tau)
+    side, crop_rows, crop_cols = spec.side, spec.crop_rows, spec.crop_cols
+    global_ = _threshold(positive.reshape(side, crop_rows, side, crop_cols).sum(axis=(1, 3)),
+                         rows.reshape(side, crop_rows).sum(1),
+                         cols.reshape(side, crop_cols).sum(1), tau)
+    local = _threshold(positive, rows, cols, tau)
     return TokenMask(values=assemble(local, global_, spec), spec=spec)
 
 
 def token_mask_to_json(mask: TokenMask, tau: float) -> str:
-    """Serialize a token mask; byte-deterministic for identical inputs."""
-    obj = {
-        "L": mask.spec.side,
-        "G": [mask.spec.crop_rows, mask.spec.crop_cols],
-        "tau": tau,
-        "length": len(mask),
-        "values": mask.values.tolist(),
-        "segments": segment_labels(mask.spec),
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    """Serialize a token mask; byte-deterministic for identical inputs.
+
+    The text is ``json.dumps`` of the object with sorted keys and no spaces;
+    the labels and the 0/1 values are written as text in one pass each.
+    """
+    spec = mask.spec
+    digits = np.full(2 * len(mask) - 1, ord(","), dtype=np.uint8)
+    digits[::2] = mask.values + ord("0")
+    return ('{"G":' + json.dumps([spec.crop_rows, spec.crop_cols], separators=(",", ":"))
+            + ',"L":' + json.dumps(spec.side) + ',"length":' + json.dumps(len(mask))
+            + ',"segments":["' + '","'.join(segment_labels(spec)) + '"]'
+            + ',"tau":' + json.dumps(tau, allow_nan=False)
+            + ',"values":[' + digits.tobytes().decode("ascii") + "]}\n")
 
 
 def token_mask_from_json(text: str) -> tuple[TokenMask, float]:

@@ -1,5 +1,5 @@
 """Minimal 8-bit PGM (maxval <= 255) support: P2 (ASCII) and P5 (binary) are
-read, and P5 with maxval 255 is written.
+read into uint8 samples, and P5 with maxval 255 is written.
 
 Comments starting with ``#`` are allowed anywhere in the header and, for
 P2 files, between samples as well. Once comments are removed, a P2 body
@@ -38,7 +38,7 @@ def _unsigned(path: str | Path, what: str, tokens: list[bytes]) -> np.ndarray:
 
 
 def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
-    """Read a PGM file; returns (samples as (height, width) int array, maxval)."""
+    """Read a PGM file; returns (samples as a writable (height, width) uint8 array, maxval)."""
     data = Path(path).read_bytes()
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
@@ -59,7 +59,7 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
         raster = data[pos + 1 : pos + 1 + count]
         if len(raster) != count:
             raise FormatError(f"{path}: raster truncated ({len(raster)} of {count} bytes)")
-        values = np.frombuffer(raster, dtype=np.uint8).astype(np.int64)
+        values = np.frombuffer(raster, dtype=np.uint8).copy()
     else:
         tokens = re.sub(_COMMENT, b" ", data[pos:]).split()
         if len(tokens) != count:
@@ -68,7 +68,8 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
         values = _unsigned(path, "sample", tokens)
     if values.max(initial=0) > maxval:
         raise FormatError(f"{path}: sample exceeds declared maxval {maxval}")
-    return values.reshape(height, width), maxval
+    # P2 samples are int64 until the check above has bounded them by maxval <= 255
+    return values.astype(np.uint8, copy=False).reshape(height, width), maxval
 
 
 def write_pgm(path: str | Path, samples: np.ndarray) -> None:

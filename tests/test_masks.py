@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from regioncd.errors import FormatError, InputError, ShapeError
@@ -123,6 +123,12 @@ class TestDownsample:
         assert (seg.width, seg.height) == (3, 2)
         assert seg.pixels.dtype == np.uint8
         assert seg.pixels.tolist() == [[1, 0, 0], [0, 0, 1]]
+        # a boolean array is stored as its uint8 view, strided slices included
+        p = np.random.default_rng(4).random((5, 9)) < 0.5
+        for pixels in (p, p[:, ::2]):
+            seg = SegMask(pixels)
+            assert seg.pixels.dtype == np.uint8
+            assert (seg.pixels == pixels.astype(np.uint8)).all()
 
     def test_rejects_upsampling_and_bad_args(self):
         seg = SegMask(np.zeros((4, 4), dtype=np.uint8))
@@ -350,6 +356,17 @@ class TestGenerateTokenMask:
         m_sup = generate_token_mask(sup, spec)
         assert (m_sub.values <= m_sup.values).all()
 
+    @settings(max_examples=60, deadline=None)
+    @given(spec_and_seg(), st.sampled_from([0.0, 0.25, 1 / 3, 0.5]))
+    def test_matches_bruteforce(self, spec_seg, tau):
+        """Both grids follow the coverage rule, the global one from its own pixel cells."""
+        spec, seg = spec_seg
+        assume(seg.height % spec.local_rows or seg.width % spec.local_cols)
+        local = brute_downsample(seg.pixels, spec.local_rows, spec.local_cols, tau)
+        global_ = brute_downsample(seg.pixels, spec.side, spec.side, tau)
+        got = generate_token_mask(seg, spec, tau)
+        assert (got.values == assemble(local, global_, spec)).all()
+
     def test_pure_and_deterministic(self):
         rng = np.random.default_rng(5)
         pixels = rng.integers(0, 2, size=(16, 16), dtype=np.uint8)
@@ -368,6 +385,7 @@ class TestPgmAndJson:
         path.write_text("P2\n# comment\n3 2\n# another\n255\n0 128 255\n1 0 7\n")
         samples, maxval = read_pgm(path)
         assert maxval == 255
+        assert samples.dtype == np.uint8 and samples.flags.writeable
         assert samples.tolist() == [[0, 128, 255], [1, 0, 7]]
         seg = SegMask.from_pgm(path)
         assert seg.pixels.tolist() == [[0, 1, 1], [1, 0, 1]]
@@ -378,6 +396,7 @@ class TestPgmAndJson:
         data = rng.integers(0, 256, size=(5, 7))
         write_pgm(path, data)
         samples, _ = read_pgm(path)
+        assert samples.dtype == np.uint8 and samples.flags.writeable
         assert (samples == data).all()
         # a comment right after maxval ends at its line end, the byte before the raster
         path.write_bytes(b"P5\n2 2\n255# c\n\x01\x02\x03\x04")
@@ -476,6 +495,24 @@ class TestPgmAndJson:
             '"values":[1,0,0,0,0,1,1,0,0,0,0,1,0,0,1,0,0]}\n'
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.builds(GridSpec, st.integers(1, 24), st.integers(1, 4), st.integers(1, 4)),
+        tau=st.sampled_from([0.1, 1e-07, 0.30000000000000004, 0.9999999999999999]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_token_mask_json_is_json_dumps(self, spec, tau, seed):
+        """The writer's text is that of ``json.dumps`` with sorted keys and no spaces."""
+        rng = np.random.default_rng(seed)
+        local = rng.integers(0, 2, (spec.local_rows, spec.local_cols), dtype=np.uint8)
+        global_ = rng.integers(0, 2, (spec.side, spec.side), dtype=np.uint8)
+        mask = TokenMask(values=assemble(local, global_, spec), spec=spec)
+        obj = {"L": spec.side, "G": [spec.crop_rows, spec.crop_cols], "tau": tau,
+               "length": len(mask), "values": mask.values.tolist(),
+               "segments": segment_labels(spec)}
+        assert token_mask_to_json(mask, tau) == json.dumps(
+            obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -522,6 +559,14 @@ class TestPgmAndJson:
             TokenMask(values=values, spec=spec)
         with pytest.raises(InputError):
             TokenMask(values=np.array([1, 1, 0, 0, 0], dtype=np.uint8), spec=spec)
+
+    def test_token_mask_stores_uint8(self):
+        spec = GridSpec(side=1)
+        values = np.array([1, 0, 0, 1, 0])
+        wide, narrow = TokenMask(values=values, spec=spec), TokenMask(values.astype(np.uint8), spec)
+        assert wide.values.dtype == np.uint8
+        assert wide.values.tolist() == values.tolist()
+        assert wide.digest() == narrow.digest()
 
     def test_token_mask_rejects_a_wrong_length(self):
         with pytest.raises(ShapeError):
