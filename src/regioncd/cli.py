@@ -17,7 +17,7 @@ from pathlib import Path
 
 from regioncd import verification, weights
 from regioncd.config import GuidanceParams
-from regioncd.decoding import DEFAULT_TOPK, baseline_decode, decode, sweep, sweep_to_csv
+from regioncd.decoding import DEFAULT_TOPK, decode, sweep, sweep_to_csv
 from regioncd.errors import InputError, NumericError
 from regioncd.masks import (
     BBox,
@@ -99,8 +99,9 @@ def _cmd_mask(args) -> int:
     return 0
 
 
-# decode options that only the guided decode reads; they default to None, so that
-# --baseline can reject them and the guided path falls back to the library defaults
+# decode options that only the guided decode takes; they default to None, so that
+# --baseline (decode with no region, which reads no strength and here does not sample)
+# can reject them and the guided path falls back to the library defaults
 # (argparse rejects --seg and --bbox with --baseline: the three form one region group)
 _GUIDED_ONLY = ("alpha", "beta", "gamma", "tau", "temperature", "seed")
 
@@ -123,13 +124,10 @@ def _cmd_decode(args) -> int:
     w = weights.load_weights(args.weights)
     cfg = w.config
     img = GrayImage.from_pgm(args.image)
-    if args.baseline:
-        ids, trace = baseline_decode(img, args.prompt, cfg, w, args.max_tokens, topk=args.topk)
-    else:
-        seg = _load_seg(args, (img.width, img.height))
-        params = _guidance(args, **_given(args, "beta", "gamma"))
-        ids, trace = decode(img, seg, args.prompt, cfg, w, params, topk=args.topk,
-                            **_given(args, "temperature", "seed"))
+    seg = None if args.baseline else _load_seg(args, (img.width, img.height))
+    params = _guidance(args, **_given(args, "beta", "gamma"))
+    ids, trace = decode(img, seg, args.prompt, cfg, w, params, topk=args.topk,
+                        **_given(args, "temperature", "seed"))
     if args.out is not None:
         _write_text(args.out, trace.to_jsonl())
     print("tokens: " + " ".join(str(i) for i in ids))

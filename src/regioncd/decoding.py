@@ -19,7 +19,9 @@ cells: one unguided prefill serves every cell, and one guided prefill and
 one stacked session serve all cells of a beta. Gamma acts on the logits
 only, so cells of a beta that emit the same ids share each step's forward;
 the session is rewound only where a cell emits an id the others did not.
-``decode`` is the one-cell case.
+``decode`` is the one-cell case, and with no region the one-row case: the
+plain decode of one unstacked session, the reference the guidance is
+judged against.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class DecodeTrace:
     fixture_digest: str
     mask_digest: str | None
     topk: int
-    mode: str = "guided"
+    mode: str
     steps: list[StepRecord] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
@@ -210,15 +212,15 @@ def _run_steps(
 
 def _run_cells(
     img: GrayImage,
-    seg: SegMask,
+    seg: SegMask | None,
     prompt: list[int],
     cfg: ModelConfig,
     w: WeightSet,
     cells: list[GuidanceParams],
     topk: int,
     pick: Callable[[np.ndarray], int] | None = None,
-) -> tuple[TokenMask, list[list[StepRecord]]]:
-    """The guided decode of every cell; returns (token mask, each cell's steps).
+) -> tuple[TokenMask | None, list[list[StepRecord]]]:
+    """The decode of every cell; returns (token mask, each cell's steps).
 
     The cells differ in beta and gamma only, so all cells of a beta share one
     :class:`_SharedSession` over the guided and the unguided prefill, stacked
@@ -226,9 +228,19 @@ def _run_cells(
     beta. Each row equals a standalone decode of its cell. The stacked
     session is freed before the next guided prefill, so no more than two
     prefilled sessions and one stack are alive at once.
+
+    With no region (``seg`` None) there is no mask: the one cell, whose
+    strengths must be the defaults, decodes one unstacked session.
     """
     base = cells[0]
     _check_request(prompt, cfg, base, topk)
+    if seg is None:
+        plain = GuidanceParams(max_tokens=base.max_tokens).to_dict()
+        if len(cells) > 1 or base.to_dict() != plain:
+            raise InputError(f"a decode without a region is one cell at the default strengths "
+                             f"{plain}; got {len(cells)} cell(s), the first {base.to_dict()}")
+        session = DecoderSession(cfg, w, encode_image(img, cfg, w))
+        return None, [_run_steps(_SharedSession(session, prompt, topk), base, pick)]
     mask = generate_token_mask(seg, cfg.grid(), base.tau)
     visual = encode_image(img, cfg, w)
     unguided = DecoderSession(cfg, w, suppress_tokens(visual, mask, base.alpha))
@@ -246,7 +258,7 @@ def _run_cells(
 
 def decode(
     img: GrayImage,
-    seg: SegMask,
+    seg: SegMask | None,
     prompt: list[int],
     cfg: ModelConfig,
     w: WeightSet,
@@ -256,6 +268,12 @@ def decode(
     seed: int | None = None,
 ) -> tuple[list[int], DecodeTrace]:
     """Run the dual-branch guided decode; returns (generated ids, trace).
+
+    With ``seg`` None it is the plain one-branch decode: every trace record's
+    three top-k lists are the branch's own log-probs, and the header has mode
+    ``"baseline"``, no mask digest and ``max_tokens`` as its only guidance
+    field. ``params`` must then leave alpha, beta, gamma and tau at their
+    defaults, or the decode raises :class:`InputError` before any prefill.
 
     Greedy when ``temperature`` is None. Otherwise the next token is drawn
     from the log-softmax of the fused scores at that temperature, with
@@ -284,42 +302,14 @@ def decode(
             return int(rng.choice(cfg.vocab_size, p=probs / probs.sum()))
 
     mask, (steps,) = _run_cells(img, seg, prompt, cfg, w, [params], topk, pick)
+    guided = mask is not None
     trace = DecodeTrace(
-        params=params.to_dict() | sampling,
+        params=(params.to_dict() if guided else {"max_tokens": params.max_tokens}) | sampling,
         config=cfg.to_dict(),
         fixture_digest=w.digest(),
-        mask_digest=mask.digest(),
+        mask_digest=mask.digest() if guided else None,
         topk=topk,
-        steps=steps,
-    )
-    return [s.chosen for s in steps], trace
-
-
-def baseline_decode(
-    img: GrayImage,
-    prompt: list[int],
-    cfg: ModelConfig,
-    w: WeightSet,
-    max_tokens: int,
-    topk: int = DEFAULT_TOPK,
-) -> tuple[list[int], DecodeTrace]:
-    """Plain single-branch greedy decoding, the unguided reference.
-
-    The one-branch case of the guided decode: every trace record's three
-    top-k lists are the branch's own log-probs. It stops at ``cfg.eos_id``.
-    """
-    params = GuidanceParams(max_tokens=max_tokens)
-    _check_request(prompt, cfg, params, topk)
-    session = DecoderSession(cfg, w, encode_image(img, cfg, w))
-    shared = _SharedSession(session, prompt, topk)
-    steps = _run_steps(shared, params)
-    trace = DecodeTrace(
-        params={"max_tokens": max_tokens},
-        config=cfg.to_dict(),
-        fixture_digest=w.digest(),
-        mask_digest=None,
-        topk=topk,
-        mode="baseline",
+        mode="guided" if guided else "baseline",
         steps=steps,
     )
     return [s.chosen for s in steps], trace

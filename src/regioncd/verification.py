@@ -191,14 +191,21 @@ def check_mass_monotonicity() -> tuple[bool, str]:
     return True, "100 cases strictly increasing over beta in {1,2,3,5,10}"
 
 
-def check_reduction_to_baseline() -> tuple[bool, str]:
-    """alpha=1, beta=1 collapses the dual branch onto plain greedy decoding."""
-    started = time.perf_counter()
+def _reduction_reference() -> tuple[ModelConfig, weights.WeightSet, GrayImage, list[int]]:
+    """The reduction fixture and image, and the ids of their decode with no region."""
     cfg = reduction_config()
     w = weights.gen_fixture("random-v1", REDUCTION_SEED, cfg)
     img = reduction_image()
+    params = GuidanceParams(max_tokens=REDUCTION_STEPS)
+    base_ids, _ = decoding.decode(img, None, REDUCTION_PROMPT, cfg, w, params)
+    return cfg, w, img, base_ids
+
+
+def check_reduction_to_baseline() -> tuple[bool, str]:
+    """alpha=1, beta=1 collapses the dual branch onto plain greedy decoding."""
+    started = time.perf_counter()
+    cfg, w, img, base_ids = _reduction_reference()
     seg = half_seg(cfg.image_side, cfg.image_side, "left")
-    base_ids, _ = decoding.baseline_decode(img, REDUCTION_PROMPT, cfg, w, REDUCTION_STEPS)
     if len(base_ids) != REDUCTION_STEPS:
         return False, f"baseline stopped after {len(base_ids)} steps, wanted {REDUCTION_STEPS}"
     for gamma in (0.0, 0.5, 1.0, 1.5):
@@ -223,11 +230,8 @@ def check_reduction_to_baseline() -> tuple[bool, str]:
 
 def check_neutral_mask() -> tuple[bool, str]:
     """An all-zero region mask leaves guided decoding at the baseline."""
-    cfg = reduction_config()
-    w = weights.gen_fixture("random-v1", REDUCTION_SEED, cfg)
-    img = reduction_image()
+    cfg, w, img, base_ids = _reduction_reference()
     seg = SegMask(np.zeros((cfg.image_side, cfg.image_side), dtype=np.uint8))
-    base_ids, _ = decoding.baseline_decode(img, REDUCTION_PROMPT, cfg, w, REDUCTION_STEPS)
     params = GuidanceParams(alpha=0.01, beta=5.0, gamma=1.5, tau=0.0,
                             max_tokens=REDUCTION_STEPS)
     ids, _ = decoding.decode(img, seg, REDUCTION_PROMPT, cfg, w, params)

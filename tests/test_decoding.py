@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from regioncd.config import GuidanceParams
 from regioncd.decoding import (
-    DEFAULT_TOPK, baseline_decode, decode, fuse_logits, log_softmax, suppress_tokens, sweep,
-    sweep_to_csv,
+    DEFAULT_TOPK, decode, fuse_logits, log_softmax, suppress_tokens, sweep, sweep_to_csv,
 )
 from regioncd.errors import InputError, ShapeError
 from regioncd.masks import GridSpec, SegMask, generate_token_mask
@@ -166,7 +165,7 @@ class TestDecode:
         ids, trace = decode(steer_image, left_seg, [0], cfg, w, p)
         assert ids == want
         assert trace.mask_digest == generate_token_mask(left_seg, cfg.grid()).digest()
-        assert baseline_decode(steer_image, [0], cfg, w, 5)[0] == want
+        assert decode(steer_image, None, [0], cfg, w, GuidanceParams(max_tokens=5))[0] == want
         assert decode(steer_image, left_seg, [0], cfg, w,
                       replace(p, spec=cfg.grid(), eos_id=eos_id))[0] == want
         for given in ({"eos_id": 3 - eos_id}, {"spec": GridSpec(side=1)}):
@@ -174,29 +173,36 @@ class TestDecode:
                 decode(steer_image, left_seg, [0], cfg, w, replace(p, **given))
 
     def test_trace_structure(self, rand_cfg, rand_weights, rand_image):
-        seg = half_seg(16, 16, "left")
         p = params_for(max_tokens=4)
-        ids, trace = decode(rand_image, seg, [1], rand_cfg, rand_weights, p, topk=3)
-        header, *records = map(json.loads, trace.to_jsonl().splitlines())
-        assert set(header) == {"mode", "params", "config", "fixture_digest", "mask_digest",
-                               "topk"}
-        assert header["mode"] == "guided" and header["topk"] == 3
-        assert header["params"]["alpha"] == 0.01
-        assert header["params"]["beta"] == 5.0
-        assert header["params"]["gamma"] == 1.5
-        assert len(header["fixture_digest"]) == 64
-        assert len(header["mask_digest"]) == 64
-        assert len(trace.steps) <= 4
-        for t, step in enumerate(trace.steps):
-            assert step.t == t
-            assert step.chosen == step.fused_topk[0][0]
-            scores = [v for _, v in step.fused_topk]
-            assert scores == sorted(scores, reverse=True)
-        assert [s.chosen for s in trace.steps] == ids
-        for step, record in zip(trace.steps, records, strict=True):
-            assert record == {"t": step.t, "chosen": step.chosen,
-                              **{k: [list(e) for e in getattr(step, k)]
-                                 for k in ("guided_topk", "unguided_topk", "fused_topk")}}
+        for seg in (half_seg(16, 16, "left"), None):
+            ids, trace = decode(rand_image, seg, [1], rand_cfg, rand_weights, p, topk=3)
+            header, *records = map(json.loads, trace.to_jsonl().splitlines())
+            assert set(header) == {"mode", "params", "config", "fixture_digest", "mask_digest",
+                                   "topk"}
+            assert header["topk"] == 3
+            assert len(header["fixture_digest"]) == 64
+            if seg is None:  # the plain decode: one branch, no mask, no strengths
+                assert header["mode"] == "baseline" and header["mask_digest"] is None
+                assert header["params"] == {"max_tokens": 4}
+                for step in trace.steps:
+                    assert step.guided_topk == step.unguided_topk == step.fused_topk
+            else:
+                assert header["mode"] == "guided"
+                assert header["params"]["alpha"] == 0.01
+                assert header["params"]["beta"] == 5.0
+                assert header["params"]["gamma"] == 1.5
+                assert len(header["mask_digest"]) == 64
+            assert len(trace.steps) <= 4
+            for t, step in enumerate(trace.steps):
+                assert step.t == t
+                assert step.chosen == step.fused_topk[0][0]
+                scores = [v for _, v in step.fused_topk]
+                assert scores == sorted(scores, reverse=True)
+            assert [s.chosen for s in trace.steps] == ids
+            for step, record in zip(trace.steps, records, strict=True):
+                assert record == {"t": step.t, "chosen": step.chosen,
+                                  **{k: [list(e) for e in getattr(step, k)]
+                                     for k in ("guided_topk", "unguided_topk", "fused_topk")}}
 
     def test_trace_bytes_deterministic(self, rand_cfg, rand_weights, rand_image):
         seg = half_seg(16, 16, "left")
@@ -206,13 +212,17 @@ class TestDecode:
         assert t1.to_jsonl().encode() == t2.to_jsonl().encode()
 
     def test_sampling_is_seed_reproducible(self, rand_cfg, rand_weights, rand_image):
-        seg = half_seg(16, 16, "left")
         p = params_for(max_tokens=6)
-        a, _ = decode(rand_image, seg, [1], rand_cfg, rand_weights, p, temperature=2.0, seed=123)
-        b, _ = decode(rand_image, seg, [1], rand_cfg, rand_weights, p, temperature=2.0, seed=123)
-        assert a == b
+        for seg in (half_seg(16, 16, "left"), None):
+            a, trace = decode(rand_image, seg, [1], rand_cfg, rand_weights, p,
+                              temperature=2.0, seed=123)
+            b, _ = decode(rand_image, seg, [1], rand_cfg, rand_weights, p,
+                          temperature=2.0, seed=123)
+            assert a == b
+            assert any(s.chosen != s.fused_topk[0][0] for s in trace.steps)  # not greedy
+        assert trace.params == {"max_tokens": 6, "temperature": 2.0, "seed": 123}
 
-    def test_validation_errors(self, rand_cfg, rand_weights, rand_image, steer_cfg):
+    def test_validation_errors(self, rand_cfg, rand_weights, rand_image, steer_cfg, monkeypatch):
         seg = half_seg(16, 16, "left")
         with pytest.raises(InputError):
             decode(rand_image, seg, [], rand_cfg, rand_weights, params_for())
@@ -234,6 +244,15 @@ class TestDecode:
         for name, value in bad_fields:
             with pytest.raises(InputError, match=name):
                 params_for(**{name: value})
+        # a request with no region is one cell at the default strengths, checked before any
+        # prefill (which here fails the test)
+        monkeypatch.setattr(DecoderSession, "__init__", lambda *_, **__: pytest.fail("prefill"))
+        for name, value in (("alpha", 1.0), ("beta", 1.0), ("gamma", 1.0), ("tau", 0.5)):
+            with pytest.raises(InputError, match="without a region"):
+                decode(rand_image, None, [1], rand_cfg, rand_weights, params_for(**{name: value}))
+        for betas, gammas in (([1.0, 3.0], [1.5]), ([5.0], [1.0]), ([5.0, 5.0], [1.5])):
+            with pytest.raises(InputError, match="without a region"):
+                sweep(rand_image, None, [1], rand_cfg, rand_weights, betas, gammas, params_for())
 
 
 def reference_greedy(img, seg, prompt, cfg, w, params) -> tuple[list[int], list[np.ndarray]]:
@@ -261,7 +280,8 @@ def reference_greedy(img, seg, prompt, cfg, w, params) -> tuple[list[int], list[
 
 class TestSweep:
     def test_neutral_grid_matches_baseline(self, steer_cfg, steer_weights, steer_image, left_seg):
-        base, _ = baseline_decode(steer_image, [0], steer_cfg, steer_weights, max_tokens=1)
+        base, _ = decode(steer_image, None, [0], steer_cfg, steer_weights,
+                         params_for(max_tokens=1))
         p = params_for(alpha=1.0, max_tokens=1)
         rows = sweep(steer_image, left_seg, [0], steer_cfg, steer_weights, [1.0], [1.0], p)
         assert len(rows) == 1
