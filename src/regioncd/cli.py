@@ -95,7 +95,7 @@ def _cmd_mask(args) -> int:
     seg = _load_seg(args, dims)
     mask = generate_token_mask(seg, spec, args.tau)
     _write_text(args.out, token_mask_to_json(mask, args.tau))
-    print(f"length={len(mask)} positives={mask.positive_count()}")
+    print(f"length={len(mask)} positives={int(mask.values.sum())}")
     return 0
 
 

@@ -183,14 +183,17 @@ class TokenMask:
     def __len__(self) -> int:
         return len(self.values)
 
-    def positive_count(self) -> int:
-        return int(self.values.sum())
-
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(f"{self.spec.side},{self.spec.crop_rows},{self.spec.crop_cols};".encode())
         h.update(self.values.tobytes())
         return h.hexdigest()
+
+
+def _check_tau(tau: float) -> None:
+    """The one tau rule of every mask entry point: a real number in [0, 1), else an InputError."""
+    if not (is_real(tau) and 0.0 <= tau < 1.0):
+        raise InputError(f"tau must lie in [0, 1), got {tau!r}")
 
 
 def _cell_counts(seg: SegMask, out_rows: int, out_cols: int,
@@ -204,8 +207,7 @@ def _cell_counts(seg: SegMask, out_rows: int, out_cols: int,
         raise InputError(
             f"cannot downsample {seg.height}x{seg.width} mask to larger grid {out_rows}x{out_cols}"
         )
-    if not (is_real(tau) and 0.0 <= tau < 1.0):
-        raise InputError(f"tau must lie in [0, 1), got {tau!r}")
+    _check_tau(tau)
     # pixel i of n lies in cell floor(i*cells/n), so cell k starts at pixel
     # ceil(k*n/cells) and none is empty, since cells <= n
     bounds = [-(-np.arange(cells + 1) * n // cells)
@@ -294,46 +296,47 @@ def token_mask_to_json(mask: TokenMask, tau: float) -> str:
     """Serialize a token mask; byte-deterministic for identical inputs.
 
     The text is ``json.dumps`` of the object with sorted keys and no spaces;
-    the labels and the 0/1 values are written as text in one pass each.
+    the labels and the 0/1 values are written as text in one pass each. A
+    tau that :func:`token_mask_from_json` rejects is an :class:`InputError`.
     """
+    _check_tau(tau)
     spec = mask.spec
     digits = np.full(2 * len(mask) - 1, ord(","), dtype=np.uint8)
     digits[::2] = mask.values + ord("0")
     return ('{"G":' + json.dumps([spec.crop_rows, spec.crop_cols], separators=(",", ":"))
             + ',"L":' + json.dumps(spec.side) + ',"length":' + json.dumps(len(mask))
             + ',"segments":["' + '","'.join(segment_labels(spec)) + '"]'
-            + ',"tau":' + json.dumps(tau, allow_nan=False)
+            + ',"tau":' + json.dumps(tau)
             + ',"values":[' + digits.tobytes().decode("ascii") + "]}\n")
 
 
 def token_mask_from_json(text: str) -> tuple[TokenMask, float]:
     """Parse what :func:`token_mask_to_json` writes; anything else is a FormatError.
 
-    ``L`` and ``G`` must be integers, ``length`` and the number of values the
-    layout length, every value the integer 0 or 1 (0 at every separator),
-    ``segments`` equal to :func:`segment_labels` of the grid, ``tau`` a
-    number in [0, 1), and no other key.
+    The reader checks the six keys, ``L`` and ``G`` (a :class:`GridSpec`),
+    ``values`` (JSON integers, not ``true`` or ``1.0``), ``length`` (their
+    count), ``segments`` (:func:`segment_labels` of the grid) and ``tau``;
+    :class:`TokenMask` checks the layout length, 0/1 values and 0 separators.
     """
     try:
         obj = json.loads(text)
         side, (rows, cols) = obj["L"], obj["G"]
         spec = GridSpec(side=side, crop_rows=rows, crop_cols=cols)
-        raw, length, segments = obj["values"], obj["length"], obj["segments"]
-        tau = _json_number(obj["tau"])
+        raw, length, segments, tau = obj["values"], obj["length"], obj["segments"], obj["tau"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed token mask JSON: {exc}") from None
     if unknown := sorted(obj.keys() - {"L", "G", "tau", "length", "values", "segments"}):
         raise FormatError(f"token mask JSON has unknown fields {unknown}")
-    if not isinstance(raw, list) or not all(map(is_int, raw)) or not set(raw) <= {0, 1}:
-        raise FormatError("token mask values must be a list of the integers 0 and 1")
-    if not 0.0 <= tau < 1.0:
-        raise FormatError(f"token mask tau must lie in [0, 1), got {tau}")
-    if not length == len(raw) == expected_length(spec):
-        raise FormatError(f"token mask length {length!r} and {len(raw)} values, "
-                          f"{spec} needs {expected_length(spec)}")
+    if not isinstance(raw, list) or not set(map(type, raw)) <= {int}:
+        raise FormatError("token mask values must be a list of JSON integers")
+    if length != len(raw):
+        raise FormatError(f"token mask length {length!r} but {len(raw)} values")
+    try:
+        # before the labels: its length check bounds their list by the file's size
+        mask = TokenMask(values=np.array(raw), spec=spec)
+        _check_tau(tau)
+    except InputError as exc:
+        raise FormatError(f"token mask JSON: {exc}") from None
     if segments != segment_labels(spec):
         raise FormatError(f"token mask segments do not match the token layout of {spec}")
-    try:
-        return TokenMask(values=np.array(raw, dtype=np.uint8), spec=spec), tau
-    except InputError as exc:  # a 1 at a separator
-        raise FormatError(f"malformed token mask JSON: {exc}") from None
+    return mask, float(tau)

@@ -88,6 +88,21 @@ def _write_steer_artifacts(root: Path) -> dict[str, Path]:
     return paths
 
 
+def _steer_cli(command: str, *flags: str) -> tuple[int, bytes]:
+    """Run one CLI command on the steering artifacts, written to a fresh
+    temporary directory: its exit code and the bytes of its ``--out`` file."""
+    from regioncd import cli  # deferred: cli imports this module
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths, out = _write_steer_artifacts(Path(tmp)), Path(tmp) / "out"
+        code = cli.main([
+            command, "--image", str(paths["image"]), "--seg", str(paths["seg_left"]),
+            "--weights", str(paths["weights"]), "--prompt", "0", "--max-tokens", "1",
+            *flags, "--out", str(out),
+        ])
+        return code, out.read_bytes() if code == 0 else b""
+
+
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -265,20 +280,10 @@ def check_steerability() -> tuple[bool, str]:
 
 def check_sweep_monotonicity() -> tuple[bool, str]:
     """cmd_sweep's step1_margin grows with beta on the steering fixture."""
-    from regioncd import cli  # deferred: cli imports this module
-
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        paths = _write_steer_artifacts(root)
-        out = root / "sweep.csv"
-        code = cli.main([
-            "sweep", "--image", str(paths["image"]), "--seg", str(paths["seg_left"]),
-            "--weights", str(paths["weights"]), "--beta", "1,3,5,10", "--gamma", "1.3",
-            "--prompt", "0", "--max-tokens", "1", "--out", str(out),
-        ])
-        if code != 0:
-            return False, f"cmd_sweep exited with {code}"
-        lines = out.read_text().splitlines()
+    code, out = _steer_cli("sweep", "--beta", "1,3,5,10", "--gamma", "1.3")
+    if code != 0:
+        return False, f"cmd_sweep exited with {code}"
+    lines = out.decode().splitlines()
     if lines[0] != "beta,gamma,output_ids,step1_margin":
         return False, f"unexpected CSV header {lines[0]!r}"
     margins = [float(line.split(",")[3]) for line in lines[1:]]
@@ -291,22 +296,12 @@ def check_sweep_monotonicity() -> tuple[bool, str]:
 
 def check_determinism() -> tuple[bool, str]:
     """Identical runs write identical bytes; fixtures reproduce by digest."""
-    from regioncd import cli  # deferred: cli imports this module
-
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        paths = _write_steer_artifacts(root)
-        traces = []
-        for name in ("a.jsonl", "b.jsonl"):
-            out = root / name
-            code = cli.main([
-                "decode", "--image", str(paths["image"]), "--seg", str(paths["seg_left"]),
-                "--weights", str(paths["weights"]), "--prompt", "0",
-                "--max-tokens", "1", "--out", str(out),
-            ])
-            if code != 0:
-                return False, f"cmd_decode exited with {code}"
-            traces.append(out.read_bytes())
+    traces = []
+    for _ in range(2):
+        code, out = _steer_cli("decode")
+        if code != 0:
+            return False, f"cmd_decode exited with {code}"
+        traces.append(out)
     if traces[0] != traces[1]:
         return False, "consecutive decode runs wrote different trace bytes"
     cfg = reduction_config()

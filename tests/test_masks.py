@@ -502,7 +502,8 @@ class TestPgmAndJson:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_token_mask_json_is_json_dumps(self, spec, tau, seed):
-        """The writer's text is that of ``json.dumps`` with sorted keys and no spaces."""
+        """The writer's text is that of ``json.dumps`` with sorted keys and no spaces,
+        and the reader takes it back."""
         rng = np.random.default_rng(seed)
         local = rng.integers(0, 2, (spec.local_rows, spec.local_cols), dtype=np.uint8)
         global_ = rng.integers(0, 2, (spec.side, spec.side), dtype=np.uint8)
@@ -510,8 +511,30 @@ class TestPgmAndJson:
         obj = {"L": spec.side, "G": [spec.crop_rows, spec.crop_cols], "tau": tau,
                "length": len(mask), "values": mask.values.tolist(),
                "segments": segment_labels(spec)}
-        assert token_mask_to_json(mask, tau) == json.dumps(
+        text = token_mask_to_json(mask, tau)
+        assert text == json.dumps(
             obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+        back, back_tau = token_mask_from_json(text)
+        assert back_tau == tau and back.spec == spec and np.array_equal(back.values, mask.values)
+
+    @pytest.mark.parametrize("tau", [True, 5, -1.0, 1.0, math.nan])
+    def test_token_mask_to_json_rejects_a_tau_the_reader_rejects(self, tau):
+        mask = generate_token_mask(half_seg(4, 4, "left"), GridSpec(side=2))
+        text = token_mask_to_json(mask, 0.0).replace('"tau":0.0', '"tau":' + json.dumps(tau))
+        with pytest.raises(FormatError, match="tau"):
+            token_mask_from_json(text)
+        with pytest.raises(InputError, match="tau"):
+            token_mask_to_json(mask, tau)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.25, 0.9999999999999999])
+    def test_token_mask_to_json_writes_a_tau_the_reader_takes(self, tau):
+        spec = GridSpec(side=2)
+        mask = generate_token_mask(half_seg(4, 4, "left"), spec)
+        obj = {"L": 2, "G": [1, 1], "tau": tau, "length": len(mask),
+               "values": mask.values.tolist(), "segments": segment_labels(spec)}
+        text = token_mask_to_json(mask, tau)
+        assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        assert token_mask_from_json(text)[1] == tau
 
     @pytest.mark.parametrize(
         "field, value",
@@ -534,6 +557,11 @@ class TestPgmAndJson:
             ("G", [1, True]),
             ("G", [1]),
             ("extra", 1),
+            ("values", 2**70),  # numpy makes an object array of it
+            ("values", None),
+            ("values", [0]),  # a nested list
+            ("values", "empty"),  # with length 0
+            ("values", "short"),  # one value short, with length one less
         ],
     )
     def test_token_mask_json_rejects(self, field, value):
@@ -541,9 +569,13 @@ class TestPgmAndJson:
         obj = json.loads(token_mask_to_json(generate_token_mask(half_seg(4, 4, "left"), spec), 0.0))
         if field == "segments":
             obj["segments"] = [value if value == "banana" else "local"] * obj["length"]
-            obj["values"][2] = 1
+            if value == "all-local":
+                obj["values"][2] = 1
         elif value == "separator":
             obj["values"][2] = 1
+        elif value in ("empty", "short"):
+            obj["values"] = [] if value == "empty" else obj["values"][:-1]
+            obj["length"] = len(obj["values"])
         elif field == "values":
             obj["values"][0] = value
         else:

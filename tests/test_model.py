@@ -191,7 +191,7 @@ class TestEncoder:
                 vb = encode_image(GrayImage(block), cfg, w)
                 moved = np.any(va.embeddings != vb.embeddings, axis=1)
                 mask = generate_token_mask(SegMask(block), spec)
-                assert mask.positive_count() == 2
+                assert mask.values.sum() == 2
                 assert (moved == (mask.values == 1)).all()
 
     def test_dimension_mismatch(self, rand_cfg, rand_weights):
