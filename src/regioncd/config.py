@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
-from regioncd.errors import FormatError, InputError, require_numbers
+from regioncd.errors import STRENGTHS, FormatError, InputError, require_numbers, require_strength
 from regioncd.masks import GridSpec, expected_length
 
 
@@ -99,7 +98,8 @@ class GuidanceParams:
     ``beta`` enters the guided branch's attention as ``log(beta)`` added to
     the scores of masked key positions (their pre-normalized weight times
     beta), and ``gamma`` sets the mixing intensity of the two branches'
-    log-probabilities at each step.
+    log-probabilities at each step. Each strength, ``tau`` included, passes
+    :func:`require_strength`.
 
     The token grid and the stop token are the model's: a decode reads them
     from its :class:`ModelConfig`. ``spec`` and ``eos_id``, when given, must
@@ -116,19 +116,9 @@ class GuidanceParams:
     eos_id: int | None = None
 
     def __post_init__(self) -> None:
-        strengths = ("alpha", "beta", "gamma", "tau")
-        require_numbers(self, ints=("max_tokens",), reals=strengths)
-        for name in strengths:
-            if not math.isfinite(getattr(self, name)):
-                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InputError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.beta < 1.0:
-            raise InputError(f"beta must be >= 1, got {self.beta}")
-        if self.gamma < 0.0:
-            raise InputError(f"gamma must be >= 0, got {self.gamma}")
-        if not 0.0 <= self.tau < 1.0:
-            raise InputError(f"tau must lie in [0, 1), got {self.tau}")
+        require_numbers(self, ints=("max_tokens",))
+        for name in STRENGTHS:
+            require_strength(name, getattr(self, name))
         if self.max_tokens < 1:
             raise InputError("max_tokens must be >= 1")
 

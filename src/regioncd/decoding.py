@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from regioncd.config import GuidanceParams, ModelConfig
-from regioncd.errors import InputError, NumericError, ShapeError, is_int, is_real
+from regioncd.errors import InputError, NumericError, ShapeError, is_int, is_real, require_strength
 from regioncd.masks import SegMask, TokenMask, generate_token_mask
 from regioncd.model import DecoderSession, GrayImage, VisualSequence, encode_image
 from regioncd.weights import WeightSet
@@ -43,11 +43,10 @@ DEFAULT_TOPK = 5
 
 
 def suppress_tokens(visual: VisualSequence, mask: TokenMask, alpha: float) -> VisualSequence:
-    """Scale the embeddings at masked positions by ``alpha`` (pure)."""
+    """Scale the masked positions' embeddings by ``alpha`` (pure; see :func:`require_strength`)."""
     if len(visual) != len(mask.values):
         raise ShapeError(f"visual length {len(visual)} != mask length {len(mask.values)}")
-    if not (is_real(alpha) and 0.0 <= alpha <= 1.0):
-        raise InputError(f"alpha must lie in [0, 1], got {alpha!r}")
+    require_strength("alpha", alpha)
     emb = visual.embeddings.copy()
     rows = mask.values != 0
     emb[rows] *= alpha
@@ -59,9 +58,10 @@ def fuse_logits(
 ) -> np.ndarray:
     """Combine branch log-probabilities: (1-gamma)*unguided + gamma*guided.
 
-    The result is an unnormalized score vector; it is argmax-valid as is and
-    only needs a log-softmax if renormalized for sampling.
+    The unnormalized scores are argmax-valid as is; sampling renormalizes them.
+    ``gamma`` passes :func:`require_strength`: a negative one reverses the contrast.
     """
+    require_strength("gamma", gamma)
     g = np.asarray(logprob_guided, dtype=np.float64)
     u = np.asarray(logprob_unguided, dtype=np.float64)
     if g.shape != u.shape:

@@ -1,5 +1,8 @@
 """Exception types shared across the package, and the number checks of the input paths."""
 
+import math
+from contextlib import suppress
+
 
 class InputError(ValueError):
     """Invalid input: bad values, inconsistent shapes, unusable arguments."""
@@ -39,3 +42,18 @@ def require_numbers(obj: object, ints: tuple[str, ...] = (), reals: tuple[str, .
             value = getattr(obj, name)
             if not test(value):
                 raise InputError(f"{type(obj).__name__}.{name} must be {kind}, got {value!r}")
+
+
+# each guidance strength's range, in interval notation; require_strength is its one check
+STRENGTHS = {"alpha": "[0, 1]", "beta": "[1, inf)", "gamma": "[0, inf)", "tau": "[0, 1)"}
+
+
+def require_strength(name: str, value: object) -> None:
+    """The one check of a strength's range: InputError unless ``value`` is a finite real in it."""
+    interval = STRENGTHS[name]
+    low, high = map(float, interval[1:-1].split(","))
+    with suppress(OverflowError):  # math.isfinite raises for an int too large for a float
+        if is_real(value) and math.isfinite(value) and low <= value and (
+                value <= high if interval.endswith("]") else value < high):
+            return
+    raise InputError(f"{name} must be a finite real number in {interval}, got {value!r}")

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from regioncd import pgm
+from regioncd import errors, pgm
 from regioncd.errors import FormatError, InputError, ShapeError, is_int, is_real, require_numbers
 
 # segment labels, in the order the segments appear
@@ -190,12 +190,6 @@ class TokenMask:
         return h.hexdigest()
 
 
-def _check_tau(tau: float) -> None:
-    """The one tau rule of every mask entry point: a real number in [0, 1), else an InputError."""
-    if not (is_real(tau) and 0.0 <= tau < 1.0):
-        raise InputError(f"tau must lie in [0, 1), got {tau!r}")
-
-
 def _cell_counts(seg: SegMask, out_rows: int, out_cols: int,
                  tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positive pixels of each cell of an ``(out_rows, out_cols)`` grid, counted
@@ -207,7 +201,7 @@ def _cell_counts(seg: SegMask, out_rows: int, out_cols: int,
         raise InputError(
             f"cannot downsample {seg.height}x{seg.width} mask to larger grid {out_rows}x{out_cols}"
         )
-    _check_tau(tau)
+    errors.require_strength("tau", tau)
     # pixel i of n lies in cell floor(i*cells/n), so cell k starts at pixel
     # ceil(k*n/cells) and none is empty, since cells <= n
     bounds = [-(-np.arange(cells + 1) * n // cells)
@@ -299,7 +293,7 @@ def token_mask_to_json(mask: TokenMask, tau: float) -> str:
     the labels and the 0/1 values are written as text in one pass each. A
     tau that :func:`token_mask_from_json` rejects is an :class:`InputError`.
     """
-    _check_tau(tau)
+    errors.require_strength("tau", tau)
     spec = mask.spec
     digits = np.full(2 * len(mask) - 1, ord(","), dtype=np.uint8)
     digits[::2] = mask.values + ord("0")
@@ -315,7 +309,7 @@ def token_mask_from_json(text: str) -> tuple[TokenMask, float]:
 
     The reader checks the six keys, ``L`` and ``G`` (a :class:`GridSpec`),
     ``values`` (JSON integers, not ``true`` or ``1.0``), ``length`` (their
-    count), ``segments`` (:func:`segment_labels` of the grid) and ``tau``;
+    count, an integer), ``segments`` (:func:`segment_labels`) and ``tau``;
     :class:`TokenMask` checks the layout length, 0/1 values and 0 separators.
     """
     try:
@@ -329,12 +323,12 @@ def token_mask_from_json(text: str) -> tuple[TokenMask, float]:
         raise FormatError(f"token mask JSON has unknown fields {unknown}")
     if not isinstance(raw, list) or not set(map(type, raw)) <= {int}:
         raise FormatError("token mask values must be a list of JSON integers")
-    if length != len(raw):
-        raise FormatError(f"token mask length {length!r} but {len(raw)} values")
+    if not is_int(length) or length != len(raw):
+        raise FormatError(f"token mask length {length!r} is not the JSON integer {len(raw)}")
     try:
         # before the labels: its length check bounds their list by the file's size
         mask = TokenMask(values=np.array(raw), spec=spec)
-        _check_tau(tau)
+        errors.require_strength("tau", tau)
     except InputError as exc:
         raise FormatError(f"token mask JSON: {exc}") from None
     if segments != segment_labels(spec):

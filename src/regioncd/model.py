@@ -36,7 +36,7 @@ import numpy as np
 
 from regioncd import pgm
 from regioncd.config import ModelConfig
-from regioncd.errors import InputError, NumericError, ShapeError, is_int, is_real
+from regioncd.errors import InputError, NumericError, ShapeError, is_int, require_strength
 # segment_labels is unused here, but perfbench/spans.py wraps model.segment_labels
 from regioncd.masks import assemble, segment_labels  # noqa: F401
 from regioncd.weights import WeightSet
@@ -164,13 +164,10 @@ def region_bias(mask: np.ndarray, beta: float) -> np.ndarray:
 
     Adding it to the scores multiplies the pre-normalized weight of every
     masked key by beta, since ``beta^m * exp(e) = exp(e + m*log(beta))``;
-    unmasked keys get exactly 0. Its beta check is the one every attention
-    policy passes, including one given to ``DecoderSession(attn_policy=...)``
-    directly, which never builds a :class:`~regioncd.config.GuidanceParams`
-    (that class checks beta as well).
+    unmasked keys get exactly 0. Every attention policy passes its beta through
+    :func:`require_strength` here, one given to ``DecoderSession`` directly too.
     """
-    if not (is_real(beta) and math.isfinite(beta) and beta >= 1.0):
-        raise InputError(f"beta must be finite and >= 1, got {beta}")
+    require_strength("beta", beta)
     return np.where(np.asarray(mask) != 0, math.log(beta), 0.0)
 
 

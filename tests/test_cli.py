@@ -557,8 +557,10 @@ def bad_number(kind) -> st.SearchStrategy[str]:
     return st.one_of(st.sampled_from(["nan", "inf", "-inf"]), negative)
 
 
-# the numeric options of the commands besides decode (whose fuzz test is above), by type
+# the numeric options of each command, by type
 NUMERIC_OPTIONS = {
+    "decode": {"alpha": float, "beta": float, "gamma": float, "tau": float, "max-tokens": int,
+               "topk": int, "temperature": float},
     "mask": {"L": int, "G": "grid", "tau": float},
     "sweep": {"tau": float, "alpha": float, "max-tokens": int, "beta": float, "gamma": float},
     "fixture": {"seed": int, "vocab-size": "size", "embed-dim": "size", "n-heads": int,
@@ -577,6 +579,7 @@ class TestExitCodeContract:
         # and write nothing
         out = steer_files["fuzz_out"]
         argv = {"mask": ["mask", "--seg", steer_files["seg_left"], "--L", "2"],
+                "decode": steer_argv(steer_files, "decode", "--max-tokens", "1"),
                 "sweep": steer_argv(steer_files, "sweep", "--max-tokens", "1"),
                 "fixture": ["fixture", "--kind", "random-v1"]}[command] + ["--out", str(out)]
         out.unlink(missing_ok=True)

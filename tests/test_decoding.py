@@ -11,8 +11,10 @@ from regioncd.config import GuidanceParams
 from regioncd.decoding import (
     DEFAULT_TOPK, decode, fuse_logits, log_softmax, suppress_tokens, sweep, sweep_to_csv,
 )
-from regioncd.errors import InputError, ShapeError
-from regioncd.masks import GridSpec, SegMask, generate_token_mask
+from regioncd.errors import FormatError, InputError, ShapeError
+from regioncd.masks import (
+    GridSpec, SegMask, downsample, generate_token_mask, token_mask_from_json, token_mask_to_json,
+)
 from regioncd.model import DecoderSession, encode_image, region_bias
 from regioncd.verification import REDUCTION_PROMPT, _reweighted as reweight_attention, half_seg
 from regioncd.weights import gen_fixture
@@ -61,23 +63,68 @@ class TestSuppressTokens:
         with pytest.raises(ShapeError):
             suppress_tokens(visual, mask, 0.5)
 
-    @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan, True, "0.5"])
-    def test_bad_alpha(self, steer_cfg, steer_weights, steer_image, left_seg, alpha):
-        visual = encode_image(steer_image, steer_cfg, steer_weights)
-        mask = generate_token_mask(left_seg, steer_cfg.grid())
-        with pytest.raises(InputError):
-            suppress_tokens(visual, mask, alpha)
-
 
 class TestReweightAttention:
     def test_two_element_example(self):
         p = reweight_attention(np.array([0.0, 0.0]), np.array([1, 0]), 3.0)
         assert np.abs(p - np.array([0.75, 0.25])).max() < 1e-15
 
-    def test_rejects_bad_beta(self):
-        for beta in (0.5, math.nan, math.inf, -math.inf, True, "5"):
-            with pytest.raises(InputError):
-                region_bias(np.array([1, 0]), beta)
+
+# each strength's values that every one of its entry points accepts, then those they reject
+STRENGTH_VALUES = {
+    "alpha": ([0.0, -0.0, 1, 1.0, np.float64(0.5)],
+              [math.nextafter(1.0, 2.0), -5e-324, -0.1, 1.5, math.nan, math.inf, True, "0.5",
+               np.float32(0.5), None]),
+    "beta": ([1, 5.0, 1e308],
+             [math.nextafter(1.0, 0.0), 0.5, math.inf, -math.inf, math.nan, True, "5",
+              10**400]),
+    "gamma": ([0.0, -0.0, 1.5, 3, np.float64(1.5)],
+              [-5e-324, -1.0, math.nan, math.inf, True, "1.5", np.float32(1.5)]),
+    "tau": ([0.0, -0.0, 0.9999999999999999],
+            [1.0, -5e-324, -1.0, 5, math.nan, math.inf, True, "0.5", None]),
+}
+STRENGTH_ENTRY_POINTS = {
+    "alpha": ["GuidanceParams", "suppress_tokens"],
+    "beta": ["GuidanceParams", "region_bias", "DecoderSession"],
+    "gamma": ["GuidanceParams", "fuse_logits"],
+    "tau": ["GuidanceParams", "generate_token_mask", "downsample", "token_mask_to_json",
+            "token_mask_from_json"],
+}
+
+
+@pytest.mark.parametrize("name, value, entry, accepted", [
+    pytest.param(name, value, entry, accepted, id=f"{name}-{entry}-{value!r:.20}")
+    for name, (good, bad) in STRENGTH_VALUES.items()
+    for accepted, values in ((True, good), (False, bad))
+    for value in values
+    for entry in STRENGTH_ENTRY_POINTS[name]
+])
+def test_strength_rule(steer_cfg, steer_weights, steer_image, left_seg, name, value, entry,
+                       accepted):
+    """Every entry point of a strength accepts the same values, and rejects the rest as an
+    InputError that names it (a FormatError from the token-mask reader)."""
+    visual = encode_image(steer_image, steer_cfg, steer_weights)
+    mask = generate_token_mask(left_seg, steer_cfg.grid())
+    text = token_mask_to_json(mask, 0.0)
+    calls = {
+        "GuidanceParams": lambda: GuidanceParams(**{name: value}),
+        "suppress_tokens": lambda: suppress_tokens(visual, mask, value),
+        "region_bias": lambda: region_bias(np.array([1, 0]), value),
+        "DecoderSession": lambda: DecoderSession(steer_cfg, steer_weights, visual,
+                                                 attn_policy=(mask.values, value)),
+        "fuse_logits": lambda: fuse_logits(np.array([-1.0, -2.0]), np.array([-2.0, -1.0]), value),
+        "generate_token_mask": lambda: generate_token_mask(left_seg, steer_cfg.grid(), value),
+        "downsample": lambda: downsample(left_seg, 2, 2, value),
+        "token_mask_to_json": lambda: token_mask_to_json(mask, value),
+        "token_mask_from_json": lambda: token_mask_from_json(
+            text.replace('"tau":0.0', '"tau":' + json.dumps(value))),
+    }
+    if accepted:
+        calls[entry]()
+    else:
+        with pytest.raises(InputError, match=name) as exc:
+            calls[entry]()
+        assert type(exc.value) is (FormatError if entry == "token_mask_from_json" else InputError)
 
 
 class TestFuseLogits:
@@ -238,12 +285,10 @@ class TestDecode:
                     {"temperature": 1.0, "seed": True}, {"temperature": 1.0, "seed": 1.5}):
             with pytest.raises(InputError):
                 decode(rand_image, seg, [1], rand_cfg, rand_weights, params_for(), **bad)
-        bad_fields = [("max_tokens", value) for value in (2.5, 8.0, True)]
-        bad_fields += [(name, value) for name in ("alpha", "beta", "gamma", "tau")
-                       for value in (True, "5")]
-        for name, value in bad_fields:
-            with pytest.raises(InputError, match=name):
-                params_for(**{name: value})
+        # (the strengths' types and ranges are test_strength_rule's rows)
+        for value in (2.5, 8.0, True):
+            with pytest.raises(InputError, match="max_tokens"):
+                params_for(max_tokens=value)
         # a request with no region is one cell at the default strengths, checked before any
         # prefill (which here fails the test)
         monkeypatch.setattr(DecoderSession, "__init__", lambda *_, **__: pytest.fail("prefill"))

@@ -562,6 +562,8 @@ class TestPgmAndJson:
             ("values", [0]),  # a nested list
             ("values", "empty"),  # with length 0
             ("values", "short"),  # one value short, with length one less
+            ("length", 13.0),  # the count of values, but a float
+            ("length", "13"),
         ],
     )
     def test_token_mask_json_rejects(self, field, value):
