@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from regioncd.errors import STRENGTHS, FormatError, InputError, require_numbers, require_strength
+from regioncd.errors import STRENGTHS, InputError, require_numbers, require_strength
 from regioncd.masks import GridSpec, expected_length
 
 
@@ -71,23 +71,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ModelConfig":
-        """The config in ``obj``, whose every field must be a JSON integer.
-
-        A float, boolean or string field (``1.9``, ``true``, ``"1"``) is an
-        :class:`InputError` of the constructor, not truncated or parsed; a
-        key that is not a field, which would otherwise be dropped unread, is
-        a :class:`FormatError`.
-        """
-        try:
-            kwargs = {f.name: obj[f.name] for f in fields(cls)}
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"bad model config: {exc}") from None
-        if unknown := [key for key in obj if key not in kwargs]:
-            raise FormatError(f"model config has unknown fields {unknown}")
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ import numpy as np
 from regioncd.config import GuidanceParams, ModelConfig
 from regioncd.errors import InputError, NumericError, ShapeError, is_int, is_real, require_strength
 from regioncd.masks import SegMask, TokenMask, generate_token_mask
-from regioncd.model import DecoderSession, GrayImage, VisualSequence, encode_image
+from regioncd.model import DecoderSession, GrayImage, VisualSequence, check_token_ids, encode_image
 from regioncd.weights import WeightSet
 
 DEFAULT_TOPK = 5
@@ -122,8 +122,7 @@ class DecodeTrace:
 def _check_request(
     prompt: list[int], cfg: ModelConfig, params: GuidanceParams, topk: int
 ) -> None:
-    if not prompt:
-        raise InputError("prompt must be non-empty")
+    check_token_ids(prompt, cfg.vocab_size)
     if not is_int(topk) or topk < 1:
         raise InputError(f"topk must be an int >= 1, got {topk!r}")
     if params.spec not in (None, cfg.grid()) or params.eos_id not in (None, cfg.eos_id):
@@ -239,10 +238,10 @@ def _run_cells(
         if len(cells) > 1 or base.to_dict() != plain:
             raise InputError(f"a decode without a region is one cell at the default strengths "
                              f"{plain}; got {len(cells)} cell(s), the first {base.to_dict()}")
-        session = DecoderSession(cfg, w, encode_image(img, cfg, w))
+        session = DecoderSession(cfg, w, encode_image(img, w))
         return None, [_run_steps(_SharedSession(session, prompt, topk), base, pick)]
     mask = generate_token_mask(seg, cfg.grid(), base.tau)
-    visual = encode_image(img, cfg, w)
+    visual = encode_image(img, w)
     unguided = DecoderSession(cfg, w, suppress_tokens(visual, mask, base.alpha))
     steps: dict[int, list[StepRecord]] = {}
     for beta in dict.fromkeys(cell.beta for cell in cells):

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the number checks of the input paths."""
+"""Exception types shared across the package, and the number and JSON checks of the input paths."""
 
+import json
 import math
 from contextlib import suppress
 
@@ -13,7 +14,7 @@ class ShapeError(InputError):
 
 
 class FormatError(InputError):
-    """Malformed file content (PGM image, weight fixture, bbox JSON)."""
+    """Malformed file content (PGM image, weight fixture, token mask, bbox JSON)."""
 
 
 class NumericError(ArithmeticError):
@@ -57,3 +58,31 @@ def require_strength(name: str, value: object) -> None:
                 value <= high if interval.endswith("]") else value < high):
             return
     raise InputError(f"{name} must be a finite real number in {interval}, got {value!r}")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # json.loads alone would keep a repeated key's last value
+        raise ValueError(f"an object gives a key twice: {[key for key, _ in pairs]}")
+    return obj
+
+
+def parse_json(text: str, what: str) -> object:
+    """The one JSON parser of the input paths; ``NaN`` is a float, for later checks to reject.
+    Text that is not JSON, a repeated key or too deep nesting is a FormatError naming ``what``."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (RecursionError, ValueError) as exc:  # ValueError: also an int past the digit limit
+        raise FormatError(f"{what} is not valid JSON: {exc}") from None
+
+
+def json_fields(obj: object, keys: tuple[str, ...] | list[str], what: str) -> list:
+    """The values of exactly ``keys`` in the JSON object ``obj``: the one key check of the input
+    paths. A non-object, an unknown key or a missing key is a FormatError naming ``what``."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if unknown := sorted(obj.keys() - set(keys)):
+        raise FormatError(f"{what} has unknown fields {unknown}")
+    if missing := [key for key in keys if key not in obj]:
+        raise FormatError(f"{what} is missing fields {missing}")
+    return [obj[key] for key in keys]

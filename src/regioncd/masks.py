@@ -143,19 +143,11 @@ class BBox:
 
     @classmethod
     def from_json(cls, text: str) -> "BBox":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bbox is not valid JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise FormatError("bbox JSON must be an object")
+        """The box in ``text``, a JSON object of the four coordinates as JSON numbers, read
+        by :func:`~regioncd.errors.parse_json` and :func:`~regioncd.errors.json_fields`."""
         fields = ("x_min", "y_min", "x_max", "y_max")
-        if unknown := sorted(obj.keys() - set(fields)):
-            raise FormatError(f"bbox JSON has unknown fields {unknown}")
-        try:
-            return cls(*(_json_number(obj[k]) for k in fields))
-        except KeyError as exc:
-            raise FormatError(f"bbox JSON is missing field {exc}") from None
+        values = errors.json_fields(errors.parse_json(text, "bbox"), fields, "bbox")
+        return cls(*map(_json_number, values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,29 +299,26 @@ def token_mask_to_json(mask: TokenMask, tau: float) -> str:
 def token_mask_from_json(text: str) -> tuple[TokenMask, float]:
     """Parse what :func:`token_mask_to_json` writes; anything else is a FormatError.
 
-    The reader checks the six keys, ``L`` and ``G`` (a :class:`GridSpec`),
-    ``values`` (JSON integers, not ``true`` or ``1.0``), ``length`` (their
-    count, an integer), ``segments`` (:func:`segment_labels`) and ``tau``;
-    :class:`TokenMask` checks the layout length, 0/1 values and 0 separators.
+    :func:`~regioncd.errors.json_fields` checks the six keys, and the reader
+    ``L`` and ``G`` (a :class:`GridSpec`), ``values`` (JSON integers, not
+    ``true`` or ``1.0``), ``length`` (their count, an integer), ``segments``
+    (:func:`segment_labels`) and ``tau``; :class:`TokenMask` checks the
+    layout length, 0/1 values and 0 separators.
     """
-    try:
-        obj = json.loads(text)
-        side, (rows, cols) = obj["L"], obj["G"]
-        spec = GridSpec(side=side, crop_rows=rows, crop_cols=cols)
-        raw, length, segments, tau = obj["values"], obj["length"], obj["segments"], obj["tau"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed token mask JSON: {exc}") from None
-    if unknown := sorted(obj.keys() - {"L", "G", "tau", "length", "values", "segments"}):
-        raise FormatError(f"token mask JSON has unknown fields {unknown}")
+    obj = errors.parse_json(text, "token mask JSON")
+    side, grid, raw, length, segments, tau = errors.json_fields(
+        obj, ("L", "G", "values", "length", "segments", "tau"), "token mask JSON")
     if not isinstance(raw, list) or not set(map(type, raw)) <= {int}:
         raise FormatError("token mask values must be a list of JSON integers")
     if not is_int(length) or length != len(raw):
         raise FormatError(f"token mask length {length!r} is not the JSON integer {len(raw)}")
     try:
+        rows, cols = grid
+        spec = GridSpec(side=side, crop_rows=rows, crop_cols=cols)
         # before the labels: its length check bounds their list by the file's size
         mask = TokenMask(values=np.array(raw), spec=spec)
         errors.require_strength("tau", tau)
-    except InputError as exc:
+    except (TypeError, ValueError) as exc:  # an InputError, or a G that is not two items
         raise FormatError(f"token mask JSON: {exc}") from None
     if segments != segment_labels(spec):
         raise FormatError(f"token mask segments do not match the token layout of {spec}")

@@ -98,8 +98,16 @@ def _pool_means(intensities: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return intensities.reshape(rows, h // rows, cols, w // cols).mean(axis=(1, 3))
 
 
-def encode_image(img: GrayImage, cfg: ModelConfig, w: WeightSet) -> VisualSequence:
-    """Patchify both views and emit embeddings in token-mask order.
+def check_token_ids(ids: Sequence[int], vocab_size: int) -> None:
+    """The one rule for token ids: a non-empty list of Python ``int``s (``1.7`` or ``True``
+    is not id 1) in ``[0, vocab_size)``; a decode checks its prompt by it before any prefill."""
+    if not ids or not all(is_int(i) and 0 <= i < vocab_size for i in ids):
+        raise InputError(f"token ids must be a non-empty list of ints in [0, {vocab_size}), "
+                         f"got {ids!r}")
+
+
+def encode_image(img: GrayImage, w: WeightSet) -> VisualSequence:
+    """Patchify both views and emit embeddings in token-mask order, for ``w``'s config.
 
     A patch embedding is the mean intensity of its pixel block pushed
     through the affine patch projection, plus the positional term; separator
@@ -108,6 +116,7 @@ def encode_image(img: GrayImage, cfg: ModelConfig, w: WeightSet) -> VisualSequen
     equivalent to patchifying the whole image at composite resolution, so
     one pooling pass serves the local view.
     """
+    cfg = w.config
     if (img.width, img.height) != (cfg.image_side, cfg.image_side):
         raise ShapeError(
             f"image is {img.width}x{img.height}, config wants "
@@ -312,12 +321,9 @@ class DecoderSession:
     def extend_with_tokens(self, ids: Sequence[int]) -> np.ndarray:
         """Append token ids causally to every row; returns next-token logits ``(rows, vocab)``.
 
-        Each id must be a Python ``int`` inside the vocab: ``1.7`` or ``True`` is not id 1.
+        The ids pass :func:`check_token_ids`.
         """
-        if not ids:
-            raise InputError("token block must be non-empty")
-        if not all(is_int(i) and 0 <= i < self.cfg.vocab_size for i in ids):
-            raise InputError(f"token ids must be ints in [0, {self.cfg.vocab_size}), got {ids!r}")
+        check_token_ids(ids, self.cfg.vocab_size)
         start = self.length
         if start + len(ids) > self.cfg.max_seq:
             raise InputError(

@@ -3,9 +3,10 @@
 Tensors are stored as 32-bit floats. The file format is a single JSON
 document: ``{"config": ..., "tensors": [{"name", "shape", "data"}...],
 "digest": ...}`` where ``data`` is base64 of the little-endian float32
-payload. Loading validates shapes against the embedded config, rejects
-non-finite values, and re-checks the digest, which covers the config and
-every tensor, so a fixture file is a self-verifying artifact.
+payload. Loading reads every object under the package's one JSON rule
+(:func:`load_weights`), validates shapes against the embedded config,
+rejects non-finite values, and re-checks the digest, which covers the
+config and every tensor, so a fixture file is a self-verifying artifact.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ import base64
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from regioncd.config import ModelConfig
-from regioncd.errors import FormatError, InputError, NumericError, is_int
+from regioncd.errors import FormatError, InputError, NumericError, is_int, json_fields, parse_json
 
 _MASK64 = (1 << 64) - 1
 _GAMMA64 = 0x9E3779B97F4A7C15
@@ -236,36 +237,34 @@ def save_weights(w: WeightSet, path: str | Path) -> None:
 
 
 def load_weights(path: str | Path) -> WeightSet:
+    """Read what :func:`save_weights` writes; :func:`~regioncd.errors.json_fields` reads each
+    JSON object (file, config, tensor entry), and a repeated tensor name is a FormatError."""
     try:
-        obj = json.loads(Path(path).read_text())
-        cfg = ModelConfig.from_dict(obj["config"])
+        obj = parse_json(Path(path).read_text(), "the file")
+        config, entries, digest = json_fields(obj, ("config", "tensors", "digest"), "the file")
+        cfg = ModelConfig(*json_fields(config, [f.name for f in fields(ModelConfig)], "config"))
         tensors: dict[str, np.ndarray] = {}
-        for entry in obj["tensors"]:
-            shape, data = entry["shape"], entry["data"]
+        for entry in entries:
+            name, shape, data = json_fields(entry, ("name", "shape", "data"), "tensor entry")
+            if name in tensors:
+                raise FormatError(f"tensor {name} is given twice")
             if not isinstance(shape, list) or not all(map(is_int, shape)):
-                raise FormatError(f"tensor {entry['name']}: shape must be a list of JSON "
+                raise FormatError(f"tensor {name}: shape must be a list of JSON "
                                   f"integers, got {shape!r}")
             if not isinstance(data, str):
-                raise FormatError(f"tensor {entry['name']}: data must be a base64 string")
+                raise FormatError(f"tensor {name}: data must be a base64 string")
             raw = base64.b64decode(data.encode("ascii"), validate=True)
             n = math.prod(shape)
             if len(raw) != 4 * n:
                 raise FormatError(
-                    f"tensor {entry['name']}: payload holds {len(raw)} bytes, expected {4 * n}"
+                    f"tensor {name}: payload holds {len(raw)} bytes, expected {4 * n}"
                 )
-            arr = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
-            tensors[str(entry["name"])] = arr
-        stored_digest = str(obj["digest"])
-    except FormatError:
-        raise
+            tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
+        w = WeightSet(config=cfg, tensors=tensors)
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read weight file {path}: {exc}") from None
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # FormatError included: the message names the file
         raise FormatError(f"malformed weight file {path}: {exc}") from None
-    try:
-        w = WeightSet(config=cfg, tensors=tensors)
-    except InputError as exc:
-        raise FormatError(f"weight file {path} inconsistent with its config: {exc}") from None
-    if w.digest() != stored_digest:
+    if w.digest() != str(digest):
         raise FormatError(f"weight file {path} failed its digest check")
     return w

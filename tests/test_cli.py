@@ -124,7 +124,11 @@ class TestCmdMask:
         box = '{"x_min":0,"y_min":0,"x_max":1,"y_max":1}'
         assert_exit_2(["mask", "--bbox", box, "--out", str(out)], out, "--bbox needs --image")
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400", '"3"', "true"])
+    @pytest.mark.parametrize("value", [
+        "NaN", "Infinity", "1e400", '"3"', "true",
+        pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
+        pytest.param("1" * 5000, id="past-the-int-digit-limit"),
+    ])
     def test_bad_bbox_coordinates(self, tmp_path, value):
         img = tmp_path / "img.pgm"
         write_pgm(img, np.zeros((24, 24), dtype=np.uint8))
@@ -358,10 +362,13 @@ class TestCmdDecode:
 
     @pytest.mark.parametrize("field, raw", [("shape", "[4.7,1]"), ("shape", "[1e400,1]"),
                                             ("shape", "[4,true]"), ("shape", '"41"'),
-                                            ("data", "5")])
+                                            ("data", "5"),
+                                            pytest.param("shape", '[4,1],"shape":[4,1]',
+                                                         id="shape-repeated")])
     def test_mistyped_tensor_entry_exits_validation(self, steer_files, tmp_path, field, raw):
-        # int() would read 4.7, true and "41" as the tensor's own shape, and 1e400
-        # and 5 would escape the format checks as OverflowError and AttributeError
+        # int() would read 4.7, true and "41" as the tensor's own shape, 1e400 and 5
+        # would escape the format checks as OverflowError and AttributeError, and
+        # json.loads alone would read a repeated key as its last value
         path = tmp_path / "tensor.json"
         obj = json.loads(Path(steer_files["weights"]).read_text())
         obj["tensors"][0][field] = "@"

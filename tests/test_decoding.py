@@ -15,9 +15,9 @@ from regioncd.errors import FormatError, InputError, ShapeError
 from regioncd.masks import (
     GridSpec, SegMask, downsample, generate_token_mask, token_mask_from_json, token_mask_to_json,
 )
-from regioncd.model import DecoderSession, encode_image, region_bias
+from regioncd.model import DecoderSession, GrayImage, encode_image, region_bias
 from regioncd.verification import REDUCTION_PROMPT, _reweighted as reweight_attention, half_seg
-from regioncd.weights import gen_fixture
+from regioncd.weights import WeightSet, gen_fixture
 
 from conftest import forward_logits, steer_logits_by_hand
 
@@ -30,20 +30,20 @@ def params_for(**kw) -> GuidanceParams:
 
 class TestSuppressTokens:
     def test_alpha_one_is_identity(self, steer_cfg, steer_weights, steer_image, left_seg):
-        visual = encode_image(steer_image, steer_cfg, steer_weights)
+        visual = encode_image(steer_image, steer_weights)
         mask = generate_token_mask(left_seg, steer_cfg.grid())
         out = suppress_tokens(visual, mask, 1.0)
         assert (out.embeddings == visual.embeddings).all()
 
     def test_zero_mask_is_identity(self, steer_cfg, steer_weights, steer_image):
-        visual = encode_image(steer_image, steer_cfg, steer_weights)
+        visual = encode_image(steer_image, steer_weights)
         seg = SegMask(np.zeros((8, 8), dtype=np.uint8))
         mask = generate_token_mask(seg, steer_cfg.grid())
         out = suppress_tokens(visual, mask, 0.25)
         assert (out.embeddings == visual.embeddings).all()
 
     def test_scales_masked_rows(self, steer_cfg, steer_weights, steer_image, left_seg):
-        visual = encode_image(steer_image, steer_cfg, steer_weights)
+        visual = encode_image(steer_image, steer_weights)
         visual.embeddings[0, :2] = [2.0, -4.0]
         snapshot = visual.embeddings.copy()
         mask = generate_token_mask(left_seg, steer_cfg.grid())
@@ -57,7 +57,7 @@ class TestSuppressTokens:
         assert (visual.embeddings == snapshot).all()
 
     def test_length_mismatch(self, steer_cfg, steer_weights, steer_image):
-        visual = encode_image(steer_image, steer_cfg, steer_weights)
+        visual = encode_image(steer_image, steer_weights)
         seg = SegMask(np.zeros((12, 12), dtype=np.uint8))
         mask = generate_token_mask(seg, GridSpec(side=3))
         with pytest.raises(ShapeError):
@@ -103,7 +103,7 @@ def test_strength_rule(steer_cfg, steer_weights, steer_image, left_seg, name, va
                        accepted):
     """Every entry point of a strength accepts the same values, and rejects the rest as an
     InputError that names it (a FormatError from the token-mask reader)."""
-    visual = encode_image(steer_image, steer_cfg, steer_weights)
+    visual = encode_image(steer_image, steer_weights)
     mask = generate_token_mask(left_seg, steer_cfg.grid())
     text = token_mask_to_json(mask, 0.0)
     calls = {
@@ -295,6 +295,11 @@ class TestDecode:
         for name, value in (("alpha", 1.0), ("beta", 1.0), ("gamma", 1.0), ("tau", 0.5)):
             with pytest.raises(InputError, match="without a region"):
                 decode(rand_image, None, [1], rand_cfg, rand_weights, params_for(**{name: value}))
+        # and so is each prompt id
+        for prompt in ([rand_cfg.vocab_size], [1.5]):
+            for region in (seg, None):
+                with pytest.raises(InputError, match="token ids"):
+                    decode(rand_image, region, prompt, rand_cfg, rand_weights, params_for())
         for betas, gammas in (([1.0, 3.0], [1.5]), ([5.0], [1.0]), ([5.0, 5.0], [1.5])):
             with pytest.raises(InputError, match="without a region"):
                 sweep(rand_image, None, [1], rand_cfg, rand_weights, betas, gammas, params_for())
@@ -308,7 +313,7 @@ def reference_greedy(img, seg, prompt, cfg, w, params) -> tuple[list[int], list[
     session, stacking or cell handling with the decode engine.
     """
     mask = generate_token_mask(seg, cfg.grid(), params.tau)
-    visual = encode_image(img, cfg, w)
+    visual = encode_image(img, w)
     suppressed = suppress_tokens(visual, mask, params.alpha)
     ids, scores = [], []
     for _ in range(params.max_tokens):
@@ -496,4 +501,48 @@ class TestSweep:
                               ([3.0, 0.5], [1.0])):
             with pytest.raises(InputError):
                 sweep(steer_image, left_seg, [0], steer_cfg, steer_weights, betas, gammas, p)
+        for prompt in ([steer_cfg.vocab_size], [1.5]):
+            with pytest.raises(InputError, match="token ids"):
+                sweep(steer_image, left_seg, prompt, steer_cfg, steer_weights, [3.0], [1.0], p)
         assert calls == []
+
+
+def test_paper_claims_in_miniature(steer_cfg, steer_weights):
+    """A text prior against the image's evidence: steer-v1 with ``token_embed[0, 1] = p``.
+
+    Prompt token 0 then carries a prior toward channel 1, which is token 3,
+    while dark pixels are the evidence for token 2. Where the evidence covers
+    the image, contrast removes the prior-driven answer, VCD's claim (Leng et
+    al., arXiv 2311.16922); where it covers a quarter, only the correction
+    targeted at that quarter recovers it, the claim of region-guided decoding.
+    """
+    def emitted(p: float, image: np.ndarray, seg: SegMask | None, **strengths) -> int:
+        tensors = {name: t.copy() for name, t in steer_weights.tensors.items()}
+        tensors["token_embed"][0, 1] = p
+        w = WeightSet(config=steer_cfg, tensors=tensors)
+        if seg is not None:
+            strengths = {"alpha": 0.01, "beta": 9.0, "gamma": 1.5, **strengths}
+        params = GuidanceParams(max_tokens=1, **strengths)
+        return decode(GrayImage(image), seg, [0], steer_cfg, w, params)[0][0]
+
+    side = steer_cfg.image_side
+    dark, quarter = np.zeros((side, side)), np.ones((side, side))
+    quarter[: side // 2, : side // 2] = 0.0
+    whole, corner = SegMask(np.ones((side, side), dtype=bool)), SegMask(quarter == 0.0)
+    # p, image, region: the id emitted with no region, the whole image and the region
+    table = [
+        (0, dark, whole, [2, 2, 2]), (0.5, dark, whole, [2, 2, 2]),
+        (1, dark, whole, [3, 2, 2]), (2, dark, whole, [3, 2, 2]),
+        (0, quarter, corner, [3, 3, 2]), (0.5, quarter, corner, [3, 3, 2]),
+        (1, quarter, corner, [3, 3, 2]), (2, quarter, corner, [3, 3, 3]),
+    ]
+    for p, image, region, ids in table:
+        assert [emitted(p, image, seg) for seg in (None, whole, region)] == ids, (p, ids)
+    # the ablation: with no attention reweighting (beta 1) the quarter's evidence is
+    # never recovered, attention alone (gamma 1) recovers it up to p = 0.5, and all
+    # three levels (the table's region column) up to p = 1
+    for p in (0, 0.5, 1, 2):
+        assert emitted(p, quarter, corner, beta=1.0) == 3, p
+        assert emitted(p, quarter, corner, gamma=1.0) == (2 if p <= 0.5 else 3), p
+    # on the all-dark image at p = 2 only the three levels together recover token 2
+    assert [emitted(2, dark, whole, beta=1.0), emitted(2, dark, whole, gamma=1.0)] == [3, 3]

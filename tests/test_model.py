@@ -9,15 +9,18 @@ from regioncd import model
 from regioncd.config import GuidanceParams, ModelConfig
 from regioncd.decoding import decode, suppress_tokens
 from regioncd.errors import FormatError, InputError, NumericError, ShapeError
-from regioncd.masks import SegMask, expected_length, generate_token_mask, segment_labels
+from regioncd.masks import (
+    BBox, GridSpec, SegMask, expected_length, generate_token_mask, segment_labels,
+    token_mask_from_json, token_mask_to_json,
+)
 from regioncd.model import (
     NORM_EPS, DecoderSession, GrayImage, VisualSequence, _gelu, _rms_norm, attention,
     encode_image,
 )
 from regioncd.verification import half_seg
 from regioncd.weights import (
-    _GAMMA64, _MASK64, _MIX1, _MIX2, RANDOM_INIT_HI, RANDOM_INIT_LO, WeightSet, gen_fixture,
-    load_weights, save_weights, tensor_spec,
+    _GAMMA64, _MASK64, _MIX1, _MIX2, RANDOM_INIT_HI, RANDOM_INIT_LO, STEER_CONFIG, WeightSet,
+    gen_fixture, load_weights, save_weights, tensor_spec,
 )
 
 from conftest import forward_logits, recorded_attention, steer_logits_by_hand
@@ -53,7 +56,7 @@ class TestSteerClosedForm:
     ):
         seg = half_seg(steer_cfg.image_side, steer_cfg.image_side, side)
         mask = generate_token_mask(seg, steer_cfg.grid())
-        visual = encode_image(steer_image, steer_cfg, steer_weights)
+        visual = encode_image(steer_image, steer_weights)
         logits = forward_logits(
             visual, [0], steer_cfg, steer_weights, attn_policy=(mask.values, beta)
         )
@@ -64,7 +67,7 @@ class TestSteerClosedForm:
         self, steer_cfg, steer_weights, steer_image, left_seg
     ):
         mask = generate_token_mask(left_seg, steer_cfg.grid())
-        visual = suppress_tokens(encode_image(steer_image, steer_cfg, steer_weights), mask, 0.01)
+        visual = suppress_tokens(encode_image(steer_image, steer_weights), mask, 0.01)
         logits = forward_logits(visual, [0], steer_cfg, steer_weights)
         expected = steer_logits_by_hand(1.0, "left", alpha=0.01)
         assert np.abs(logits - np.array(expected)).max() < 1e-9
@@ -73,7 +76,7 @@ class TestSteerClosedForm:
         # k masked keys at weight beta/(beta*k + u) each, u unmasked at 1/(beta*k + u)
         beta = 9.0
         mask = generate_token_mask(left_seg, steer_cfg.grid())
-        visual = encode_image(steer_image, steer_cfg, steer_weights)
+        visual = encode_image(steer_image, steer_weights)
         with recorded_attention() as recorded:
             session = DecoderSession(
                 steer_cfg, steer_weights, visual, attn_policy=(mask.values, beta),
@@ -93,7 +96,7 @@ class TestSteerClosedForm:
     ):
         # beta * exp(e) overflows at beta = 1e308; e + log(beta) does not
         mask = generate_token_mask(left_seg, steer_cfg.grid())
-        visual = encode_image(steer_image, steer_cfg, steer_weights)
+        visual = encode_image(steer_image, steer_weights)
         with recorded_attention() as recorded:
             session = DecoderSession(steer_cfg, steer_weights, visual,
                                      attn_policy=(mask.values, 1e308))
@@ -108,7 +111,7 @@ class TestSteerClosedForm:
 
 class TestEncoder:
     def test_output_length_and_layout(self, rand_cfg, rand_weights, rand_image):
-        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        visual = encode_image(rand_image, rand_weights)
         assert len(visual) == expected_length(rand_cfg.grid())
         assert visual.embeddings.shape == (len(visual), rand_cfg.embed_dim)
         with pytest.raises(ShapeError):
@@ -126,7 +129,7 @@ class TestEncoder:
     def test_length_for_other_grids(self, cfg):
         w = gen_fixture("random-v1", 1, cfg)
         img = GrayImage(np.zeros((cfg.image_side, cfg.image_side)))
-        assert len(encode_image(img, cfg, w)) == expected_length(cfg.grid())
+        assert len(encode_image(img, w)) == expected_length(cfg.grid())
 
     def test_zero_projection_leaves_positional_only(self, rand_cfg, rand_weights):
         w = with_tensors(
@@ -135,7 +138,7 @@ class TestEncoder:
             patch_proj__bias=np.zeros(rand_cfg.embed_dim),
         )
         img = GrayImage(np.zeros((rand_cfg.image_side, rand_cfg.image_side)))
-        visual = encode_image(img, rand_cfg, w)
+        visual = encode_image(img, w)
         pos = w.tensors["pos_embed"].astype(np.float64)
         for i, label in enumerate(segment_labels(rand_cfg.grid())):
             if not label.endswith("_sep"):
@@ -146,8 +149,8 @@ class TestEncoder:
         base = np.zeros((side, side))
         changed = base.copy()
         changed[0:4, 0:4] = 1.0  # exactly the first 4x4 patch block
-        va = encode_image(GrayImage(base), rand_cfg, rand_weights)
-        vb = encode_image(GrayImage(changed), rand_cfg, rand_weights)
+        va = encode_image(GrayImage(base), rand_weights)
+        vb = encode_image(GrayImage(changed), rand_weights)
         diff = np.where(np.any(va.embeddings != vb.embeddings, axis=1))[0].tolist()
         local_len = rand_cfg.feature_side * (rand_cfg.feature_side + 1)
         assert diff == [0, local_len + 1]  # local cell (0,0) and global cell (0,0)
@@ -171,7 +174,7 @@ class TestEncoder:
                 want.append(mean * proj + bias + t["pos_embed"][i])
             else:
                 want.append(t["sep_embed"] + t["pos_embed"][i])
-        assert (encode_image(rand_image, cfg, w).embeddings == np.array(want)).all()
+        assert (encode_image(rand_image, w).embeddings == np.array(want)).all()
 
     @pytest.mark.parametrize("side, crops", [(3, (2, 2)), (2, (2, 3))])
     def test_block_change_moves_exactly_the_masked_rows(self, side, crops):
@@ -182,13 +185,13 @@ class TestEncoder:
         spec = cfg.grid()
         w = gen_fixture("random-v1", 2, cfg)
         base = np.zeros((cfg.image_side, cfg.image_side))
-        va = encode_image(GrayImage(base), cfg, w)
+        va = encode_image(GrayImage(base), w)
         bh, bw = cfg.image_side // spec.local_rows, cfg.image_side // spec.local_cols
         for r in range(spec.local_rows):
             for c in range(spec.local_cols):
                 block = base.copy()
                 block[r * bh : (r + 1) * bh, c * bw : (c + 1) * bw] = 1.0
-                vb = encode_image(GrayImage(block), cfg, w)
+                vb = encode_image(GrayImage(block), w)
                 moved = np.any(va.embeddings != vb.embeddings, axis=1)
                 mask = generate_token_mask(SegMask(block), spec)
                 assert mask.values.sum() == 2
@@ -197,7 +200,7 @@ class TestEncoder:
     def test_dimension_mismatch(self, rand_cfg, rand_weights):
         img = GrayImage(np.zeros((8, 8)))
         with pytest.raises(ShapeError):
-            encode_image(img, rand_cfg, rand_weights)
+            encode_image(img, rand_weights)
 
     def test_image_checks(self):
         img = GrayImage(np.array([[0, 1, 0], [1, 1, 0]], dtype=np.uint8))
@@ -214,13 +217,13 @@ class TestEncoder:
 
 class TestForwardPass:
     def test_deterministic_bits(self, rand_cfg, rand_weights, rand_image):
-        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        visual = encode_image(rand_image, rand_weights)
         a = forward_logits(visual, [1, 2, 3], rand_cfg, rand_weights)
         b = forward_logits(visual, [1, 2, 3], rand_cfg, rand_weights)
         assert (a == b).all()
 
     def test_incremental_matches_one_shot(self, rand_cfg, rand_weights, rand_image):
-        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        visual = encode_image(rand_image, rand_weights)
         one_shot = forward_logits(visual, [1, 2, 3, 4], rand_cfg, rand_weights)
         session = DecoderSession(rand_cfg, rand_weights, visual)
         for t in [1, 2, 3]:
@@ -231,7 +234,7 @@ class TestForwardPass:
         assert np.abs(one_shot - incremental).max() < 1e-12
 
     def test_neutral_policy_is_bit_identical(self, rand_cfg, rand_weights, rand_image):
-        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        visual = encode_image(rand_image, rand_weights)
         n = len(visual)
         plain = forward_logits(visual, [5, 6], rand_cfg, rand_weights)
         rng = np.random.default_rng(1)
@@ -252,7 +255,7 @@ class TestForwardPass:
         n = steer_cfg.n_visual
         mask = np.zeros(n, dtype=np.uint8)
         mask[:5] = 1
-        visual = encode_image(steer_image, steer_cfg, steer_weights)
+        visual = encode_image(steer_image, steer_weights)
         with recorded_attention() as recorded:
             session = DecoderSession(steer_cfg, steer_weights, visual, attn_policy=(mask, beta))
             session.extend_with_tokens([0, 2])
@@ -268,7 +271,7 @@ class TestForwardPass:
                     assert probs[0, h, i, visible:].sum() == 0.0
 
     def test_rows_sum_to_one(self, rand_cfg, rand_weights, rand_image):
-        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        visual = encode_image(rand_image, rand_weights)
         mask = np.zeros(len(visual), dtype=np.uint8)
         mask[::3] = 1
         with recorded_attention() as recorded:
@@ -279,7 +282,7 @@ class TestForwardPass:
             assert np.abs(sums - 1.0).max() < 1e-6
 
     def test_text_perturbation_preserves_earlier_rows(self, rand_cfg, rand_weights, rand_image):
-        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        visual = encode_image(rand_image, rand_weights)
 
         def attention_rows(tokens):
             with recorded_attention() as recorded:
@@ -297,25 +300,25 @@ class TestForwardPass:
                     assert (pa[:, :, i] == pb[:, :, i]).all()
 
     def test_length_overflow(self, rand_cfg, rand_weights, rand_image):
-        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        visual = encode_image(rand_image, rand_weights)
         room = rand_cfg.max_seq - len(visual)
         with pytest.raises(InputError):
             forward_logits(visual, [1] * (room + 1), rand_cfg, rand_weights)
 
     def test_bad_token_id(self, rand_cfg, rand_weights, rand_image):
-        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        visual = encode_image(rand_image, rand_weights)
         # a float or a boolean id is rejected, not truncated or read as id 1
         for bad in (rand_cfg.vocab_size, 1.7, True, np.float64(1.2)):
             with pytest.raises(InputError):
                 forward_logits(visual, [bad], rand_cfg, rand_weights)
 
     def test_config_mismatch(self, rand_cfg, rand_weights, steer_cfg, rand_image):
-        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        visual = encode_image(rand_image, rand_weights)
         with pytest.raises(InputError):
             DecoderSession(steer_cfg, rand_weights, visual)
 
     def test_rejects_misshapen_inputs(self, rand_cfg, rand_weights, rand_image):
-        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        visual = encode_image(rand_image, rand_weights)
         with pytest.raises(ShapeError):
             DecoderSession(rand_cfg, rand_weights, VisualSequence(visual.embeddings[:-1]))
         short_mask = np.ones(len(visual) - 1, dtype=np.uint8)
@@ -327,15 +330,14 @@ class TestForwardPass:
 
     def test_nonfinite_cache_is_numeric_error(self, rand_cfg, rand_weights, rand_image):
         # the prefill computes no logits, so the first extend is where a NaN it wrote shows
-        session = DecoderSession(rand_cfg, rand_weights, encode_image(rand_image, rand_cfg,
-                                                                      rand_weights))
+        session = DecoderSession(rand_cfg, rand_weights, encode_image(rand_image, rand_weights))
         session._kv[0, 1, ..., 0, :] = np.nan
         with pytest.raises(NumericError):
             session.extend_with_tokens([1])
 
     @pytest.mark.parametrize("beta", [0.5, math.nan, math.inf])
     def test_policy_rejects_bad_beta(self, rand_cfg, rand_weights, rand_image, beta):
-        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        visual = encode_image(rand_image, rand_weights)
         mask = np.ones(len(visual), dtype=np.uint8)
         with pytest.raises(InputError):
             DecoderSession(rand_cfg, rand_weights, visual, attn_policy=(mask, beta))
@@ -343,7 +345,7 @@ class TestForwardPass:
 
     def test_sessions_share_one_float64_cast(self, rand_cfg, rand_image):
         w = gen_fixture("random-v1", 3, rand_cfg)
-        visual = encode_image(rand_image, rand_cfg, w)
+        visual = encode_image(rand_image, w)
         a = DecoderSession(rand_cfg, w, visual)
         b = DecoderSession(rand_cfg, w, visual, attn_policy=(np.ones(len(visual)), 2.0))
         stacked = DecoderSession.stack([a, b])
@@ -457,7 +459,7 @@ class TestHeadMajorCache:
             cfg, w, img = long_prompt_inputs()
             prompt = [t % cfg.vocab_size for t in range(100)]
             assert len(prompt) > model.QUERY_TILE
-        visual = encode_image(img, cfg, w)
+        visual = encode_image(img, w)
         if layout == "tiled":
             assert len(visual) == 199 and len(visual) % model.QUERY_TILE
         mask = np.zeros(len(visual), dtype=np.uint8)
@@ -487,7 +489,7 @@ class TestHeadMajorCache:
         # every layer but the last runs its query tiles; the last stops after its cache write
         cfg, w, img = (tiled_inputs() if layout == "tiled"
                        else (steer_cfg, steer_weights, steer_image))
-        visual = encode_image(img, cfg, w)
+        visual = encode_image(img, w)
         with recorded_attention() as recorded:
             DecoderSession(cfg, w, visual)
         assert len(recorded) == (cfg.n_layers - 1) * math.ceil(len(visual) / model.QUERY_TILE)
@@ -501,7 +503,7 @@ class TestHeadMajorCache:
 
     def test_stacked_rows_match_standalone_sessions(self, rand_cfg, rand_weights, rand_image):
         # a two-row step rounds differently from a one-row one: agreement to ulps
-        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        visual = encode_image(rand_image, rand_weights)
         betas = [3.0, 1.0, 3.0]
         sources = [self.prompted(rand_cfg, rand_weights, visual, beta) for beta in betas[:2]]
         stacked = DecoderSession.stack(sources + sources[:1])
@@ -518,7 +520,7 @@ class TestHeadMajorCache:
     def test_stacks_write_separate_buffers(self, rand_cfg, rand_weights, rand_image):
         # two stacks of one parent write the same positions, so only interleaved
         # extends can show a shared buffer
-        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        visual = encode_image(rand_image, rand_weights)
         parent = self.prompted(rand_cfg, rand_weights, visual, 3.0)
         stacks = [DecoderSession.stack([parent]), DecoderSession.stack([parent])]
         tokens = [[3, 4, 5], [6, 7, 8]]
@@ -537,7 +539,7 @@ class TestHeadMajorCache:
 
     @pytest.mark.parametrize("betas", [[3.0], [3.0, 1.0]], ids=["one-row", "stacked"])
     def test_rewound_session_matches_fresh(self, rand_cfg, rand_weights, rand_image, betas):
-        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        visual = encode_image(rand_image, rand_weights)
 
         def fresh():
             return DecoderSession.stack(
@@ -558,7 +560,7 @@ class TestHeadMajorCache:
         assert session.text_ids == alone.text_ids == [1, 2, 3, 7, 8, 9, 10]
 
     def test_rewind_bounds(self, rand_cfg, rand_weights, rand_image):
-        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        visual = encode_image(rand_image, rand_weights)
         session = self.prompted(rand_cfg, rand_weights, visual, 3.0)
         for length in (len(visual) - 1, session.length + 1):
             with pytest.raises(InputError):
@@ -574,7 +576,7 @@ class TestHeadMajorCache:
 
     def test_stack_of_rewound_session_copies_live_positions(self, rand_cfg, rand_weights,
                                                            rand_image):
-        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        visual = encode_image(rand_image, rand_weights)
         session = self.prompted(rand_cfg, rand_weights, visual, 3.0)
         live = session.length
         session.extend_with_tokens([3, 4, 5])
@@ -589,7 +591,7 @@ class TestHeadMajorCache:
         assert (stacked.extend_with_tokens([6]) == want).all()
 
     def test_fills_exactly_max_seq(self, rand_cfg, rand_weights, rand_image):
-        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        visual = encode_image(rand_image, rand_weights)
         session = DecoderSession(rand_cfg, rand_weights, visual)
         room = rand_cfg.max_seq - len(visual)
         session.extend_with_tokens([1] * (room - 1))
@@ -604,7 +606,7 @@ class TestHeadMajorCache:
         assert np.isfinite(stacked.extend_with_tokens([2])).all()
 
     def test_stack_rejects_sessions_that_disagree(self, rand_cfg, rand_weights, rand_image):
-        visual = encode_image(rand_image, rand_cfg, rand_weights)
+        visual = encode_image(rand_image, rand_weights)
         a, b = (DecoderSession(rand_cfg, rand_weights, visual) for _ in range(2))
         other_weights = DecoderSession(rand_cfg, gen_fixture("random-v1", 3, rand_cfg), visual)
         a.extend_with_tokens([1])
@@ -663,7 +665,7 @@ class TestHeadMajorCache:
         # at two; at larger sizes a two-row GEMM rounds like a two-row GEMM only,
         # so there the rows are checked against stacks of one policy
         def sessions(cfg, w, img, beta):
-            visual = encode_image(img, cfg, w)
+            visual = encode_image(img, w)
             mask = np.arange(len(visual)) % 3 == 0
             return (DecoderSession(cfg, w, visual, attn_policy=(mask, beta)),
                     DecoderSession(cfg, w, visual))
@@ -815,18 +817,6 @@ class TestConfigValidation:
                 with pytest.raises(InputError, match=name):
                     ModelConfig(**{**base, name: bad})
 
-    def test_from_dict_rejects_a_missing_field(self, rand_cfg):
-        obj = rand_cfg.to_dict()
-        assert ModelConfig.from_dict(obj) == rand_cfg
-        del obj["eos_id"]
-        with pytest.raises(FormatError, match="eos_id"):
-            ModelConfig.from_dict(obj)
-
-    def test_from_dict_rejects_unknown_keys(self, rand_cfg):
-        obj = {**rand_cfg.to_dict(), "foo": "bar", "sep_embed_id": 5}
-        with pytest.raises(FormatError, match="'foo', 'sep_embed_id'"):
-            ModelConfig.from_dict(obj)
-
     def test_weight_set_checks_names_shapes_and_dtypes(self, rand_cfg, rand_weights):
         t = rand_weights.tensors
         head = t["head.weight"]
@@ -842,3 +832,60 @@ class TestConfigValidation:
         bad["head.weight"][0, 0] = np.inf
         with pytest.raises(NumericError):
             WeightSet(config=rand_cfg, tensors=bad)
+
+
+JSON_READERS = ("bbox", "token-mask", "weight-file", "weight-config", "tensor-entry")
+JSON_DEFECTS = {  # each defect of an object, and what its FormatError says
+    "not-an-object": "must be a JSON object",
+    "missing-key": "is missing fields",
+    "unknown-key": r"has unknown fields \['extra'\]",
+    "repeated-key": "gives a key twice",
+    "deep-nesting": "not valid JSON",
+    "repeated-name": "tensor patch_proj.weight is given twice",
+}
+
+
+@pytest.mark.parametrize("reader, defect", [
+    *((reader, defect) for reader in JSON_READERS for defect in list(JSON_DEFECTS)[:-1]),
+    ("weight-file", "repeated-name"),
+], ids=lambda value: value)
+def test_json_rule(tmp_path, reader, defect):
+    """Every JSON object a reader reads is held to one rule: exact keys, none given twice,
+    and each defect a FormatError, which names the key where one is at fault."""
+    path = tmp_path / "w.json"
+    save_weights(gen_fixture("steer-v1", 0, STEER_CONFIG), path)
+
+    def read_weights(text: str):
+        path.write_text(text)
+        return load_weights(path)
+
+    mask = generate_token_mask(half_seg(4, 4, "left"), GridSpec(side=2))
+    doc, at, read = {  # a valid document, the keys that lead to the object, and its reader
+        "bbox": ('{"x_min": 0, "y_min": 0, "x_max": 1, "y_max": 1}', [], BBox.from_json),
+        "token-mask": (token_mask_to_json(mask, 0.0), [], token_mask_from_json),
+        "weight-file": (path.read_text(), [], read_weights),
+        "weight-config": (path.read_text(), ["config"], read_weights),
+        "tensor-entry": (path.read_text(), ["tensors", 0], read_weights),
+    }[reader]
+    root = json.loads(doc)
+    parent, obj = None, root
+    for step in at:
+        parent, obj = obj, obj[step]
+    key = list(obj)[-1]  # the key that is dropped or repeated
+    if defect == "repeated-name":  # the first entry again, with the same payload
+        obj["tensors"].append(obj["tensors"][0])
+    raw = {
+        "not-an-object": json.dumps(list(obj.values())),
+        "missing-key": json.dumps({k: v for k, v in obj.items() if k != key}),
+        "unknown-key": json.dumps({**obj, "extra": 1}),
+        "repeated-key": json.dumps(obj)[:-1] + f", {json.dumps(key)}: {json.dumps(obj[key])}}}",
+        "deep-nesting": "[" * 100_000 + "]" * 100_000,
+        "repeated-name": json.dumps(obj),
+    }[defect]
+    if parent is not None:  # the defect stands in for the object inside the document
+        parent[at[-1]] = "@"
+        raw = json.dumps(root).replace('"@"', raw)
+    with pytest.raises(FormatError, match=JSON_DEFECTS[defect]) as info:
+        read(raw)
+    if defect in ("missing-key", "repeated-key"):
+        assert repr(key) in str(info.value)
