@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from regioncd.errors import STRENGTHS, InputError, require_numbers, require_strength
+from regioncd.errors import InputError, require_int, require_real
 from regioncd.masks import GridSpec, expected_length
 
 
@@ -29,30 +29,23 @@ class ModelConfig:
     eos_id: int = 0
 
     def __post_init__(self) -> None:
-        require_numbers(self, ints=tuple(f.name for f in fields(self)))
-        if self.vocab_size < 4:
-            raise InputError(f"vocab_size must be >= 4, got {self.vocab_size}")
-        if self.embed_dim < 1 or self.n_heads < 1 or self.embed_dim % self.n_heads:
+        require_int("vocab_size", self.vocab_size, 4)
+        for name in ("embed_dim", "n_heads", "n_layers", "feature_side", "crop_rows", "crop_cols",
+                     "image_side"):
+            require_int(name, getattr(self, name))
+        require_int("eos_id", self.eos_id, 0, self.vocab_size)
+        if self.embed_dim % self.n_heads:
             raise InputError(
-                f"embed_dim {self.embed_dim} must be a positive multiple of n_heads {self.n_heads}"
+                f"embed_dim {self.embed_dim} must be a multiple of n_heads {self.n_heads}"
             )
-        if self.n_layers < 1:
-            raise InputError("n_layers must be >= 1")
-        if self.image_side < 1:
-            raise InputError(f"image_side must be >= 1, got {self.image_side}")
         spec = self.grid()
         for side in (self.feature_side, spec.local_rows, spec.local_cols):
             if self.image_side % side:
                 raise InputError(
                     f"image_side {self.image_side} not divisible by token-grid side {side}"
                 )
-        if self.max_seq < expected_length(spec) + 2:
-            raise InputError(
-                f"max_seq {self.max_seq} leaves no room after the "
-                f"{expected_length(spec)}-token visual prefix"
-            )
-        if not 0 <= self.eos_id < self.vocab_size:
-            raise InputError(f"eos_id {self.eos_id} outside vocab")
+        n_visual = expected_length(spec)
+        require_int(f"max_seq, after a {n_visual}-token visual prefix,", self.max_seq, n_visual + 2)
 
     def grid(self) -> GridSpec:
         return GridSpec(side=self.feature_side, crop_rows=self.crop_rows, crop_cols=self.crop_cols)
@@ -82,7 +75,7 @@ class GuidanceParams:
     the scores of masked key positions (their pre-normalized weight times
     beta), and ``gamma`` sets the mixing intensity of the two branches'
     log-probabilities at each step. Each strength, ``tau`` included, passes
-    :func:`require_strength`.
+    ``require_real``, and ``max_tokens`` is a size (``require_int``).
 
     The token grid and the stop token are the model's: a decode reads them
     from its :class:`ModelConfig`. ``spec`` and ``eos_id``, when given, must
@@ -99,11 +92,9 @@ class GuidanceParams:
     eos_id: int | None = None
 
     def __post_init__(self) -> None:
-        require_numbers(self, ints=("max_tokens",))
-        for name in STRENGTHS:
-            require_strength(name, getattr(self, name))
-        if self.max_tokens < 1:
-            raise InputError("max_tokens must be >= 1")
+        for name in ("alpha", "beta", "gamma", "tau"):
+            require_real(name, getattr(self, name))
+        require_int("max_tokens", self.max_tokens)
 
     def to_dict(self) -> dict:
         """The guidance fields: every field but ``spec`` and ``eos_id``."""

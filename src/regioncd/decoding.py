@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from regioncd.config import GuidanceParams, ModelConfig
-from regioncd.errors import InputError, NumericError, ShapeError, is_int, is_real, require_strength
+from regioncd.errors import InputError, NumericError, ShapeError, require_int, require_real
 from regioncd.masks import SegMask, TokenMask, generate_token_mask
 from regioncd.model import DecoderSession, GrayImage, VisualSequence, check_token_ids, encode_image
 from regioncd.weights import WeightSet
@@ -43,10 +43,12 @@ DEFAULT_TOPK = 5
 
 
 def suppress_tokens(visual: VisualSequence, mask: TokenMask, alpha: float) -> VisualSequence:
-    """Scale the masked positions' embeddings by ``alpha`` (pure; see :func:`require_strength`)."""
+    """Scale the masked positions' embeddings by ``alpha`` (pure; see ``require_real``). The
+    layer-0 RMSNorm divides this scale out unless alpha * rms(row) is near sqrt(``NORM_EPS``)
+    = 1e-3; in a deeper model alpha also acts through the residual stream."""
     if len(visual) != len(mask.values):
         raise ShapeError(f"visual length {len(visual)} != mask length {len(mask.values)}")
-    require_strength("alpha", alpha)
+    require_real("alpha", alpha)
     emb = visual.embeddings.copy()
     rows = mask.values != 0
     emb[rows] *= alpha
@@ -59,9 +61,9 @@ def fuse_logits(
     """Combine branch log-probabilities: (1-gamma)*unguided + gamma*guided.
 
     The unnormalized scores are argmax-valid as is; sampling renormalizes them.
-    ``gamma`` passes :func:`require_strength`: a negative one reverses the contrast.
+    ``gamma`` passes ``require_real``: a negative one reverses the contrast.
     """
-    require_strength("gamma", gamma)
+    require_real("gamma", gamma)
     g = np.asarray(logprob_guided, dtype=np.float64)
     u = np.asarray(logprob_unguided, dtype=np.float64)
     if g.shape != u.shape:
@@ -123,12 +125,12 @@ def _check_request(
     prompt: list[int], cfg: ModelConfig, params: GuidanceParams, topk: int
 ) -> None:
     check_token_ids(prompt, cfg.vocab_size)
-    if not is_int(topk) or topk < 1:
-        raise InputError(f"topk must be an int >= 1, got {topk!r}")
+    require_int("topk", topk)
+    # the given values are not printed: GuidanceParams does not check eos_id
     if params.spec not in (None, cfg.grid()) or params.eos_id not in (None, cfg.eos_id):
         raise InputError(
-            f"guidance grid {params.spec} and stop token {params.eos_id} must be left out "
-            f"or equal the model's, {cfg.grid()} and {cfg.eos_id}"
+            "a guidance grid and stop token must be left out or equal the model's, "
+            f"{cfg.grid()} and {cfg.eos_id}"
         )
     if cfg.n_visual + len(prompt) + params.max_tokens > cfg.max_seq:
         raise InputError(
@@ -282,13 +284,11 @@ def decode(
     pick, sampling = None, {}
     if temperature is None:
         if seed is not None:
-            raise InputError(f"seed {seed} needs a temperature; greedy decoding draws nothing")
+            raise InputError("a seed needs a temperature; greedy decoding draws nothing")
     else:
         seed = 0 if seed is None else seed
-        if not (is_real(temperature) and math.isfinite(temperature) and temperature > 0.0
-                and is_int(seed) and seed >= 0):
-            raise InputError(f"sampling needs a finite real temperature > 0 and an int seed "
-                             f">= 0, got {temperature!r} and {seed!r}")
+        require_real("temperature", temperature)
+        require_int("seed", seed, 0, math.inf)
         sampling = {"temperature": temperature, "seed": seed}
         rng = np.random.default_rng(seed)
 

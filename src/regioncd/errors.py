@@ -1,8 +1,7 @@
-"""Exception types shared across the package, and the number and JSON checks of the input paths."""
+"""Exception types shared across the package, and the number and JSON rules of the input paths."""
 
 import json
 import math
-from contextlib import suppress
 
 
 class InputError(ValueError):
@@ -31,33 +30,50 @@ def is_real(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def require_numbers(obj: object, ints: tuple[str, ...] = (), reals: tuple[str, ...] = ()) -> None:
-    """Raise :class:`InputError` unless each field of ``obj`` named in ``ints`` passes
-    :func:`is_int` and each named in ``reals`` passes :func:`is_real`.
-
-    So a range check that follows sees no boolean, which would pass as 1, and
-    no string, which would escape it as a ``TypeError``.
-    """
-    for names, test, kind in ((ints, is_int, "an int"), (reals, is_real, "a real number")):
-        for name in names:
-            value = getattr(obj, name)
-            if not test(value):
-                raise InputError(f"{type(obj).__name__}.{name} must be {kind}, got {value!r}")
+# numpy's index range: every size (a grid side, crop count, model dimension, image size,
+# topk or max_tokens) lies below it, so each number derived from sizes stays printable
+SIZE_LIMIT = 2**63
 
 
-# each guidance strength's range, in interval notation; require_strength is its one check
-STRENGTHS = {"alpha": "[0, 1]", "beta": "[1, inf)", "gamma": "[0, inf)", "tau": "[0, 1)"}
+def _show(value: object) -> str:
+    """``repr(value)``, but an int too long for ``str`` (past 4,300 digits) by its bit length."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits(), or a container of one
+        return f"an int of {value.bit_length()} bits" if is_int(value) else "an unprintable value"
 
 
-def require_strength(name: str, value: object) -> None:
-    """The one check of a strength's range: InputError unless ``value`` is a finite real in it."""
-    interval = STRENGTHS[name]
-    low, high = map(float, interval[1:-1].split(","))
-    with suppress(OverflowError):  # math.isfinite raises for an int too large for a float
-        if is_real(value) and math.isfinite(value) and low <= value and (
-                value <= high if interval.endswith("]") else value < high):
+def require_int(name: str, value: object, low: int = 1, high: float = SIZE_LIMIT) -> None:
+    """The one integer rule: InputError unless ``value`` passes :func:`is_int` and lies in
+    ``[low, high)``; ``high`` may be ``math.inf``. A size keeps the defaults."""
+    if is_int(value) and low <= value < high:
+        return
+    raise InputError(f"{name} must be an int in [{low}, {high}), got {_show(value)}")
+
+
+# the range of each real input in interval notation: the four guidance strengths, then a
+# sampling temperature and a bbox coordinate; require_real is their one check
+REALS = {"alpha": "[0, 1]", "beta": "[1, inf)", "gamma": "[0, inf)", "tau": "[0, 1)",
+         "temperature": "(0, inf)", "coordinate": "(-inf, inf)"}
+# each range's ends and whether each is open, parsed once
+_ENDS = {kind: (*map(float, interval[1:-1].split(",")), interval[0] == "(", interval[-1] == ")")
+         for kind, interval in REALS.items()}
+
+
+def require_real(name: str, value: object, kind: str | None = None) -> None:
+    """The one real-number rule: InputError unless ``value`` passes :func:`is_real`, is finite
+    as a float (an int too large for one is not) and lies in the range of ``kind`` in
+    :data:`REALS`, by default the range named ``name``."""
+    low, high, open_low, open_high = _ENDS[kind or name]
+    try:
+        if is_real(value) and math.isfinite(value) and (
+                low < value if open_low else low <= value) and (
+                value < high if open_high else value <= high):
             return
-    raise InputError(f"{name} must be a finite real number in {interval}, got {value!r}")
+    except OverflowError:  # math.isfinite of an int too large for a float
+        pass
+    raise InputError(f"{name} must be a finite real number in {REALS[kind or name]}, "
+                     f"got {_show(value)}")
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

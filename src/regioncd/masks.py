@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from regioncd import errors, pgm
-from regioncd.errors import FormatError, InputError, ShapeError, is_int, is_real, require_numbers
+from regioncd.errors import FormatError, InputError, ShapeError, is_real, require_int, require_real
 
 # segment labels, in the order the segments appear
 SEG_LOCAL = "local"
@@ -45,7 +44,7 @@ class GridSpec:
 
     ``side`` is the number of tokens per row/column of one view; the local
     view tiles the image into ``crop_rows`` x ``crop_cols`` equal crops, each
-    mapped to a ``side`` x ``side`` patch grid.
+    mapped to a ``side`` x ``side`` patch grid. Each field is a size.
     """
 
     side: int
@@ -53,9 +52,8 @@ class GridSpec:
     crop_cols: int = 1
 
     def __post_init__(self) -> None:
-        require_numbers(self, ints=("side", "crop_rows", "crop_cols"))
-        if self.side < 1 or self.crop_rows < 1 or self.crop_cols < 1:
-            raise InputError(f"grid spec fields must be >= 1, got {self}")
+        for name in ("side", "crop_rows", "crop_cols"):
+            require_int(name, getattr(self, name))
 
     @property
     def local_rows(self) -> int:
@@ -135,9 +133,8 @@ class BBox:
     y_max: float
 
     def __post_init__(self) -> None:
-        require_numbers(self, reals=("x_min", "y_min", "x_max", "y_max"))
-        if not all(map(math.isfinite, (self.x_min, self.y_min, self.x_max, self.y_max))):
-            raise InputError(f"bbox coordinates must be finite, got {self}")
+        for name in ("x_min", "y_min", "x_max", "y_max"):
+            require_real(name, getattr(self, name), "coordinate")
         if self.x_min > self.x_max or self.y_min > self.y_max:
             raise InputError(f"degenerate ordering in bbox {self}")
 
@@ -187,13 +184,9 @@ def _cell_counts(seg: SegMask, out_rows: int, out_cols: int,
     """Positive pixels of each cell of an ``(out_rows, out_cols)`` grid, counted
     once and exactly in int64, with the pixel rows and columns of each cell;
     upsampling and a bad grid or tau are an :class:`InputError`."""
-    if not (is_int(out_rows) and is_int(out_cols) and out_rows >= 1 and out_cols >= 1):
-        raise InputError(f"output grid must be ints, at least 1x1, got {out_rows!r}x{out_cols!r}")
-    if out_rows > seg.height or out_cols > seg.width:
-        raise InputError(
-            f"cannot downsample {seg.height}x{seg.width} mask to larger grid {out_rows}x{out_cols}"
-        )
-    errors.require_strength("tau", tau)
+    require_int("grid rows", out_rows, 1, seg.height + 1)
+    require_int("grid columns", out_cols, 1, seg.width + 1)
+    require_real("tau", tau)
     # pixel i of n lies in cell floor(i*cells/n), so cell k starts at pixel
     # ceil(k*n/cells) and none is empty, since cells <= n
     bounds = [-(-np.arange(cells + 1) * n // cells)
@@ -252,8 +245,8 @@ def mask_from_bbox(box: BBox, width: int, height: int) -> SegMask:
     clamping to the image bounds; a box with zero area therefore yields an
     all-zero mask.
     """
-    if not (is_int(width) and is_int(height) and width >= 1 and height >= 1):
-        raise InputError(f"image dimensions must be ints >= 1, got {width!r}x{height!r}")
+    require_int("image width", width)
+    require_int("image height", height)
     x_lo, x_hi = max(box.x_min, 0.0), min(box.x_max, float(width))
     y_lo, y_hi = max(box.y_min, 0.0), min(box.y_max, float(height))
     cx = np.arange(width) + 0.5
@@ -285,7 +278,7 @@ def token_mask_to_json(mask: TokenMask, tau: float) -> str:
     the labels and the 0/1 values are written as text in one pass each. A
     tau that :func:`token_mask_from_json` rejects is an :class:`InputError`.
     """
-    errors.require_strength("tau", tau)
+    require_real("tau", tau)
     spec = mask.spec
     digits = np.full(2 * len(mask) - 1, ord(","), dtype=np.uint8)
     digits[::2] = mask.values + ord("0")
@@ -310,14 +303,13 @@ def token_mask_from_json(text: str) -> tuple[TokenMask, float]:
         obj, ("L", "G", "values", "length", "segments", "tau"), "token mask JSON")
     if not isinstance(raw, list) or not set(map(type, raw)) <= {int}:
         raise FormatError("token mask values must be a list of JSON integers")
-    if not is_int(length) or length != len(raw):
-        raise FormatError(f"token mask length {length!r} is not the JSON integer {len(raw)}")
     try:
+        require_int("length, the count of values,", length, len(raw), len(raw) + 1)
         rows, cols = grid
         spec = GridSpec(side=side, crop_rows=rows, crop_cols=cols)
         # before the labels: its length check bounds their list by the file's size
         mask = TokenMask(values=np.array(raw), spec=spec)
-        errors.require_strength("tau", tau)
+        require_real("tau", tau)
     except (TypeError, ValueError) as exc:  # an InputError, or a G that is not two items
         raise FormatError(f"token mask JSON: {exc}") from None
     if segments != segment_labels(spec):

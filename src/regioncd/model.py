@@ -36,11 +36,13 @@ import numpy as np
 
 from regioncd import pgm
 from regioncd.config import ModelConfig
-from regioncd.errors import InputError, NumericError, ShapeError, is_int, require_strength
+from regioncd.errors import InputError, NumericError, ShapeError, require_int, require_real
 # segment_labels is unused here, but perfbench/spans.py wraps model.segment_labels
 from regioncd.masks import assemble, segment_labels  # noqa: F401
 from regioncd.weights import WeightSet
 
+# the layer-0 RMSNorm divides alpha's scale of a masked row out unless alpha * rms(row) is
+# near sqrt(NORM_EPS) = 1e-3; in a deeper model alpha also acts through the residual stream
 NORM_EPS = 1e-6
 _SQRT_2_OVER_PI = 0.7978845608028654
 # query rows per attention tile: the scores of a 64-row tile over 757 keys and
@@ -99,11 +101,12 @@ def _pool_means(intensities: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def check_token_ids(ids: Sequence[int], vocab_size: int) -> None:
-    """The one rule for token ids: a non-empty list of Python ``int``s (``1.7`` or ``True``
-    is not id 1) in ``[0, vocab_size)``; a decode checks its prompt by it before any prefill."""
-    if not ids or not all(is_int(i) and 0 <= i < vocab_size for i in ids):
-        raise InputError(f"token ids must be a non-empty list of ints in [0, {vocab_size}), "
-                         f"got {ids!r}")
+    """The one rule for token ids: a non-empty list of ``require_int`` ids in ``[0, vocab_size)``
+    (``1.7`` or ``True`` is not id 1); a decode checks its prompt by it before any prefill."""
+    if not ids:
+        raise InputError(f"token ids must be a non-empty list, got {ids!r}")
+    for k, i in enumerate(ids):
+        require_int(f"token ids[{k}]", i, 0, vocab_size)
 
 
 def encode_image(img: GrayImage, w: WeightSet) -> VisualSequence:
@@ -174,9 +177,9 @@ def region_bias(mask: np.ndarray, beta: float) -> np.ndarray:
     Adding it to the scores multiplies the pre-normalized weight of every
     masked key by beta, since ``beta^m * exp(e) = exp(e + m*log(beta))``;
     unmasked keys get exactly 0. Every attention policy passes its beta through
-    :func:`require_strength` here, one given to ``DecoderSession`` directly too.
+    :func:`~regioncd.errors.require_real` here, one given to ``DecoderSession`` directly too.
     """
-    require_strength("beta", beta)
+    require_real("beta", beta)
     return np.where(np.asarray(mask) != 0, math.log(beta), 0.0)
 
 
@@ -312,10 +315,7 @@ class DecoderSession:
         writes its positions before it reads them. So a rewound session then
         extended is, bit for bit, a fresh session fed the same ids.
         """
-        if not self.cfg.n_visual <= length <= self.length:
-            raise InputError(
-                f"rewind length {length} outside [{self.cfg.n_visual}, {self.length}]"
-            )
+        require_int("rewind length", length, self.cfg.n_visual, self.length + 1)
         del self.text_ids[length - self.cfg.n_visual :]
 
     def extend_with_tokens(self, ids: Sequence[int]) -> np.ndarray:

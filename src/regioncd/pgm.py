@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from regioncd.errors import FormatError
+from regioncd.errors import FormatError, InputError, require_int
 
 # a comment runs to the end of its line; header fields are separated by
 # whitespace or comments, and a P2 body is its samples once comments are removed.
@@ -48,10 +48,12 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
         raise FormatError(f"{path}: PGM header needs width, height and maxval")
     width, height, maxval = _unsigned(path, "header field", list(header.groups())).tolist()
     pos = header.end()
-    if width < 1 or height < 1:
-        raise FormatError(f"{path}: bad dimensions {width}x{height}")
-    if not 1 <= maxval <= 255:
-        raise FormatError(f"{path}: maxval {maxval} outside [1, 255]")
+    try:
+        require_int("width", width)
+        require_int("height", height)
+        require_int("maxval", maxval, 1, 256)
+    except InputError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
     count = width * height
     if magic == b"P5":

@@ -271,8 +271,8 @@ def check_steerability() -> tuple[bool, str]:
     neutral = _steer_params(alpha=1.0, beta=1.0, gamma=1.0)
     ids_tie, trace = decoding.decode(img, left, [0], cfg, w, neutral, topk=cfg.vocab_size)
     fused = dict(trace.steps[0].fused_topk)
-    if abs(fused[2] - fused[3]) > 1e-12:
-        return False, f"neutral params: tokens 2/3 did not tie ({fused[2]} vs {fused[3]})"
+    if fused[2] != fused[3] or not fused[2] > fused[0]:
+        return False, f"neutral params: tokens 2/3 did not tie above token 0 ({fused})"
     if ids_tie != [2]:
         return False, f"tie case emitted {ids_tie}, want [2] by lowest-id rule"
     return True, "left->2, right->3, neutral tie resolves to 2"

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from regioncd.config import ModelConfig
-from regioncd.errors import FormatError, InputError, NumericError, is_int, json_fields, parse_json
+from regioncd.errors import (FormatError, InputError, NumericError, is_int, json_fields, parse_json,
+                             require_int)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA64 = 0x9E3779B97F4A7C15
@@ -179,8 +180,7 @@ def _steer_weights(cfg: ModelConfig) -> WeightSet:
     """
     if cfg.n_layers != 1 or cfg.n_heads != 1:
         raise InputError("steer-v1 requires exactly one layer and one head")
-    if cfg.embed_dim < 2:
-        raise InputError("steer-v1 requires embed_dim >= 2")
+    require_int("steer-v1 embed_dim", cfg.embed_dim, 2)
     d = cfg.embed_dim
     t: dict[str, np.ndarray] = {
         name: np.zeros(shape, dtype=np.float32) for name, shape in tensor_spec(cfg)
@@ -205,8 +205,7 @@ def gen_fixture(kind: str, seed: int, cfg: ModelConfig) -> WeightSet:
     The seed is the 64-bit state of the random stream, so one outside
     [0, 2^64) is rejected rather than reduced onto the seed it wraps to.
     """
-    if not (is_int(seed) and 0 <= seed < 2**64):
-        raise InputError(f"fixture seed must be an int in [0, 2^64), got {seed!r}")
+    require_int("fixture seed", seed, 0, 2**64)
     if kind == "random-v1":
         # the tensors take consecutive runs of one stream, in canonical order
         tensors, first = {}, 0

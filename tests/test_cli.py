@@ -629,13 +629,20 @@ class TestExitCodeContract:
          "unrecognized arguments: --baseline"),
         ("fixture --out {out}", "the following arguments are required: --kind"),
         ("", "the following arguments are required: command"),
+        # a 3,000-digit size fails the integer rule before any number derived from it is printed
+        ("fixture --kind random-v1 --L {huge} --image-side {huge} --out {out}",
+         "feature_side must be an int in [1, 9223372036854775808), got 1000"),
+        ("fixture --kind random-v1 --embed-dim {huge} --out {out}",
+         "embed_dim must be an int in [1, 9223372036854775808), got 1000"),
     ], ids=["grid", "weights-dir", "weights-non-utf8", "prompt-before-weights",
-            "sweep-baseline", "fixture-kind", "no-command"])
+            "sweep-baseline", "fixture-kind", "no-command", "fixture-huge-grid",
+            "fixture-huge-embed-dim"])
     def test_bad_command_line_exits_2(self, steer_files, tmp_path, argv, fragment):
         # one error: line, whichever of argparse or a command rejects the input
         latin1 = tmp_path / "latin1.json"
         latin1.write_bytes(b'{"config": "\xe9"}')
-        files = {**steer_files, "tmp": tmp_path, "latin1": latin1, "out": tmp_path / "out"}
+        files = {**steer_files, "tmp": tmp_path, "latin1": latin1, "out": tmp_path / "out",
+                 "huge": 10**2999}
         assert_exit_2([arg.format(**files) for arg in argv.split()], files["out"], fragment)
 
     def test_help_exits_zero(self):

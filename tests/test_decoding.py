@@ -13,7 +13,8 @@ from regioncd.decoding import (
 )
 from regioncd.errors import FormatError, InputError, ShapeError
 from regioncd.masks import (
-    GridSpec, SegMask, downsample, generate_token_mask, token_mask_from_json, token_mask_to_json,
+    BBox, GridSpec, SegMask, TokenMask, downsample, generate_token_mask, mask_from_bbox,
+    token_mask_from_json, token_mask_to_json,
 )
 from regioncd.model import DecoderSession, GrayImage, encode_image, region_bias
 from regioncd.verification import REDUCTION_PROMPT, _reweighted as reweight_attention, half_seg
@@ -127,6 +128,107 @@ def test_strength_rule(steer_cfg, steer_weights, steer_image, left_seg, name, va
         assert type(exc.value) is (FormatError if entry == "token_mask_from_json" else InputError)
 
 
+# ints outside every size, past a float or past the digits str() prints, each with what a
+# rejection prints for it
+HUGE = {
+    "10**400": (10**400, "1" + "0" * 400),
+    "10**5000": (10**5000, "an int of 16610 bits"),
+    "-10**5000": (-(10**5000), "an int of 16610 bits"),
+    "2**63": (2**63, "9223372036854775808"),
+}
+# each entry point of a number, the name its rejection gives, and the values of HUGE it accepts
+HUGE_ENTRY_POINTS = {
+    **{f"GridSpec.{name}": (name, ()) for name in ("side", "crop_rows", "crop_cols")},
+    "generate_token_mask.spec": ("side", ()),
+    "TokenMask.spec": ("side", ()),
+    "downsample.out_rows": ("grid rows", ()),
+    "downsample.out_cols": ("grid columns", ()),
+    "mask_from_bbox.width": ("image width", ()),
+    "mask_from_bbox.height": ("image height", ()),
+    "BBox.x_min": ("x_min", ()),
+    "BBox.x_max": ("x_max", ("2**63",)),
+    **{f"ModelConfig.{name}": (name, ()) for name in (
+        "vocab_size", "embed_dim", "n_heads", "n_layers", "feature_side", "crop_rows",
+        "crop_cols", "image_side", "max_seq", "eos_id")},
+    "ModelConfig.feature_side=image_side": ("feature_side", ()),
+    **{f"GuidanceParams.{name}": (name, ("2**63",) if name in ("beta", "gamma") else ())
+       for name in ("alpha", "beta", "gamma", "tau", "max_tokens")},
+    "suppress_tokens.alpha": ("alpha", ()),
+    "region_bias.beta": ("beta", ("2**63",)),
+    "DecoderSession.beta": ("beta", ("2**63",)),
+    "DecoderSession.rewind": ("rewind length", ()),
+    "fuse_logits.gamma": ("gamma", ("2**63",)),
+    "downsample.tau": ("tau", ()),
+    "generate_token_mask.tau": ("tau", ()),
+    "token_mask_to_json.tau": ("tau", ()),
+    "decode.prompt": ("token ids", ()),
+    "decode.topk": ("topk", ()),
+    "decode.temperature": ("temperature", ("2**63",)),
+    "decode.seed": ("seed", ("10**400", "10**5000", "2**63")),
+    "gen_fixture.seed": ("fixture seed", ("2**63",)),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{value}")
+    for entry in HUGE_ENTRY_POINTS for value in HUGE
+])
+def test_number_rule(steer_cfg, steer_weights, steer_image, left_seg, entry, value):
+    """Every int and real input goes through the one integer or real-number rule: a value
+    past a size (2**63 on), past a float or past the 4,300 digits ``str`` prints is an
+    InputError that names the input and the value, never a ValueError or OverflowError."""
+    number, shown = HUGE[value]
+    name, accepted = HUGE_ENTRY_POINTS[entry]
+    visual = encode_image(steer_image, steer_weights)
+    mask = generate_token_mask(left_seg, steer_cfg.grid())
+    box = BBox(0.0, 0.0, 1.0, 1.0)
+
+    def run(prompt=(0,), **options):
+        return decode(steer_image, left_seg, list(prompt), steer_cfg, steer_weights,
+                      GuidanceParams(max_tokens=1), **options)
+
+    calls = {
+        "generate_token_mask.spec": lambda: generate_token_mask(left_seg, GridSpec(number)),
+        "TokenMask.spec": lambda: TokenMask(mask.values, GridSpec(number)),
+        "downsample.out_rows": lambda: downsample(left_seg, number, 1, 0.0),
+        "downsample.out_cols": lambda: downsample(left_seg, 1, number, 0.0),
+        "mask_from_bbox.width": lambda: mask_from_bbox(box, number, 1),
+        "mask_from_bbox.height": lambda: mask_from_bbox(box, 1, number),
+        "BBox.x_min": lambda: BBox(number, 0.0, 1.0, 1.0),
+        "BBox.x_max": lambda: BBox(0.0, 0.0, number, 1.0),
+        "ModelConfig.feature_side=image_side": lambda: replace(
+            steer_cfg, feature_side=number, image_side=number),
+        "suppress_tokens.alpha": lambda: suppress_tokens(visual, mask, number),
+        "region_bias.beta": lambda: region_bias(np.array([1, 0]), number),
+        "DecoderSession.beta": lambda: DecoderSession(steer_cfg, steer_weights, visual,
+                                                      attn_policy=(mask.values, number)),
+        "DecoderSession.rewind": lambda: DecoderSession(steer_cfg, steer_weights,
+                                                        visual).rewind(number),
+        "fuse_logits.gamma": lambda: fuse_logits(np.array([-1.0]), np.array([-2.0]), number),
+        "downsample.tau": lambda: downsample(left_seg, 2, 2, number),
+        "generate_token_mask.tau": lambda: generate_token_mask(left_seg, steer_cfg.grid(),
+                                                               number),
+        "token_mask_to_json.tau": lambda: token_mask_to_json(mask, number),
+        "decode.prompt": lambda: run(prompt=[number]),
+        "decode.topk": lambda: run(topk=number),
+        "decode.temperature": lambda: run(temperature=number),
+        "decode.seed": lambda: run(temperature=1.0, seed=number),
+        "gen_fixture.seed": lambda: gen_fixture("random-v1", number, steer_cfg),
+    }
+    owner, field = entry.split(".")
+    call = calls.get(entry) or {
+        "GridSpec": lambda: GridSpec(**{"side": 1, field: number}),
+        "ModelConfig": lambda: replace(steer_cfg, **{field: number}),
+        "GuidanceParams": lambda: GuidanceParams(**{field: number}),
+    }[owner]
+    if value in accepted:
+        call()
+    else:
+        with pytest.raises(InputError, match=name) as info:
+            call()
+        assert type(info.value) is InputError and shown in str(info.value)
+
+
 class TestFuseLogits:
     def test_gamma_one_returns_guided_bits(self):
         rng = np.random.default_rng(4)
@@ -167,15 +269,6 @@ class TestLogSoftmax:
 
 
 class TestDecode:
-    def test_steer_tie_breaks_to_lowest_id(self, steer_cfg, steer_weights, steer_image, left_seg):
-        p = params_for(alpha=1.0, beta=1.0, gamma=1.0, max_tokens=1)
-        ids, trace = decode(steer_image, left_seg, [0], steer_cfg, steer_weights, p,
-                            topk=steer_cfg.vocab_size)
-        fused = dict(trace.steps[0].fused_topk)
-        assert fused[2] == fused[3]
-        assert fused[2] > fused[0]
-        assert ids == [2]
-
     def test_steer_fused_scores_match_hand_evaluation(
         self, steer_cfg, steer_weights, steer_image, left_seg
     ):
@@ -507,28 +600,38 @@ class TestSweep:
         assert calls == []
 
 
-def test_paper_claims_in_miniature(steer_cfg, steer_weights):
-    """A text prior against the image's evidence: steer-v1 with ``token_embed[0, 1] = p``.
+def with_prior(steer_weights: WeightSet, p: float) -> WeightSet:
+    """steer-v1 with ``token_embed[0, 1] = p``: prompt token 0 carries a prior of strength p
+    toward channel 1, which is token 3, while dark pixels are the evidence for token 2."""
+    tensors = {name: t.copy() for name, t in steer_weights.tensors.items()}
+    tensors["token_embed"][0, 1] = p
+    return WeightSet(config=steer_weights.config, tensors=tensors)
 
-    Prompt token 0 then carries a prior toward channel 1, which is token 3,
-    while dark pixels are the evidence for token 2. Where the evidence covers
-    the image, contrast removes the prior-driven answer, VCD's claim (Leng et
-    al., arXiv 2311.16922); where it covers a quarter, only the correction
-    targeted at that quarter recovers it, the claim of region-guided decoding.
+
+def probe_images(side: int) -> tuple[np.ndarray, np.ndarray, SegMask, SegMask]:
+    """The all-dark image, the image dark in its top-left quarter, and the masks of the
+    whole image and of that quarter."""
+    dark, quarter = np.zeros((side, side)), np.ones((side, side))
+    quarter[: side // 2, : side // 2] = 0.0
+    return dark, quarter, SegMask(np.ones((side, side), dtype=bool)), SegMask(quarter == 0.0)
+
+
+def test_paper_claims_in_miniature(steer_cfg, steer_weights):
+    """A text prior against the image's evidence (:func:`with_prior`).
+
+    Where the evidence covers the image, contrast removes the prior-driven
+    answer, VCD's claim (Leng et al., arXiv 2311.16922); where it covers a
+    quarter, only the correction targeted at that quarter recovers it, the
+    claim of region-guided decoding.
     """
     def emitted(p: float, image: np.ndarray, seg: SegMask | None, **strengths) -> int:
-        tensors = {name: t.copy() for name, t in steer_weights.tensors.items()}
-        tensors["token_embed"][0, 1] = p
-        w = WeightSet(config=steer_cfg, tensors=tensors)
         if seg is not None:
             strengths = {"alpha": 0.01, "beta": 9.0, "gamma": 1.5, **strengths}
         params = GuidanceParams(max_tokens=1, **strengths)
-        return decode(GrayImage(image), seg, [0], steer_cfg, w, params)[0][0]
+        return decode(GrayImage(image), seg, [0], steer_cfg, with_prior(steer_weights, p),
+                      params)[0][0]
 
-    side = steer_cfg.image_side
-    dark, quarter = np.zeros((side, side)), np.ones((side, side))
-    quarter[: side // 2, : side // 2] = 0.0
-    whole, corner = SegMask(np.ones((side, side), dtype=bool)), SegMask(quarter == 0.0)
+    dark, quarter, whole, corner = probe_images(steer_cfg.image_side)
     # p, image, region: the id emitted with no region, the whole image and the region
     table = [
         (0, dark, whole, [2, 2, 2]), (0.5, dark, whole, [2, 2, 2]),
@@ -546,3 +649,44 @@ def test_paper_claims_in_miniature(steer_cfg, steer_weights):
         assert emitted(p, quarter, corner, gamma=1.0) == (2 if p <= 0.5 else 3), p
     # on the all-dark image at p = 2 only the three levels together recover token 2
     assert [emitted(2, dark, whole, beta=1.0), emitted(2, dark, whole, gamma=1.0)] == [3, 3]
+    # the token level: cases where alpha decides, each the id emitted at alpha 1, 0.01 and
+    # 0. The norm divides most of alpha's scale out of steer-v1's rows (rms 0.5) unless alpha
+    # is near 0, and the last case, with no attention reweighting, recovers it only at alpha 0
+    for p, image, region, strengths, ids in [
+        (1.5, quarter, corner, {}, [3, 3, 2]),
+        (3, quarter, corner, {"gamma": 3.0}, [3, 2, 2]),
+        (2.5, dark, whole, {}, [3, 3, 2]),
+        (0, quarter, corner, {"beta": 1.0, "gamma": 3.0}, [3, 3, 2]),
+    ]:
+        got = [emitted(p, image, region, alpha=alpha, **strengths) for alpha in (1.0, 0.01, 0.0)]
+        assert got == ids, (p, strengths)
+
+
+# the id emitted on the quarter-dark image with its quarter's mask at the default alpha and
+# tau, by prior strength p: rows beta 1, 3, 9, 27, 81, columns gamma 1, 1.5, 2, 3, 5, 10
+FRONTIER = {
+    1: ["333333", "333322", "322222", "222222", "222222"],
+    2: ["333333", "333332", "333222", "322222", "322222"],
+    3: ["333333", "333332", "333222", "332222", "332222"],
+    4: ["333333", "333333", "333322", "333222", "333222"],
+}
+
+
+def test_guidance_frontier(steer_cfg, steer_weights):
+    """Where the guidance recovers the evidence (id 2) against a prior of strength p, mapped
+    by one sweep per p: the recovering cells form an up-set in (beta, gamma), so raising
+    either strength never loses the evidence, and beta 1 never recovers it."""
+    _, quarter, _, corner = probe_images(steer_cfg.image_side)
+    betas, gammas = [1.0, 3.0, 9.0, 27.0, 81.0], [1.0, 1.5, 2.0, 3.0, 5.0, 10.0]
+    for p, pinned in FRONTIER.items():
+        rows = sweep(GrayImage(quarter), corner, [0], steer_cfg, with_prior(steer_weights, p),
+                     betas, gammas, GuidanceParams(max_tokens=1))
+        ids = [row.output_ids for row in rows]
+        grid = ["".join(str(i) for (i,) in ids[k : k + len(gammas)])
+                for k in range(0, len(ids), len(gammas))]
+        assert grid == pinned, p
+        recovered = np.array([[c == "2" for c in line] for line in grid])
+        assert not recovered[0].any(), p
+        # an up-set: a cell that recovers it still does at a larger beta or gamma
+        assert (recovered[:-1] <= recovered[1:]).all(), p
+        assert (recovered[:, :-1] <= recovered[:, 1:]).all(), p
