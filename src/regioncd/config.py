@@ -75,7 +75,8 @@ class GuidanceParams:
     the scores of masked key positions (their pre-normalized weight times
     beta), and ``gamma`` sets the mixing intensity of the two branches'
     log-probabilities at each step. Each strength, ``tau`` included, passes
-    ``require_real``, and ``max_tokens`` is a size (``require_int``).
+    ``require_real``, ``max_tokens`` is a size (``require_int``), and ``eos_id``,
+    when given, an int from 0 (``require_int``), so ``1.0`` or ``True`` is no token id.
 
     The token grid and the stop token are the model's: a decode reads them
     from its :class:`ModelConfig`. ``spec`` and ``eos_id``, when given, must
@@ -95,6 +96,8 @@ class GuidanceParams:
         for name in ("alpha", "beta", "gamma", "tau"):
             require_real(name, getattr(self, name))
         require_int("max_tokens", self.max_tokens)
+        if self.eos_id is not None:
+            require_int("eos_id", self.eos_id, 0)
 
     def to_dict(self) -> dict:
         """The guidance fields: every field but ``spec`` and ``eos_id``."""

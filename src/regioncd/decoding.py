@@ -27,7 +27,6 @@ judged against.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -126,7 +125,6 @@ def _check_request(
 ) -> None:
     check_token_ids(prompt, cfg.vocab_size)
     require_int("topk", topk)
-    # the given values are not printed: GuidanceParams does not check eos_id
     if params.spec not in (None, cfg.grid()) or params.eos_id not in (None, cfg.eos_id):
         raise InputError(
             "a guidance grid and stop token must be left out or equal the model's, "
@@ -279,7 +277,8 @@ def decode(
     Greedy when ``temperature`` is None. Otherwise the next token is drawn
     from the log-softmax of the fused scores at that temperature, with
     ``default_rng(seed)`` (seed 0 when not given), and the trace header's
-    ``params`` records both; a seed without a temperature is an InputError.
+    ``params`` records both. The seed is an int in ``[0, 2**64)``, the fixture
+    seed's range; a seed without a temperature is an InputError.
     """
     pick, sampling = None, {}
     if temperature is None:
@@ -288,7 +287,7 @@ def decode(
     else:
         seed = 0 if seed is None else seed
         require_real("temperature", temperature)
-        require_int("seed", seed, 0, math.inf)
+        require_int("seed", seed, 0, 2**64)
         sampling = {"temperature": temperature, "seed": seed}
         rng = np.random.default_rng(seed)
 

@@ -16,10 +16,21 @@ local one: global cell k of a row axis starts where local cell
 (and likewise for columns), so each global cell is exactly a
 ``crop_rows x crop_cols`` block of local cells and its pixel counts are the
 block's sums.
+
+The cells of an axis are groups of whole rows: with ``s = n // cells``, each
+group holds ``s`` or ``s + 1`` consecutive rows. The counts are taken by one
+row-group rule applied twice: the first ``s`` rows of every group are summed
+by whole-row adds over one gathered ``(cells, s, width)`` array, the last row
+of each longer group is added to its sum, and the same rule then cuts the
+transposed row sums into columns. The sums accumulate in the smallest unsigned
+type that holds the largest cell's count, so they are exact. The geometry of
+the groups depends only on ``(n, cells)``: the 256 most recently used pairs
+are cached, each in at most ``8 * (n + 3 * cells)`` bytes of read-only arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -72,11 +83,28 @@ def expected_length(spec: GridSpec) -> int:
     return local + 1 + global_
 
 
+def _layout(flat: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views of a token-ordered array of :func:`expected_length` positions: the local
+    grid's ``(local_rows, local_cols + 1)`` rows, each ending in its separator, the mid
+    separator, and the global grid's ``(side, side + 1)`` rows the same way."""
+    n_local = spec.local_rows * (spec.local_cols + 1)
+    trailing = flat.shape[1:]
+    return (flat[:n_local].reshape(spec.local_rows, spec.local_cols + 1, *trailing),
+            flat[n_local],
+            flat[n_local + 1 :].reshape(spec.side, spec.side + 1, *trailing))
+
+
+def _label_layout(spec: GridSpec, item):
+    """The segment labels in token order, each as ``item(label)``: a one-label list, or a
+    text fragment, so that the rows repeat and join by ``*`` and ``+``."""
+    local_row = item(SEG_LOCAL) * spec.local_cols + item(SEG_LOCAL_SEP)
+    global_row = item(SEG_GLOBAL) * spec.side + item(SEG_GLOBAL_SEP)
+    return local_row * spec.local_rows + item(SEG_MID_SEP) + global_row * spec.side
+
+
 def segment_labels(spec: GridSpec) -> list[str]:
     """Per-position segment label for the assembled mask layout."""
-    local_row = [SEG_LOCAL] * spec.local_cols + [SEG_LOCAL_SEP]
-    global_row = [SEG_GLOBAL] * spec.side + [SEG_GLOBAL_SEP]
-    return local_row * spec.local_rows + [SEG_MID_SEP] + global_row * spec.side
+    return _label_layout(spec, lambda label: [label])
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,9 +191,8 @@ class TokenMask:
         # checked before the cast, which would wrap 256 to 0
         if not ((values == 0) | (values == 1)).all():
             raise InputError("mask values must be 0 or 1")
-        local = np.zeros((spec.local_rows, spec.local_cols), dtype=bool)
-        global_ = np.zeros((spec.side, spec.side), dtype=bool)
-        if values[assemble(local, global_, spec, sep=True)].any():
+        local, mid, global_ = _layout(values, spec)
+        if local[:, -1].any() or mid or global_[:, -1].any():
             raise InputError("separator positions must carry mask value 0")
         object.__setattr__(self, "values", values.astype(np.uint8, copy=False))
 
@@ -179,24 +206,53 @@ class TokenMask:
         return h.hexdigest()
 
 
+@functools.lru_cache(maxsize=256)
+def _row_groups(n: int, cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The geometry of ``n`` rows cut into ``cells`` groups: the ``(cells, s)`` index of
+    the first ``s = n // cells`` rows of every group, the groups of ``s + 1`` rows, their
+    last rows, and every group's size, as read-only arrays."""
+    # pixel i of n lies in cell floor(i*cells/n), so cell k starts at pixel ceil(k*n/cells)
+    bounds = -(-np.arange(cells + 1) * n // cells)
+    sizes = np.diff(bounds)
+    longer = np.flatnonzero(sizes > n // cells)
+    geometry = (bounds[:-1, None] + np.arange(n // cells), longer, bounds[longer + 1] - 1,
+                sizes)
+    for a in geometry:
+        a.flags.writeable = False
+    return geometry
+
+
+def _group_sums(a: np.ndarray, cells: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``a`` summed in the groups of :func:`_row_groups`, and the group sizes.
+
+    ``bound`` is at least every entry of ``a``, so no sum exceeds ``bound`` times the
+    largest group, ``ceil(n / cells)`` rows; they accumulate in the smallest unsigned
+    type that holds that product.
+    """
+    first, longer, last, sizes = _row_groups(len(a), cells)
+    sums = a[first].sum(axis=1, dtype=np.min_scalar_type(bound * -(-len(a) // cells)))
+    sums[longer] += a[last]
+    return sums, sizes
+
+
 def _cell_counts(seg: SegMask, out_rows: int, out_cols: int,
                  tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positive pixels of each cell of an ``(out_rows, out_cols)`` grid, counted
-    once and exactly in int64, with the pixel rows and columns of each cell;
-    upsampling and a bad grid or tau are an :class:`InputError`."""
+    exactly, with the pixel rows and columns of each cell; upsampling and a bad
+    grid or tau are an :class:`InputError`.
+
+    One row-group rule (:func:`_group_sums`) cuts both axes: the pixel rows into
+    ``out_rows`` groups, then the transposed row sums, each at most the tallest
+    cell's ``ceil(height / out_rows)`` pixels, into ``out_cols`` groups. A count
+    is at most its cell's area, so cells of up to 255 pixels count in uint8 and
+    larger ones in the next type that holds their area.
+    """
     require_int("grid rows", out_rows, 1, seg.height + 1)
     require_int("grid columns", out_cols, 1, seg.width + 1)
     require_real("tau", tau)
-    # pixel i of n lies in cell floor(i*cells/n), so cell k starts at pixel
-    # ceil(k*n/cells) and none is empty, since cells <= n
-    bounds = [-(-np.arange(cells + 1) * n // cells)
-              for cells, n in ((out_rows, seg.height), (out_cols, seg.width))]
-    # reduceat runs one inner loop per cell of each pixel line, so the first
-    # pass goes along the axis that makes fewer of them
-    first = 0 if out_rows * seg.width <= seg.height * out_cols else 1
-    partial = np.add.reduceat(seg.pixels, bounds[first][:-1], axis=first, dtype=np.int64)
-    positive = np.add.reduceat(partial, bounds[1 - first][:-1], axis=1 - first)
-    return positive, np.diff(bounds[0]), np.diff(bounds[1])
+    row_sums, rows = _group_sums(seg.pixels, out_rows, 1)
+    positive, cols = _group_sums(row_sums.T, out_cols, -(-seg.height // out_rows))
+    return positive.T, rows, cols
 
 
 def _threshold(positive: np.ndarray, rows: np.ndarray, cols: np.ndarray, tau: float) -> np.ndarray:
@@ -232,9 +288,9 @@ def assemble(local: np.ndarray, global_: np.ndarray, spec: GridSpec, sep=0) -> n
         raise ShapeError(f"global grid shape {global_.shape} does not match {spec}")
     out = np.empty((expected_length(spec),) + trailing, dtype=np.result_type(local, global_, sep))
     out[...] = sep
-    n_local = spec.local_rows * (spec.local_cols + 1)
-    out[:n_local].reshape(spec.local_rows, spec.local_cols + 1, *trailing)[:, :-1] = local
-    out[n_local + 1 :].reshape(spec.side, spec.side + 1, *trailing)[:, :-1] = global_
+    local_rows, _, global_rows = _layout(out, spec)
+    local_rows[:, :-1] = local
+    global_rows[:, :-1] = global_
     return out
 
 
@@ -275,18 +331,18 @@ def token_mask_to_json(mask: TokenMask, tau: float) -> str:
     """Serialize a token mask; byte-deterministic for identical inputs.
 
     The text is ``json.dumps`` of the object with sorted keys and no spaces;
-    the labels and the 0/1 values are written as text in one pass each. A
-    tau that :func:`token_mask_from_json` rejects is an :class:`InputError`.
+    the labels are written by repeating each grid row's text, and the 0/1
+    values as text in one pass. A tau that :func:`token_mask_from_json`
+    rejects is an :class:`InputError`.
     """
     require_real("tau", tau)
     spec = mask.spec
     digits = np.full(2 * len(mask) - 1, ord(","), dtype=np.uint8)
     digits[::2] = mask.values + ord("0")
-    return ('{"G":' + json.dumps([spec.crop_rows, spec.crop_cols], separators=(",", ":"))
-            + ',"L":' + json.dumps(spec.side) + ',"length":' + json.dumps(len(mask))
-            + ',"segments":["' + '","'.join(segment_labels(spec)) + '"]'
-            + ',"tau":' + json.dumps(tau)
-            + ',"values":[' + digits.tobytes().decode("ascii") + "]}\n")
+    segments = _label_layout(spec, lambda label: f'"{label}",')[:-1]
+    return (f'{{"G":[{spec.crop_rows},{spec.crop_cols}],"L":{spec.side},"length":{len(mask)}'
+            f',"segments":[{segments}],"tau":{json.dumps(tau)}'
+            f',"values":[{digits.tobytes().decode("ascii")}]}}\n')
 
 
 def token_mask_from_json(text: str) -> tuple[TokenMask, float]:

@@ -135,6 +135,7 @@ HUGE = {
     "10**5000": (10**5000, "an int of 16610 bits"),
     "-10**5000": (-(10**5000), "an int of 16610 bits"),
     "2**63": (2**63, "9223372036854775808"),
+    "2**64": (2**64, "18446744073709551616"),
 }
 # each entry point of a number, the name its rejection gives, and the values of HUGE it accepts
 HUGE_ENTRY_POINTS = {
@@ -146,25 +147,26 @@ HUGE_ENTRY_POINTS = {
     "mask_from_bbox.width": ("image width", ()),
     "mask_from_bbox.height": ("image height", ()),
     "BBox.x_min": ("x_min", ()),
-    "BBox.x_max": ("x_max", ("2**63",)),
+    "BBox.x_max": ("x_max", ("2**63", "2**64")),
     **{f"ModelConfig.{name}": (name, ()) for name in (
         "vocab_size", "embed_dim", "n_heads", "n_layers", "feature_side", "crop_rows",
         "crop_cols", "image_side", "max_seq", "eos_id")},
     "ModelConfig.feature_side=image_side": ("feature_side", ()),
-    **{f"GuidanceParams.{name}": (name, ("2**63",) if name in ("beta", "gamma") else ())
-       for name in ("alpha", "beta", "gamma", "tau", "max_tokens")},
+    **{f"GuidanceParams.{name}": (name, ("2**63", "2**64") if name in ("beta", "gamma") else ())
+       for name in ("alpha", "beta", "gamma", "tau", "max_tokens", "eos_id")},
     "suppress_tokens.alpha": ("alpha", ()),
-    "region_bias.beta": ("beta", ("2**63",)),
-    "DecoderSession.beta": ("beta", ("2**63",)),
+    "region_bias.beta": ("beta", ("2**63", "2**64")),
+    "DecoderSession.beta": ("beta", ("2**63", "2**64")),
     "DecoderSession.rewind": ("rewind length", ()),
-    "fuse_logits.gamma": ("gamma", ("2**63",)),
+    "fuse_logits.gamma": ("gamma", ("2**63", "2**64")),
     "downsample.tau": ("tau", ()),
     "generate_token_mask.tau": ("tau", ()),
     "token_mask_to_json.tau": ("tau", ()),
     "decode.prompt": ("token ids", ()),
     "decode.topk": ("topk", ()),
-    "decode.temperature": ("temperature", ("2**63",)),
-    "decode.seed": ("seed", ("10**400", "10**5000", "2**63")),
+    "decode.temperature": ("temperature", ("2**63", "2**64")),
+    # both seeds take [0, 2**64)
+    "decode.seed": ("seed", ("2**63",)),
     "gen_fixture.seed": ("fixture seed", ("2**63",)),
 }
 
@@ -311,6 +313,10 @@ class TestDecode:
         for given in ({"eos_id": 3 - eos_id}, {"spec": GridSpec(side=1)}):
             with pytest.raises(InputError, match="model's"):
                 decode(steer_image, left_seg, [0], cfg, w, replace(p, **given))
+        # a float or a boolean equal to the model's stop token is no token id
+        for bad in (float(eos_id), True):
+            with pytest.raises(InputError, match="eos_id"):
+                decode(steer_image, left_seg, [0], cfg, w, replace(p, eos_id=bad))
 
     def test_trace_structure(self, rand_cfg, rand_weights, rand_image):
         p = params_for(max_tokens=4)

