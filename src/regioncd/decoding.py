@@ -229,7 +229,9 @@ def _run_cells(
     prefilled sessions and one stack are alive at once.
 
     With no region (``seg`` None) there is no mask: the one cell, whose
-    strengths must be the defaults, decodes one unstacked session.
+    strengths must be the defaults, decodes one unstacked session. A region
+    must have the image's size in pixels, or the decode raises
+    :class:`ShapeError` before any prefill.
     """
     base = cells[0]
     _check_request(prompt, cfg, base, topk)
@@ -240,6 +242,9 @@ def _run_cells(
                              f"{plain}; got {len(cells)} cell(s), the first {base.to_dict()}")
         session = DecoderSession(cfg, w, encode_image(img, w))
         return None, [_run_steps(_SharedSession(session, prompt, topk), base, pick)]
+    if seg.pixels.shape != img.intensities.shape:
+        raise ShapeError(f"region mask of {seg.height}x{seg.width} pixels does not match "
+                         f"the {img.height}x{img.width} image (height x width)")
     mask = generate_token_mask(seg, cfg.grid(), base.tau)
     visual = encode_image(img, w)
     unguided = DecoderSession(cfg, w, suppress_tokens(visual, mask, base.alpha))

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the number and JSON rules of the input paths."""
+"""Exception types shared across the package, and the number, 0/1 and JSON rules of the inputs."""
 
 import json
 import math
+
+import numpy as np
 
 
 class InputError(ValueError):
@@ -74,6 +76,19 @@ def require_real(name: str, value: object, kind: str | None = None) -> None:
         pass
     raise InputError(f"{name} must be a finite real number in {REALS[kind or name]}, "
                      f"got {_show(value)}")
+
+
+def require_binary(what: str, values: object) -> np.ndarray:
+    """The one 0/1 rule of a region array: ``values`` as a uint8 array, or an InputError naming
+    ``what`` unless its dtype is bool, an int or a float and every entry is 0 or 1. A bool
+    array is 0/1 by its type, so its uint8 view is returned, neither tested nor copied."""
+    a = np.asarray(values)
+    if a.dtype == bool:
+        return a.view(np.uint8)
+    # checked before the cast, which would wrap 256 to 0 and truncate 1.9 to 1
+    if a.dtype.kind not in "iuf" or not ((a == 0) | (a == 1)).all():
+        raise InputError(f"{what} must be 0 or 1 in a bool, int or float array (dtype {a.dtype})")
+    return a.astype(np.uint8, copy=False)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

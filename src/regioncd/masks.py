@@ -111,7 +111,7 @@ def segment_labels(spec: GridSpec) -> list[str]:
 class SegMask:
     """Binary pixel mask; 1 marks the region of interest; the size is the array's shape."""
 
-    pixels: np.ndarray  # (height, width), stored as uint8 in {0, 1}
+    pixels: np.ndarray  # (height, width), stored as uint8 by errors.require_binary, the 0/1 rule
 
     def __post_init__(self) -> None:
         p = np.asarray(self.pixels)
@@ -119,12 +119,7 @@ class SegMask:
             raise ShapeError(f"mask array must be 2-D, got shape {p.shape}")
         if p.size == 0:
             raise InputError(f"mask dimensions must be >= 1, got shape {p.shape}")
-        if p.dtype == bool:  # 0/1 by type: its uint8 view, neither tested nor copied
-            p = p.view(np.uint8)
-        # checked before the cast, which would wrap 256 to 0 and truncate 1.9 to 1
-        elif not ((p == 0) | (p == 1)).all():
-            raise InputError("mask pixels must be 0 or 1")
-        object.__setattr__(self, "pixels", p.astype(np.uint8, copy=False))
+        object.__setattr__(self, "pixels", errors.require_binary("mask pixels", p))
 
     @property
     def width(self) -> int:
@@ -179,7 +174,7 @@ class BBox:
 class TokenMask:
     """Flattened composite mask aligned with the visual token layout."""
 
-    values: np.ndarray  # (N,), stored as uint8 in {0, 1}
+    values: np.ndarray  # (N,), stored as uint8 by errors.require_binary; 0 at every separator
     spec: GridSpec
 
     def __post_init__(self) -> None:
@@ -188,13 +183,11 @@ class TokenMask:
         values = np.asarray(self.values)
         if values.shape != (n,):
             raise ShapeError(f"mask length {values.shape} != ({n},)")
-        # checked before the cast, which would wrap 256 to 0
-        if not ((values == 0) | (values == 1)).all():
-            raise InputError("mask values must be 0 or 1")
+        values = errors.require_binary("mask values", values)
         local, mid, global_ = _layout(values, spec)
         if local[:, -1].any() or mid or global_[:, -1].any():
             raise InputError("separator positions must carry mask value 0")
-        object.__setattr__(self, "values", values.astype(np.uint8, copy=False))
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -332,8 +325,8 @@ def token_mask_to_json(mask: TokenMask, tau: float) -> str:
 
     The text is ``json.dumps`` of the object with sorted keys and no spaces;
     the labels are written by repeating each grid row's text, and the 0/1
-    values as text in one pass. A tau that :func:`token_mask_from_json`
-    rejects is an :class:`InputError`.
+    values as text in one pass. A tau outside the strength rule is an
+    :class:`InputError`; :func:`token_mask_from_json` applies this check.
     """
     require_real("tau", tau)
     spec = mask.spec
@@ -348,26 +341,17 @@ def token_mask_to_json(mask: TokenMask, tau: float) -> str:
 def token_mask_from_json(text: str) -> tuple[TokenMask, float]:
     """Parse what :func:`token_mask_to_json` writes; anything else is a FormatError.
 
-    :func:`~regioncd.errors.json_fields` checks the six keys, and the reader
-    ``L`` and ``G`` (a :class:`GridSpec`), ``values`` (JSON integers, not
-    ``true`` or ``1.0``), ``length`` (their count, an integer), ``segments``
-    (:func:`segment_labels`) and ``tau``; :class:`TokenMask` checks the
-    layout length, 0/1 values and 0 separators.
+    ``L``, ``G`` and ``values`` make a :class:`TokenMask`, whose checks apply, and ``text``
+    must be the writer's text for it and ``tau``: that one comparison checks the rest.
     """
     obj = errors.parse_json(text, "token mask JSON")
-    side, grid, raw, length, segments, tau = errors.json_fields(
-        obj, ("L", "G", "values", "length", "segments", "tau"), "token mask JSON")
-    if not isinstance(raw, list) or not set(map(type, raw)) <= {int}:
-        raise FormatError("token mask values must be a list of JSON integers")
+    side, grid, values, tau, _, _ = errors.json_fields(
+        obj, ("L", "G", "values", "tau", "length", "segments"), "token mask JSON")
     try:
-        require_int("length, the count of values,", length, len(raw), len(raw) + 1)
-        rows, cols = grid
-        spec = GridSpec(side=side, crop_rows=rows, crop_cols=cols)
-        # before the labels: its length check bounds their list by the file's size
-        mask = TokenMask(values=np.array(raw), spec=spec)
-        require_real("tau", tau)
-    except (TypeError, ValueError) as exc:  # an InputError, or a G that is not two items
+        # the mask's length check comes first: it bounds the writer's text by the file's size
+        mask = TokenMask(values=np.array(values), spec=GridSpec(side, *grid))
+        if text != token_mask_to_json(mask, tau):
+            raise InputError("not the text token_mask_to_json writes for its mask and tau")
+    except (TypeError, ValueError) as exc:  # an InputError, or a G that is not a list
         raise FormatError(f"token mask JSON: {exc}") from None
-    if segments != segment_labels(spec):
-        raise FormatError(f"token mask segments do not match the token layout of {spec}")
     return mask, float(tau)

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from regioncd import pgm
+from regioncd import errors, pgm
 from regioncd.config import ModelConfig
 from regioncd.errors import InputError, NumericError, ShapeError, require_int, require_real
 # segment_labels is unused here, but perfbench/spans.py wraps model.segment_labels
@@ -53,7 +53,11 @@ QUERY_TILE = 64
 
 @dataclass(frozen=True, eq=False)
 class GrayImage:
-    """Grayscale image with intensities in [0, 1]; the size is the array's shape."""
+    """Grayscale image with intensities in [0, 1]; the size is the array's shape.
+
+    As for a :class:`~regioncd.masks.SegMask`, the array is 2-D, non-empty and of a
+    bool, int or float dtype.
+    """
 
     intensities: np.ndarray  # (height, width), stored as float64
 
@@ -61,9 +65,14 @@ class GrayImage:
         a = np.asarray(self.intensities)
         if a.ndim != 2:
             raise ShapeError(f"image array must be 2-D, got shape {a.shape}")
+        if a.size == 0:
+            raise InputError(f"image dimensions must be >= 1, got shape {a.shape}")
+        if a.dtype.kind not in "biuf":  # a complex cast drops the imaginary part
+            raise InputError(f"image intensities must be a bool, int or float array, "
+                             f"got dtype {a.dtype}")
         if not np.isfinite(a).all():
             raise NumericError("image intensities must be finite")
-        if a.min(initial=0.0) < 0.0 or a.max(initial=0.0) > 1.0:
+        if a.min() < 0.0 or a.max() > 1.0:
             raise InputError("image intensities must lie in [0, 1]")
         object.__setattr__(self, "intensities", a.astype(np.float64, copy=False))
 
@@ -176,11 +185,11 @@ def region_bias(mask: np.ndarray, beta: float) -> np.ndarray:
 
     Adding it to the scores multiplies the pre-normalized weight of every
     masked key by beta, since ``beta^m * exp(e) = exp(e + m*log(beta))``;
-    unmasked keys get exactly 0. Every attention policy passes its beta through
-    :func:`~regioncd.errors.require_real` here, one given to ``DecoderSession`` directly too.
+    unmasked keys get exactly 0. Here every attention policy, one given to ``DecoderSession``
+    directly too, passes its beta through ``require_real`` and its mask through ``require_binary``.
     """
     require_real("beta", beta)
-    return np.where(np.asarray(mask) != 0, math.log(beta), 0.0)
+    return np.where(errors.require_binary("region mask", mask) != 0, math.log(beta), 0.0)
 
 
 def attention(scores: np.ndarray, bias: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:

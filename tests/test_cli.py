@@ -596,6 +596,16 @@ class TestExitCodeContract:
         out.unlink()
         assert_exit_2(argv + [f"--{name}={value}"], out)
 
+    @pytest.mark.parametrize("command", ["decode", "sweep"])
+    def test_seg_of_another_size_than_the_image(self, steer_files, tmp_path, command):
+        # a 16x16 seg over the 8x8 steering image, its top-left 8x8 block set
+        pixels = np.zeros((16, 16), dtype=np.uint8)
+        pixels[:8, :8] = 255
+        seg, out = tmp_path / "big.pgm", tmp_path / "out"
+        write_pgm(seg, pixels)
+        assert_exit_2(steer_argv(steer_files, command, "--seg", str(seg), "--out", str(out),
+                                 seg=False), out, "16x16", "8x8")
+
     @pytest.mark.parametrize("command, option, value, kind", [
         ("decode", "--beta", "1_0", "float"),
         ("decode", "--topk", " 1_0 ", "int"),

@@ -402,6 +402,12 @@ class TestDecode:
         for betas, gammas in (([1.0, 3.0], [1.5]), ([5.0], [1.0]), ([5.0, 5.0], [1.5])):
             with pytest.raises(InputError, match="without a region"):
                 sweep(rand_image, None, [1], rand_cfg, rand_weights, betas, gammas, params_for())
+        # and so is a region of another size than the image, which is not rescaled onto it
+        small = half_seg(8, 8, "left")
+        with pytest.raises(ShapeError, match="8x8 pixels does not match the 16x16 image"):
+            decode(rand_image, small, [1], rand_cfg, rand_weights, params_for())
+        with pytest.raises(ShapeError, match="8x8 pixels does not match the 16x16 image"):
+            sweep(rand_image, small, [1], rand_cfg, rand_weights, [1.0, 3.0], [1.5], params_for())
 
 
 def reference_greedy(img, seg, prompt, cfg, w, params) -> tuple[list[int], list[np.ndarray]]:

@@ -13,6 +13,7 @@ from regioncd.masks import (
     generate_token_mask, mask_from_bbox, segment_labels, token_mask_from_json,
     token_mask_to_json,
 )
+from regioncd.model import region_bias
 from regioncd.pgm import read_pgm, write_pgm
 from regioncd.verification import half_seg
 
@@ -607,6 +608,7 @@ class TestPgmAndJson:
             ("values", "short"),  # one value short, with length one less
             ("length", 13.0),  # the count of values, but a float
             ("length", "13"),
+            ("values", 1.0),
         ],
     )
     def test_token_mask_json_rejects(self, field, value):
@@ -625,17 +627,26 @@ class TestPgmAndJson:
             obj["values"][0] = value
         else:
             obj[field] = value
+        # in the writer's layout, so that the edit alone is what the reader sees
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
         with pytest.raises(FormatError):
-            token_mask_from_json(json.dumps(obj))
+            token_mask_from_json(text)
 
-    @pytest.mark.parametrize("bad", [2, 255])
-    def test_token_mask_rejects_non_binary_values(self, bad):
-        spec = GridSpec(side=1)
-        values = np.array([1, 0, 0, bad, 0], dtype=np.uint8)
-        with pytest.raises(InputError):
-            TokenMask(values=values, spec=spec)
-        with pytest.raises(InputError):
-            TokenMask(values=np.array([1, 1, 0, 0, 0], dtype=np.uint8), spec=spec)
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda t: t.replace(",", ", ").replace(":", ": "), id="spaces"),
+        pytest.param(lambda t: json.dumps(dict(reversed(json.loads(t).items())),
+                                          separators=(",", ":")) + "\n", id="key-order"),
+        pytest.param(lambda t: t.replace('"tau":1e-07', '"tau":1E-7'), id="tau-1E-7"),
+        pytest.param(lambda t: t.removesuffix("\n"), id="no-final-newline"),
+    ])
+    def test_token_mask_json_takes_only_the_writers_text(self, edit):
+        """JSON equal to the writer's in value, but not in text, is a FormatError."""
+        mask = generate_token_mask(half_seg(4, 4, "left"), GridSpec(side=2))
+        text = token_mask_to_json(mask, 1e-07)
+        assert token_mask_from_json(text)[1] == 1e-07
+        assert json.loads(edit(text)) == json.loads(text) and edit(text) != text
+        with pytest.raises(FormatError, match="not the text token_mask_to_json writes"):
+            token_mask_from_json(edit(text))
 
     def test_token_mask_stores_uint8(self):
         spec = GridSpec(side=1)
@@ -679,3 +690,30 @@ class TestPgmAndJson:
         assert not isinstance(info.value, FormatError)
         with pytest.raises(InputError):
             BBox(0.0, math.nan, 1.0, 1.0)
+
+
+# each caller of the one 0/1 rule (errors.require_binary), applied to five entries (the
+# second, third and fifth are the separators of a GridSpec(1) mask), and the input it names
+BINARY_CALLERS = {
+    "SegMask": (lambda a: SegMask(a.reshape(1, 5)).pixels.ravel(), "mask pixels"),
+    "TokenMask": (lambda a: TokenMask(a, GridSpec(side=1)).values, "mask values"),
+    "region_bias": (lambda a: region_bias(a, 9.0) / math.log(9.0), "region mask"),
+}
+
+
+@pytest.mark.parametrize("caller", list(BINARY_CALLERS))
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
+def test_binary_rule_accepts(caller, dtype):
+    a = np.array([1, 0, 0, 1, 0], dtype=dtype)
+    got = BINARY_CALLERS[caller][0](a)
+    assert got.tolist() == [1, 0, 0, 1, 0]
+    if dtype is bool and caller != "region_bias":  # stored as its uint8 view, not copied
+        assert got.dtype == np.uint8 and np.shares_memory(got, a)
+
+
+@pytest.mark.parametrize("caller", list(BINARY_CALLERS))
+@pytest.mark.parametrize("value", [2, 255, -1, 0.5, math.nan, 256, "1", 1 + 1j], ids=repr)
+def test_binary_rule_rejects(caller, value):
+    call, what = BINARY_CALLERS[caller]
+    with pytest.raises(InputError, match=what):
+        call(np.array([value, 0, 0, 0, 0]))

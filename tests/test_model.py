@@ -210,7 +210,9 @@ class TestEncoder:
             GrayImage(np.zeros(3))
         with pytest.raises(NumericError):
             GrayImage(np.array([[0.5, np.nan]]))
-        for bad in ([[1.5]], [[-0.1]], np.full((1, 1), 255, dtype=np.uint8)):
+        # a string, object or complex array is not read as intensities, nor is an empty one
+        for bad in ([[1.5]], [[-0.1]], np.full((1, 1), 255, dtype=np.uint8), [["a"]],
+                    np.array([[0.5]], dtype=object), [[0.5 + 2j]], np.zeros((0, 3))):
             with pytest.raises(InputError):
                 GrayImage(bad)
 
