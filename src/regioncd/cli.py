@@ -18,7 +18,7 @@ from pathlib import Path
 from regioncd import verification, weights
 from regioncd.config import GuidanceParams
 from regioncd.decoding import DEFAULT_TOPK, decode, sweep, sweep_to_csv
-from regioncd.errors import InputError, NumericError
+from regioncd.errors import InputError, NumericError, require_array
 from regioncd.masks import (
     BBox,
     GridSpec,
@@ -90,9 +90,11 @@ def _cmd_mask(args) -> int:
     spec = GridSpec(side=args.L, crop_rows=args.G[0], crop_cols=args.G[1])
     dims = None
     if args.image is not None:
-        samples, _ = read_pgm(args.image)
-        dims = (samples.shape[1], samples.shape[0])
+        height, width = read_pgm(args.image)[0].shape
+        dims = (width, height)
     seg = _load_seg(args, dims)
+    if dims is not None:  # as in decode and sweep, a region must have the image's size
+        require_array("region mask", seg.pixels, dims[::-1])
     mask = generate_token_mask(seg, spec, args.tau)
     _write_text(args.out, token_mask_to_json(mask, args.tau))
     print(f"length={len(mask)} positives={int(mask.values.sum())}")
@@ -207,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mask", help="convert a region annotation to a token-mask JSON file")
     _add_region_source(p)
-    p.add_argument("--image", help="PGM image, used for --bbox pixel dimensions")
+    p.add_argument("--image", help="PGM image: sizes a --bbox, and a --seg must match it")
     p.add_argument("--L", type=_int, default=12, help="feature-grid side length")
     p.add_argument("--G", type=_grid, default=(1, 1), help="local crop grid HxW")
     p.add_argument("--tau", type=_float, default=0.0, help="downsample coverage threshold")

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from regioncd.config import GuidanceParams, ModelConfig
-from regioncd.errors import InputError, NumericError, ShapeError, require_int, require_real
+from regioncd.errors import InputError, NumericError, require_array, require_int, require_real
 from regioncd.masks import SegMask, TokenMask, generate_token_mask
 from regioncd.model import DecoderSession, GrayImage, VisualSequence, check_token_ids, encode_image
 from regioncd.weights import WeightSet
@@ -45,8 +45,7 @@ def suppress_tokens(visual: VisualSequence, mask: TokenMask, alpha: float) -> Vi
     """Scale the masked positions' embeddings by ``alpha`` (pure; see ``require_real``). The
     layer-0 RMSNorm divides this scale out unless alpha * rms(row) is near sqrt(``NORM_EPS``)
     = 1e-3; in a deeper model alpha also acts through the residual stream."""
-    if len(visual) != len(mask.values):
-        raise ShapeError(f"visual length {len(visual)} != mask length {len(mask.values)}")
+    require_array("visual embeddings", visual.embeddings, (len(mask), None))
     require_real("alpha", alpha)
     emb = visual.embeddings.copy()
     rows = mask.values != 0
@@ -63,10 +62,9 @@ def fuse_logits(
     ``gamma`` passes ``require_real``: a negative one reverses the contrast.
     """
     require_real("gamma", gamma)
-    g = np.asarray(logprob_guided, dtype=np.float64)
-    u = np.asarray(logprob_unguided, dtype=np.float64)
-    if g.shape != u.shape:
-        raise ShapeError(f"branch vectors disagree in shape: {g.shape} vs {u.shape}")
+    g = require_array("guided log-probs", logprob_guided, (None,))
+    u = require_array("unguided log-probs", logprob_unguided, g.shape)
+    g, u = (x.astype(np.float64, copy=False) for x in (g, u))
     return (1.0 - gamma) * u + gamma * g
 
 
@@ -242,9 +240,7 @@ def _run_cells(
                              f"{plain}; got {len(cells)} cell(s), the first {base.to_dict()}")
         session = DecoderSession(cfg, w, encode_image(img, w))
         return None, [_run_steps(_SharedSession(session, prompt, topk), base, pick)]
-    if seg.pixels.shape != img.intensities.shape:
-        raise ShapeError(f"region mask of {seg.height}x{seg.width} pixels does not match "
-                         f"the {img.height}x{img.width} image (height x width)")
+    require_array("region mask", seg.pixels, img.intensities.shape)
     mask = generate_token_mask(seg, cfg.grid(), base.tau)
     visual = encode_image(img, w)
     unguided = DecoderSession(cfg, w, suppress_tokens(visual, mask, base.alpha))

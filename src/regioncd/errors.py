@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the number, 0/1 and JSON rules of the inputs."""
+"""Exception types of the package, and the number, array, 0/1 and JSON rules of its inputs."""
 
 import json
 import math
@@ -78,17 +78,39 @@ def require_real(name: str, value: object, kind: str | None = None) -> None:
                      f"got {_show(value)}")
 
 
-def require_binary(what: str, values: object) -> np.ndarray:
-    """The one 0/1 rule of a region array: ``values`` as a uint8 array, or an InputError naming
-    ``what`` unless its dtype is bool, an int or a float and every entry is 0 or 1. A bool
-    array is 0/1 by its type, so its uint8 view is returned, neither tested nor copied."""
-    a = np.asarray(values)
-    if a.dtype == bool:
-        return a.view(np.uint8)
+def _dims(shape: tuple) -> str:
+    """A shape as text, ``8x8``: ``*`` is any size from 1, and ``()`` a scalar's shape."""
+    return "x".join("*" if n is None else str(n) for n in shape) or "()"
+
+
+def require_array(what: str, value: object, shape: tuple | None = None) -> np.ndarray:
+    """The one array rule: ``np.asarray(value)``, or an InputError naming ``what`` unless that
+    is a rectangular array of a bool, int or float dtype (a complex cast drops the imaginary
+    part), and a ShapeError naming ``what``, its shape and ``shape`` unless it has ``shape``,
+    in which ``None`` is any size from 1; ``shape=None`` takes any shape."""
+    try:
+        a = np.asarray(value)
+    except ValueError as exc:  # a ragged list
+        raise InputError(f"{what} must be a rectangular array: {exc}") from None
+    if a.dtype.kind not in "biuf":
+        raise InputError(f"{what} must be a bool, int or float array, got dtype {a.dtype}")
+    if shape is not None and (a.ndim != len(shape) or not all(
+            n >= 1 if want is None else n == want for n, want in zip(a.shape, shape))):
+        raise ShapeError(f"{what} has shape {_dims(a.shape)}, wants {_dims(shape)}")
+    return a
+
+
+def require_binary(what: str, values: object, shape: tuple | None = None) -> np.ndarray:
+    """The one 0/1 rule of a region array: ``values``, passed through :func:`require_array`, as
+    a new read-only uint8 array, or an InputError naming ``what`` unless every entry is 0 or 1.
+    A bool array is 0/1 by its type, so it is copied untested."""
+    a = require_array(what, values, shape)
     # checked before the cast, which would wrap 256 to 0 and truncate 1.9 to 1
-    if a.dtype.kind not in "iuf" or not ((a == 0) | (a == 1)).all():
+    if a.dtype != bool and not ((a == 0) | (a == 1)).all():
         raise InputError(f"{what} must be 0 or 1 in a bool, int or float array (dtype {a.dtype})")
-    return a.astype(np.uint8, copy=False)
+    out = a.astype(np.uint8)
+    out.flags.writeable = False
+    return out
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from regioncd import errors, pgm
-from regioncd.errors import FormatError, InputError, ShapeError, is_real, require_int, require_real
+from regioncd.errors import FormatError, InputError, is_real, require_int, require_real
 
 # segment labels, in the order the segments appear
 SEG_LOCAL = "local"
@@ -111,15 +111,11 @@ def segment_labels(spec: GridSpec) -> list[str]:
 class SegMask:
     """Binary pixel mask; 1 marks the region of interest; the size is the array's shape."""
 
-    pixels: np.ndarray  # (height, width), stored as uint8 by errors.require_binary, the 0/1 rule
+    pixels: np.ndarray  # (height, width), stored as a read-only uint8 copy by require_binary
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.pixels)
-        if p.ndim != 2:
-            raise ShapeError(f"mask array must be 2-D, got shape {p.shape}")
-        if p.size == 0:
-            raise InputError(f"mask dimensions must be >= 1, got shape {p.shape}")
-        object.__setattr__(self, "pixels", errors.require_binary("mask pixels", p))
+        object.__setattr__(self, "pixels",
+                           errors.require_binary("region mask", self.pixels, (None, None)))
 
     @property
     def width(self) -> int:
@@ -174,16 +170,12 @@ class BBox:
 class TokenMask:
     """Flattened composite mask aligned with the visual token layout."""
 
-    values: np.ndarray  # (N,), stored as uint8 by errors.require_binary; 0 at every separator
+    values: np.ndarray  # (N,), a read-only uint8 copy by require_binary; 0 at every separator
     spec: GridSpec
 
     def __post_init__(self) -> None:
         spec = self.spec
-        n = expected_length(spec)
-        values = np.asarray(self.values)
-        if values.shape != (n,):
-            raise ShapeError(f"mask length {values.shape} != ({n},)")
-        values = errors.require_binary("mask values", values)
+        values = errors.require_binary("token mask", self.values, (expected_length(spec),))
         local, mid, global_ = _layout(values, spec)
         if local[:, -1].any() or mid or global_[:, -1].any():
             raise InputError("separator positions must carry mask value 0")
@@ -271,14 +263,13 @@ def assemble(local: np.ndarray, global_: np.ndarray, spec: GridSpec, sep=0) -> n
     The first two axes of each grid are its rows and columns, and any
     trailing axes are carried along. The result holds the local grid row by
     row with a separator after each row, one mid separator, then the global
-    grid the same way: shape ``(expected_length(spec),) + trailing``.
+    grid the same way: shape ``(expected_length(spec),) + trailing``. Each grid
+    passes :func:`~regioncd.errors.require_array` with its shape.
     """
-    local, global_ = np.asarray(local), np.asarray(global_)
+    local = errors.require_array("local grid", local)
     trailing = local.shape[2:]
-    if local.shape != (spec.local_rows, spec.local_cols) + trailing:
-        raise ShapeError(f"local grid shape {local.shape} does not match {spec}")
-    if global_.shape != (spec.side, spec.side) + trailing:
-        raise ShapeError(f"global grid shape {global_.shape} does not match {spec}")
+    errors.require_array("local grid", local, (spec.local_rows, spec.local_cols) + trailing)
+    global_ = errors.require_array("global grid", global_, (spec.side, spec.side) + trailing)
     out = np.empty((expected_length(spec),) + trailing, dtype=np.result_type(local, global_, sep))
     out[...] = sep
     local_rows, _, global_rows = _layout(out, spec)
@@ -349,7 +340,7 @@ def token_mask_from_json(text: str) -> tuple[TokenMask, float]:
         obj, ("L", "G", "values", "tau", "length", "segments"), "token mask JSON")
     try:
         # the mask's length check comes first: it bounds the writer's text by the file's size
-        mask = TokenMask(values=np.array(values), spec=GridSpec(side, *grid))
+        mask = TokenMask(values=values, spec=GridSpec(side, *grid))
         if text != token_mask_to_json(mask, tau):
             raise InputError("not the text token_mask_to_json writes for its mask and tau")
     except (TypeError, ValueError) as exc:  # an InputError, or a G that is not a list

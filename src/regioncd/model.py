@@ -36,7 +36,7 @@ import numpy as np
 
 from regioncd import errors, pgm
 from regioncd.config import ModelConfig
-from regioncd.errors import InputError, NumericError, ShapeError, require_int, require_real
+from regioncd.errors import InputError, NumericError, require_int, require_real
 # segment_labels is unused here, but perfbench/spans.py wraps model.segment_labels
 from regioncd.masks import assemble, segment_labels  # noqa: F401
 from regioncd.weights import WeightSet
@@ -55,26 +55,21 @@ QUERY_TILE = 64
 class GrayImage:
     """Grayscale image with intensities in [0, 1]; the size is the array's shape.
 
-    As for a :class:`~regioncd.masks.SegMask`, the array is 2-D, non-empty and of a
-    bool, int or float dtype.
+    As for a :class:`~regioncd.masks.SegMask`, the array passes
+    :func:`~regioncd.errors.require_array` as 2-D and non-empty.
     """
 
-    intensities: np.ndarray  # (height, width), stored as float64
+    intensities: np.ndarray  # (height, width), stored as a read-only float64 copy
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.intensities)
-        if a.ndim != 2:
-            raise ShapeError(f"image array must be 2-D, got shape {a.shape}")
-        if a.size == 0:
-            raise InputError(f"image dimensions must be >= 1, got shape {a.shape}")
-        if a.dtype.kind not in "biuf":  # a complex cast drops the imaginary part
-            raise InputError(f"image intensities must be a bool, int or float array, "
-                             f"got dtype {a.dtype}")
+        a = errors.require_array("image", self.intensities, (None, None))
         if not np.isfinite(a).all():
             raise NumericError("image intensities must be finite")
         if a.min() < 0.0 or a.max() > 1.0:
             raise InputError("image intensities must lie in [0, 1]")
-        object.__setattr__(self, "intensities", a.astype(np.float64, copy=False))
+        intensities = a.astype(np.float64)  # a copy: the caller's array cannot change the image
+        intensities.flags.writeable = False
+        object.__setattr__(self, "intensities", intensities)
 
     @property
     def width(self) -> int:
@@ -94,11 +89,11 @@ class GrayImage:
 class VisualSequence:
     """Visual token embeddings, one row per position of the token layout."""
 
-    embeddings: np.ndarray  # (N, embed_dim) float64
+    embeddings: np.ndarray  # (N, embed_dim), non-empty; stored as float64, a float64 array as is
 
     def __post_init__(self) -> None:
-        if self.embeddings.ndim != 2:
-            raise ShapeError(f"embeddings must be 2-D, got shape {self.embeddings.shape}")
+        embeddings = errors.require_array("visual embeddings", self.embeddings, (None, None))
+        object.__setattr__(self, "embeddings", embeddings.astype(np.float64, copy=False))
 
     def __len__(self) -> int:
         return self.embeddings.shape[0]
@@ -129,11 +124,7 @@ def encode_image(img: GrayImage, w: WeightSet) -> VisualSequence:
     one pooling pass serves the local view.
     """
     cfg = w.config
-    if (img.width, img.height) != (cfg.image_side, cfg.image_side):
-        raise ShapeError(
-            f"image is {img.width}x{img.height}, config wants "
-            f"{cfg.image_side}x{cfg.image_side}"
-        )
+    errors.require_array("image", img.intensities, (cfg.image_side, cfg.image_side))
     spec = cfg.grid()
     t = w.tensors64
     proj, bias = t["patch_proj.weight"][:, 0], t["patch_proj.bias"]
@@ -252,10 +243,7 @@ class DecoderSession:
     ):
         if weights.config != cfg:
             raise InputError("weight set was built for a different config")
-        if len(visual) != cfg.n_visual:
-            raise ShapeError(
-                f"visual sequence length {len(visual)} != {cfg.n_visual} for this config"
-            )
+        errors.require_array("visual embeddings", visual.embeddings, (cfg.n_visual, cfg.embed_dim))
         self.cfg = cfg
         self._t = t = weights.tensors64
         self._layers = []  # per layer, its tensors keyed by their names after "layers.{i}."
@@ -268,10 +256,7 @@ class DecoderSession:
         bias = np.zeros((1, cfg.max_seq), dtype=np.float64)
         if attn_policy is not None:
             mask, beta = attn_policy
-            if np.shape(mask) != (cfg.n_visual,):
-                raise ShapeError(
-                    f"policy mask length {np.shape(mask)} != visual length {cfg.n_visual}"
-                )
+            mask = errors.require_array("policy mask", mask, (cfg.n_visual,))
             bias[0, : cfg.n_visual] = region_bias(mask, beta)
         self._bias = bias  # (rows, max_seq)
         # [layer, 0 = keys / 1 = values, row, head, position, channel]; only the

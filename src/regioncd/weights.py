@@ -23,7 +23,7 @@ import numpy as np
 
 from regioncd.config import ModelConfig
 from regioncd.errors import (FormatError, InputError, NumericError, is_int, json_fields, parse_json,
-                             require_int)
+                             require_array, require_int)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA64 = 0x9E3779B97F4A7C15
@@ -132,11 +132,10 @@ class WeightSet:
                 f"tensor names {sorted(self.tensors)} do not match the expected set"
             )
         # canonical order keeps the digest independent of insertion order
-        object.__setattr__(self, "tensors", {name: self.tensors[name] for name in names})
-        for name, shape in expected:
-            t = self.tensors[name]
-            if t.shape != shape:
-                raise InputError(f"tensor {name} has shape {t.shape}, expected {shape}")
+        object.__setattr__(self, "tensors", {
+            name: require_array(f"tensor {name}", self.tensors[name], shape)
+            for name, shape in expected})
+        for name, t in self.tensors.items():
             if t.dtype != np.float32:
                 raise InputError(f"tensor {name} must be float32, got {t.dtype}")
             if not np.isfinite(t).all():

@@ -13,10 +13,10 @@ from regioncd.decoding import (
 )
 from regioncd.errors import FormatError, InputError, ShapeError
 from regioncd.masks import (
-    BBox, GridSpec, SegMask, TokenMask, downsample, generate_token_mask, mask_from_bbox,
+    BBox, GridSpec, SegMask, TokenMask, assemble, downsample, generate_token_mask, mask_from_bbox,
     token_mask_from_json, token_mask_to_json,
 )
-from regioncd.model import DecoderSession, GrayImage, encode_image, region_bias
+from regioncd.model import DecoderSession, GrayImage, VisualSequence, encode_image, region_bias
 from regioncd.verification import REDUCTION_PROMPT, _reweighted as reweight_attention, half_seg
 from regioncd.weights import WeightSet, gen_fixture
 
@@ -231,6 +231,86 @@ def test_number_rule(steer_cfg, steer_weights, steer_image, left_seg, entry, val
         assert type(info.value) is InputError and shown in str(info.value)
 
 
+# each caller of the one array rule (errors.require_array): the input its errors name, and
+# whether that input takes any size from 1, so that no size of it is a wrong one
+ARRAY_CALLERS = {
+    "GrayImage": ("image", True),
+    "SegMask": ("region mask", True),
+    "TokenMask": ("token mask", False),
+    "VisualSequence": ("visual embeddings", True),
+    "encode_image": ("image", False),
+    "DecoderSession.visual": ("visual embeddings", False),
+    "DecoderSession.policy": ("policy mask", False),
+    "suppress_tokens": ("visual embeddings", False),
+    "fuse_logits.guided": ("guided log-probs", True),
+    "fuse_logits.unguided": ("unguided log-probs", False),
+    "decode.seg": ("region mask", False),
+    "assemble.local": ("local grid", False),
+    "assemble.global": ("global grid", False),
+    "WeightSet": ("tensor head.weight", False),
+}
+# each bad input made from a valid array ``a``: the first three are a ShapeError, the rest
+# an InputError; "valid" is ``a`` itself, which every caller takes
+ARRAY_CASES = {
+    "valid": lambda a: a,
+    "wrong-ndim": lambda a: a[0] if a.ndim > 1 else a[None],
+    "wrong-size": lambda a: np.concatenate([a, a[:1]]),
+    "empty": lambda a: a[:0],
+    "ragged-list": lambda a: [a.tolist(), a[:-1].tolist()],
+    "str": lambda a: a.astype("<U1"),
+    "object": lambda a: a.astype(object),
+    "complex": lambda a: a.astype(complex),
+}
+
+
+@pytest.mark.parametrize("caller, case", [
+    pytest.param(caller, case, id=f"{caller}-{case}")
+    for caller, (_, any_size) in ARRAY_CALLERS.items() for case in ARRAY_CASES
+    if not (any_size and case == "wrong-size")
+])
+def test_array_rule(steer_cfg, steer_weights, steer_image, left_seg, caller, case):
+    """Every array input goes through the one array rule: a wrong ndim, size or emptiness is
+    a ShapeError, and a ragged list or a str, object or complex dtype an InputError, each
+    naming the input, never a ValueError, TypeError or AttributeError."""
+    cfg, w = steer_cfg, steer_weights
+    visual = encode_image(steer_image, w)
+    mask = generate_token_mask(left_seg, cfg.grid())
+    spec = GridSpec(side=2, crop_cols=3)  # a 2x6 local and a 2x2 global grid
+    local, global_ = np.ones((2, 6), dtype=np.uint8), np.ones((2, 2), dtype=np.uint8)
+    logprobs = np.log(np.full(cfg.vocab_size, 1 / cfg.vocab_size))
+    callers = {
+        "GrayImage": (steer_image.intensities, GrayImage),
+        "SegMask": (left_seg.pixels, SegMask),
+        "TokenMask": (mask.values, lambda a: TokenMask(a, mask.spec)),
+        "VisualSequence": (visual.embeddings, VisualSequence),
+        "encode_image": (steer_image.intensities, lambda a: encode_image(GrayImage(a), w)),
+        "DecoderSession.visual": (visual.embeddings,
+                                  lambda a: DecoderSession(cfg, w, VisualSequence(a))),
+        "DecoderSession.policy": (mask.values, lambda a: DecoderSession(
+            cfg, w, visual, attn_policy=(a, 2.0))),
+        "suppress_tokens": (visual.embeddings,
+                            lambda a: suppress_tokens(VisualSequence(a), mask, 0.5)),
+        "fuse_logits.guided": (logprobs, lambda a: fuse_logits(a, logprobs, 1.5)),
+        "fuse_logits.unguided": (logprobs, lambda a: fuse_logits(logprobs, a, 1.5)),
+        "decode.seg": (left_seg.pixels, lambda a: decode(
+            steer_image, SegMask(a), [0], cfg, w, GuidanceParams(max_tokens=1))),
+        "assemble.local": (local, lambda a: assemble(a, global_, spec)),
+        "assemble.global": (global_, lambda a: assemble(local, a, spec)),
+        "WeightSet": (w.tensors["head.weight"],
+                      lambda a: WeightSet(cfg, {**w.tensors, "head.weight": a})),
+    }
+    valid, call = callers[caller]
+    value = ARRAY_CASES[case](valid)
+    if case == "valid":
+        call(value)
+        return
+    with pytest.raises(InputError) as info:
+        call(value)
+    shape_case = case in ("wrong-ndim", "wrong-size", "empty")
+    assert type(info.value) is (ShapeError if shape_case else InputError)
+    assert str(info.value).startswith(ARRAY_CALLERS[caller][0] + " "), info.value
+
+
 class TestFuseLogits:
     def test_gamma_one_returns_guided_bits(self):
         rng = np.random.default_rng(4)
@@ -404,9 +484,9 @@ class TestDecode:
                 sweep(rand_image, None, [1], rand_cfg, rand_weights, betas, gammas, params_for())
         # and so is a region of another size than the image, which is not rescaled onto it
         small = half_seg(8, 8, "left")
-        with pytest.raises(ShapeError, match="8x8 pixels does not match the 16x16 image"):
+        with pytest.raises(ShapeError, match="region mask has shape 8x8, wants 16x16"):
             decode(rand_image, small, [1], rand_cfg, rand_weights, params_for())
-        with pytest.raises(ShapeError, match="8x8 pixels does not match the 16x16 image"):
+        with pytest.raises(ShapeError, match="region mask has shape 8x8, wants 16x16"):
             sweep(rand_image, small, [1], rand_cfg, rand_weights, [1.0, 3.0], [1.5], params_for())
 
 

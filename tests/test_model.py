@@ -8,7 +8,7 @@ import pytest
 from regioncd import model
 from regioncd.config import GuidanceParams, ModelConfig
 from regioncd.decoding import decode, suppress_tokens
-from regioncd.errors import FormatError, InputError, NumericError, ShapeError
+from regioncd.errors import FormatError, InputError, NumericError
 from regioncd.masks import (
     BBox, GridSpec, SegMask, expected_length, generate_token_mask, segment_labels,
     token_mask_from_json, token_mask_to_json,
@@ -114,8 +114,9 @@ class TestEncoder:
         visual = encode_image(rand_image, rand_weights)
         assert len(visual) == expected_length(rand_cfg.grid())
         assert visual.embeddings.shape == (len(visual), rand_cfg.embed_dim)
-        with pytest.raises(ShapeError):
-            VisualSequence(embeddings=visual.embeddings.ravel())
+        # an int array or a list is cast to float64; a float64 array is kept as it is
+        assert VisualSequence([[1, 2]]).embeddings.dtype == np.float64
+        assert VisualSequence(visual.embeddings).embeddings is visual.embeddings
 
     @pytest.mark.parametrize(
         "cfg",
@@ -197,23 +198,15 @@ class TestEncoder:
                 assert mask.values.sum() == 2
                 assert (moved == (mask.values == 1)).all()
 
-    def test_dimension_mismatch(self, rand_cfg, rand_weights):
-        img = GrayImage(np.zeros((8, 8)))
-        with pytest.raises(ShapeError):
-            encode_image(img, rand_weights)
-
     def test_image_checks(self):
         img = GrayImage(np.array([[0, 1, 0], [1, 1, 0]], dtype=np.uint8))
         assert (img.width, img.height) == (3, 2)
         assert img.intensities.dtype == np.float64
-        with pytest.raises(ShapeError):
-            GrayImage(np.zeros(3))
         with pytest.raises(NumericError):
             GrayImage(np.array([[0.5, np.nan]]))
-        # a string, object or complex array is not read as intensities, nor is an empty one
-        for bad in ([[1.5]], [[-0.1]], np.full((1, 1), 255, dtype=np.uint8), [["a"]],
-                    np.array([[0.5]], dtype=object), [[0.5 + 2j]], np.zeros((0, 3))):
-            with pytest.raises(InputError):
+        # (its ndim, empty, dtype and ragged cases are rows of test_array_rule)
+        for bad in ([[1.5]], [[-0.1]], np.full((1, 1), 255, dtype=np.uint8)):
+            with pytest.raises(InputError, match=r"\[0, 1\]"):
                 GrayImage(bad)
 
 
@@ -320,12 +313,8 @@ class TestForwardPass:
             DecoderSession(steer_cfg, rand_weights, visual)
 
     def test_rejects_misshapen_inputs(self, rand_cfg, rand_weights, rand_image):
+        # (the shapes of the embeddings and of the policy mask are rows of test_array_rule)
         visual = encode_image(rand_image, rand_weights)
-        with pytest.raises(ShapeError):
-            DecoderSession(rand_cfg, rand_weights, VisualSequence(visual.embeddings[:-1]))
-        short_mask = np.ones(len(visual) - 1, dtype=np.uint8)
-        with pytest.raises(ShapeError):
-            DecoderSession(rand_cfg, rand_weights, visual, attn_policy=(short_mask, 2.0))
         session = DecoderSession(rand_cfg, rand_weights, visual)
         with pytest.raises(InputError):
             session.extend_with_tokens([])
