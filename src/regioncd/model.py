@@ -56,16 +56,15 @@ class GrayImage:
     """Grayscale image with intensities in [0, 1]; the size is the array's shape.
 
     As for a :class:`~regioncd.masks.SegMask`, the array passes
-    :func:`~regioncd.errors.require_array` as 2-D and non-empty.
+    :func:`~regioncd.errors.require_array` as 2-D and non-empty. An intensity outside
+    [0, 1], NaN included, is an :class:`~regioncd.errors.InputError`, like any bad input.
     """
 
     intensities: np.ndarray  # (height, width), stored as a read-only float64 copy
 
     def __post_init__(self) -> None:
         a = errors.require_array("image", self.intensities, (None, None))
-        if not np.isfinite(a).all():
-            raise NumericError("image intensities must be finite")
-        if a.min() < 0.0 or a.max() > 1.0:
+        if not ((a >= 0) & (a <= 1)).all():  # NaN fails both comparisons
             raise InputError("image intensities must lie in [0, 1]")
         intensities = a.astype(np.float64)  # a copy: the caller's array cannot change the image
         intensities.flags.writeable = False

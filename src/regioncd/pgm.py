@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from regioncd.errors import FormatError, InputError, require_int
+from regioncd.errors import FormatError, InputError, require_array, require_int
 
 # a comment runs to the end of its line; header fields are separated by
 # whitespace or comments, and a P2 body is its samples once comments are removed.
@@ -75,10 +75,10 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
 
 
 def write_pgm(path: str | Path, samples: np.ndarray) -> None:
-    """Write (height, width) integers in [0, 255] as P5, maxval 255; others raise FormatError."""
-    arr = np.asarray(samples)
-    if arr.ndim != 2:
-        raise FormatError("samples must be a 2-D array")
+    """Write (height, width) integers in [0, 255] as P5, maxval 255. The array passes
+    :func:`~regioncd.errors.require_array` as 2-D and non-empty; a sample that is not an
+    integer in [0, 255] is a FormatError."""
+    arr = require_array("samples", samples, (None, None))
     if not ((arr >= 0) & (arr <= 255)).all():
         raise FormatError("sample values outside [0, 255]")
     raster = arr.astype(np.uint8)

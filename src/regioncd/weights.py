@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from regioncd.config import ModelConfig
-from regioncd.errors import (FormatError, InputError, NumericError, is_int, json_fields, parse_json,
+from regioncd.errors import (FormatError, InputError, is_int, json_fields, parse_json,
                              require_array, require_int)
 
 _MASK64 = (1 << 64) - 1
@@ -139,7 +139,7 @@ class WeightSet:
             if t.dtype != np.float32:
                 raise InputError(f"tensor {name} must be float32, got {t.dtype}")
             if not np.isfinite(t).all():
-                raise NumericError(f"tensor {name} contains non-finite values")
+                raise InputError(f"tensor {name} contains non-finite values")
 
     @cached_property
     def tensors64(self) -> dict[str, np.ndarray]:

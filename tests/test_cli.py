@@ -331,14 +331,15 @@ class TestCmdDecode:
         else:
             assert not out.exists()
 
-    def test_nan_weights_exit_numeric(self, steer_files, tmp_path):
+    def test_nan_weights_exit_validation(self, steer_files, tmp_path):
         path = tmp_path / "nan.json"
         obj = json.loads(Path(steer_files["weights"]).read_text())
         raw = bytearray(base64.b64decode(obj["tensors"][0]["data"]))
         raw[0:4] = struct.pack("<f", float("nan"))
         obj["tensors"][0]["data"] = base64.b64encode(bytes(raw)).decode("ascii")
         path.write_text(json.dumps(obj))
-        assert main(steer_argv({**steer_files, "weights": str(path)}, "decode")) == 3
+        assert_exit_2(steer_argv({**steer_files, "weights": str(path)}, "decode"), None,
+                      "non-finite")
 
     @pytest.mark.parametrize("field, value", [("eos_id", 1.9), ("eos_id", True),
                                               ("eos_id", "1"), ("n_heads", 1.0)])

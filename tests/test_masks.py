@@ -162,17 +162,10 @@ class TestDownsample:
             assert (seg.pixels == pixels.astype(np.uint8)).all()
 
     def test_rejects_upsampling_and_bad_args(self):
+        # (the types and ranges of the grid size and of tau are rows of NUMBER_RULE)
         seg = SegMask(np.zeros((4, 4), dtype=np.uint8))
         with pytest.raises(InputError):
             downsample(seg, 5, 4, 0.0)
-        with pytest.raises(InputError):
-            downsample(seg, 4, 0, 0.0)
-        with pytest.raises(InputError):
-            downsample(seg, 2, 2, 1.0)
-        # a boolean or a float is no grid size, and a string no tau
-        for args in ((True, 2, 0.0), (2, 2.0, 0.0), (2, 2, "0"), (2, 2, False)):
-            with pytest.raises(InputError):
-                downsample(seg, *args)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -444,8 +437,10 @@ class TestPgmAndJson:
         big_maxval.write_text("P2\n1 1\n65535\n12\n")
         with pytest.raises(FormatError):
             read_pgm(big_maxval)
-        # a header without maxval, an empty image and a P5 sample above maxval
-        for data in (b"P2\n2 2\n", b"P2\n0 2\n255\n", b"P5\n2 1\n9\n\x01\x0a"):
+        # a header without maxval, an image with no columns or no rows, and a P5 sample above
+        # maxval
+        for data in (b"P2\n2 2\n", b"P2\n0 2\n255\n", b"P2\n2 0\n255\n",
+                     b"P5\n2 1\n9\n\x01\x0a"):
             bad = tmp_path / "d.pgm"
             bad.write_bytes(data)
             with pytest.raises(FormatError):
@@ -490,10 +485,6 @@ class TestPgmAndJson:
                 write_pgm(tmp_path / "m.pgm", np.array(samples))
         write_pgm(tmp_path / "ok.pgm", np.array([[1.0, 255.0]]))
         assert read_pgm(tmp_path / "ok.pgm")[0].tolist() == [[1, 255]]
-
-    def test_write_pgm_rejects_a_1d_array(self, tmp_path):
-        with pytest.raises(FormatError):
-            write_pgm(tmp_path / "m.pgm", np.zeros(4, dtype=np.uint8))
 
     def test_token_mask_json_roundtrip(self):
         spec = GridSpec(side=2)
